@@ -81,7 +81,6 @@ CorpusReport runCampaign(const std::vector<const corpus::CodeChange *> &Mined,
                          obs::Observer *Obs) {
   PipelineConfig Opts;
   Opts.Threads = Threads;
-  Opts.Clustering.Threads = Threads;
   Opts.Faults = Plan;
   return DiffCode(api(), Opts).run({.Changes = Mined,
                                             .TargetClasses =

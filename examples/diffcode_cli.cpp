@@ -17,7 +17,7 @@
 //   diffcode_cli suggest <old.java> <new.java>
 //       auto-suggest a rule from the change (Section 6.3).
 //
-//   diffcode_cli pipeline <corpus-dir> [--json] [--cluster] [--shard <n>]
+//   diffcode_cli pipeline <corpus-dir> [--json] [--cluster]
 //                [--metrics] [--trace-out=<file>] [--workers <n>]
 //                [--unit-deadline-ms <n>] [--max-retries <n>]
 //                [--fail-on-degraded <pct>]
@@ -25,9 +25,7 @@
 //       exportable from git) and run the full mining -> abstraction ->
 //       filter -> cluster pipeline, printing the Figure-6-style table.
 //       --cluster builds per-class dendrograms and prints the flat
-//       clusters at the default cut; --shard <n> additionally arms the
-//       sharded clustering engine with MaxShardSize n (implies
-//       --cluster) and reports the shard statistics. --metrics runs the
+//       clusters at the default cut. --metrics runs the
 //       pipeline observed: the text report gains per-stage timing and
 //       counter tables, the JSON report a "metrics" block.
 //       --trace-out=<file> (implies --metrics) additionally writes the
@@ -43,6 +41,9 @@
 //       more than pct percent of the mined changes did not process
 //       cleanly (any non-ok status) — the CI tripwire for corpora that
 //       silently rot.
+//
+//   Every numeric flag takes a non-negative number, written in full
+//   (examples/CliArgs.h); anything else prints usage and exits 2.
 //
 //   diffcode_cli scan (<file.java ...> | --corpus <dir>) [--json]
 //                [--rules <id,id,...>] [--refine] [--threads <n>]
@@ -92,6 +93,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliArgs.h"
+
 #include "core/DiffCode.h"
 #include "core/ReportWriter.h"
 #include "exec/Supervisor.h"
@@ -124,7 +127,7 @@ int printUsage() {
                "       diffcode_cli check <file.java ...> [--json]\n"
                "       diffcode_cli suggest <old.java> <new.java>\n"
                "       diffcode_cli pipeline <corpus-dir> [--json] "
-               "[--cluster] [--shard <n>]\n"
+               "[--cluster]\n"
                "                    [--metrics] [--trace-out=<file>] "
                "[--workers <n>]\n"
                "                    [--unit-deadline-ms <n>] "
@@ -269,20 +272,13 @@ int runPipeline(int argc, char **argv, bool Json) {
   if (argc < 3)
     return printUsage();
   bool Cluster = false;
-  bool Shard = false;
   bool Metrics = false;
-  std::size_t ShardSize = 0;
   std::string TraceOut;
   core::ExecutionPolicy Exec;
   double FailOnDegradedPct = -1.0; // negative: tripwire disabled
   for (int I = 3; I < argc; ++I) {
     if (std::strcmp(argv[I], "--cluster") == 0) {
       Cluster = true;
-    } else if (std::strcmp(argv[I], "--shard") == 0) {
-      if (I + 1 >= argc)
-        return printUsage();
-      Shard = Cluster = true;
-      ShardSize = std::strtoull(argv[++I], nullptr, 10);
     } else if (std::strcmp(argv[I], "--metrics") == 0) {
       Metrics = true;
     } else if (std::strncmp(argv[I], "--trace-out=", 12) == 0) {
@@ -291,24 +287,18 @@ int runPipeline(int argc, char **argv, bool Json) {
         return printUsage();
       Metrics = true;
     } else if (std::strcmp(argv[I], "--workers") == 0) {
-      if (I + 1 >= argc)
+      if (I + 1 >= argc || !parseNonNegative(argv[++I], Exec.Workers))
         return printUsage();
       Exec.Mode = core::ExecutionMode::Supervised;
-      Exec.Workers =
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
     } else if (std::strcmp(argv[I], "--unit-deadline-ms") == 0) {
-      if (I + 1 >= argc)
+      if (I + 1 >= argc || !parseNonNegative(argv[++I], Exec.UnitDeadlineMs))
         return printUsage();
-      Exec.UnitDeadlineMs = std::strtoull(argv[++I], nullptr, 10);
     } else if (std::strcmp(argv[I], "--max-retries") == 0) {
-      if (I + 1 >= argc)
+      if (I + 1 >= argc || !parseNonNegative(argv[++I], Exec.MaxRetries))
         return printUsage();
-      Exec.MaxRetries =
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
     } else if (std::strcmp(argv[I], "--fail-on-degraded") == 0) {
-      if (I + 1 >= argc)
+      if (I + 1 >= argc || !parseNonNegative(argv[++I], FailOnDegradedPct))
         return printUsage();
-      FailOnDegradedPct = std::strtod(argv[++I], nullptr);
     } else if (std::strcmp(argv[I], "--json") != 0) {
       return printUsage();
     }
@@ -332,11 +322,6 @@ int runPipeline(int argc, char **argv, bool Json) {
 
   core::PipelineConfig Opts;
   Opts.Threads = 0;
-  if (Shard) {
-    Opts.Sharding.Enabled = true;
-    Opts.Sharding.MaxShardSize = ShardSize;
-    Opts.Sharding.Threads = 0; // all cores
-  }
   core::DiffCode System(Api, Opts);
   obs::Observer Obs;
   // run() dispatches on Exec.Mode, so --workers swaps in the
@@ -397,15 +382,9 @@ int runPipeline(int argc, char **argv, bool Json) {
         continue;
       std::size_t Clusters =
           Class.Tree.cut(System.config().Clustering.Cut).size();
-      std::printf("%s: %zu flat clusters at cut %.2f",
+      std::printf("%s: %zu flat clusters at cut %.2f\n",
                   Class.TargetClass.c_str(), Clusters,
                   System.config().Clustering.Cut);
-      if (Class.Sharding.NumShards > 0)
-        std::printf(" (sharded: %zu shards, largest %zu, %zu "
-                    "representatives)",
-                    Class.Sharding.NumShards, Class.Sharding.LargestShard,
-                    Class.Sharding.Representatives);
-      std::printf("\n");
     }
   }
 
@@ -508,9 +487,10 @@ int runScan(int argc, char **argv) {
       FailOnViolation = true;
     else if (std::strcmp(argv[I], "--no-unit-cache") == 0)
       CacheUnits = false;
-    else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc)
-      Threads = static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--corpus") == 0 && I + 1 < argc)
+    else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
+      if (!parseNonNegative(argv[++I], Threads))
+        return printUsage();
+    } else if (std::strcmp(argv[I], "--corpus") == 0 && I + 1 < argc)
       CorpusDir = argv[++I];
     else if (std::strcmp(argv[I], "--rules") == 0 && I + 1 < argc)
       RuleFilter = splitCommaList(argv[++I]);
@@ -653,12 +633,13 @@ int runServe(int argc, char **argv) {
   bool Metrics = false;
   std::string TraceOut;
   for (int I = 3; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc)
-      Opts.Config.Threads =
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--max-cached") == 0 && I + 1 < argc)
-      Opts.MaxCachedChanges = std::strtoull(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--metrics") == 0)
+    if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
+      if (!parseNonNegative(argv[++I], Opts.Config.Threads))
+        return printUsage();
+    } else if (std::strcmp(argv[I], "--max-cached") == 0 && I + 1 < argc) {
+      if (!parseNonNegative(argv[++I], Opts.MaxCachedChanges))
+        return printUsage();
+    } else if (std::strcmp(argv[I], "--metrics") == 0)
       Metrics = true;
     else if (std::strncmp(argv[I], "--trace-out=", 12) == 0) {
       TraceOut = argv[I] + 12;

@@ -23,9 +23,12 @@
 // `diffcode_cli connect <socket> --query metrics` introspects the live
 // snapshot without disturbing the session. --trace-out=<file> (implies
 // --metrics) flushes the span trace as Chrome trace_event JSON when the
-// daemon shuts down.
+// daemon shuts down. --threads and --max-cached take a non-negative
+// number written in full; anything else prints usage and exits 2.
 //
 //===----------------------------------------------------------------------===//
+
+#include "CliArgs.h"
 
 #include "service/Server.h"
 
@@ -36,14 +39,16 @@
 
 using namespace diffcode;
 
+static int printUsage() {
+  std::fprintf(stderr, "usage: diffcoded <socket-path> [--threads <n>] "
+                       "[--max-cached <n>]\n"
+                       "                 [--metrics] [--trace-out=<file>]\n");
+  return 2;
+}
+
 int main(int argc, char **argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: diffcoded <socket-path> [--threads <n>] "
-                 "[--max-cached <n>]\n"
-                 "                 [--metrics] [--trace-out=<file>]\n");
-    return 2;
-  }
+  if (argc < 2)
+    return printUsage();
   std::string SocketPath = argv[1];
   service::SessionOptions Opts;
   Opts.Config.Threads = 0; // one analysis worker per hardware thread
@@ -51,10 +56,11 @@ int main(int argc, char **argv) {
   std::string TraceOut;
   for (int I = 2; I < argc; ++I) {
     if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      Opts.Config.Threads =
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
+      if (!parseNonNegative(argv[++I], Opts.Config.Threads))
+        return printUsage();
     } else if (std::strcmp(argv[I], "--max-cached") == 0 && I + 1 < argc) {
-      Opts.MaxCachedChanges = std::strtoull(argv[++I], nullptr, 10);
+      if (!parseNonNegative(argv[++I], Opts.MaxCachedChanges))
+        return printUsage();
     } else if (std::strcmp(argv[I], "--metrics") == 0) {
       Metrics = true;
     } else if (std::strncmp(argv[I], "--trace-out=", 12) == 0) {

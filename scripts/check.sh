@@ -17,20 +17,6 @@
 # sanitizer sweep never invalidates the incremental tier-1 build.
 #   scripts/check.sh --asan -L tier1
 #
-# --bench-sharding (opt-in): after the test suite, run the sharded
-# clustering sweep at paper scale (bench/micro_sharding). Self-verifying
-# — non-zero exit on a determinism or memory-budget violation — and
-# leaves BENCH_sharding.json in the build directory.
-#   scripts/check.sh --bench-sharding -L tier1
-#
-# --bench-interning (opt-in): after the test suite, run the interned
-# data-model sweep (bench/micro_interning) at n in {1k, 5k, 10k}.
-# Self-verifying — non-zero exit if the interned model saves less than
-# 2x resident bytes per change or the warmed cache is slower than the
-# string-space metric — and leaves BENCH_interning.json in the build
-# directory.
-#   scripts/check.sh --bench-interning -L tier1
-#
 # --bench-faults (opt-in): after the test suite, run the fault-campaign
 # sweep (bench/micro_faults): per-ChangeStatus counts vs wall time across
 # fault rates and sites, read from metrics snapshots. Self-verifying —
@@ -85,8 +71,6 @@ BUILD_DIR=build
 CMAKE_ARGS=()
 CTEST_ARGS=()
 ASAN=0
-BENCH_SHARDING=0
-BENCH_INTERNING=0
 BENCH_FAULTS=0
 BENCH_LEXER=0
 BENCH_INCREMENTAL=0
@@ -100,10 +84,6 @@ for arg in "$@"; do
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
       "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=all"
     )
-  elif [[ "$arg" == "--bench-sharding" ]]; then
-    BENCH_SHARDING=1
-  elif [[ "$arg" == "--bench-interning" ]]; then
-    BENCH_INTERNING=1
   elif [[ "$arg" == "--bench-faults" ]]; then
     BENCH_FAULTS=1
   elif [[ "$arg" == "--bench-lexer" ]]; then
@@ -170,16 +150,6 @@ if [[ "$ASAN" == "1" ]]; then
 else
   echo "== observability overhead guard (bench/micro_pipeline) =="
   ./bench/micro_pipeline --verify-overhead
-fi
-
-if [[ "$BENCH_SHARDING" == "1" ]]; then
-  echo "== sharded clustering sweep (bench/micro_sharding) =="
-  ./bench/micro_sharding 10000 42 BENCH_sharding.json
-fi
-
-if [[ "$BENCH_INTERNING" == "1" ]]; then
-  echo "== interned data model sweep (bench/micro_interning) =="
-  ./bench/micro_interning 10000 42 BENCH_interning.json
 fi
 
 if [[ "$BENCH_FAULTS" == "1" ]]; then

@@ -5,7 +5,6 @@
 #include "cluster/Distance.h"
 #include "support/Hungarian.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 
@@ -24,8 +23,7 @@ constexpr std::size_t DenseTableCap = 2048;
 
 } // namespace
 
-UsageDistCache::UsageDistCache(const std::vector<UsageChange> &Changes,
-                               support::ThreadPool *Pool) {
+UsageDistCache::UsageDistCache(const std::vector<UsageChange> &Changes) {
   const support::Interner *Table = nullptr;
   for (const UsageChange &Change : Changes)
     if (Change.Table) {
@@ -97,46 +95,28 @@ UsageDistCache::UsageDistCache(const std::vector<UsageChange> &Changes,
   }
 
   // Warm the dense tables, labels first (pathDist reads label
-  // similarities). Each (row, col >= row) entry is written exactly once
-  // together with its mirror, so row-parallel fills are race-free; both
-  // functions are symmetric, so mirroring preserves bit-identity.
+  // similarities). Each (row, col >= row) entry is written together with
+  // its mirror; both functions are symmetric, so mirroring preserves
+  // bit-identity.
   std::size_t L = Units.size();
   if (L > 0 && L <= DenseTableCap) {
     LabelSimTable.assign(L * L, 0.0);
-    auto FillRow = [&](std::size_t R) {
+    for (std::size_t R = 0; R < L; ++R)
       for (std::size_t C = R; C < L; ++C) {
         double Sim = levenshteinRatio(*Units[R], *Units[C]);
         LabelSimTable[R * L + C] = LabelSimTable[C * L + R] = Sim;
       }
-    };
-    if (Pool)
-      Pool->parallelForChunked(L, 1, [&](std::size_t Begin, std::size_t Stop) {
-        for (std::size_t R = Begin; R < Stop; ++R)
-          FillRow(R);
-      });
-    else
-      for (std::size_t R = 0; R < L; ++R)
-        FillRow(R);
   }
 
   std::size_t P = PathLabels.size();
   if (P > 0 && P <= DenseTableCap) {
     PathDistTable.assign(P * P, 0.0);
-    auto FillRow = [&](std::size_t R) {
+    for (std::size_t R = 0; R < P; ++R)
       for (std::size_t C = R + 1; C < P; ++C) {
         double Dist = pathDistById(static_cast<std::uint32_t>(R),
                                    static_cast<std::uint32_t>(C));
         PathDistTable[R * P + C] = PathDistTable[C * P + R] = Dist;
       }
-    };
-    if (Pool)
-      Pool->parallelForChunked(P, 1, [&](std::size_t Begin, std::size_t Stop) {
-        for (std::size_t R = Begin; R < Stop; ++R)
-          FillRow(R);
-      });
-    else
-      for (std::size_t R = 0; R < P; ++R)
-        FillRow(R);
   }
 }
 

@@ -32,8 +32,7 @@
 /// determinism contract). Every memoised value is produced by the same
 /// arithmetic as the uncached functions in cluster/Distance.h, so results
 /// are bit-identical — tests assert exact equality. All queries after
-/// construction are read-only and therefore thread-safe; construction
-/// itself can be parallelised by passing a support::ThreadPool.
+/// construction are read-only and therefore thread-safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,10 +47,6 @@
 #include <vector>
 
 namespace diffcode {
-namespace support {
-class ThreadPool;
-} // namespace support
-
 namespace cluster {
 
 /// Memoised usageDist evaluator over a fixed corpus of usage changes.
@@ -60,10 +55,8 @@ namespace cluster {
 /// from its arena.
 class UsageDistCache {
 public:
-  /// Compacts the corpus's ids and warms the similarity tables; \p Pool
-  /// (may be null) parallelises the table fill.
-  explicit UsageDistCache(const std::vector<usage::UsageChange> &Changes,
-                          support::ThreadPool *Pool = nullptr);
+  /// Compacts the corpus's ids and warms the similarity tables.
+  explicit UsageDistCache(const std::vector<usage::UsageChange> &Changes);
 
   /// Number of usage changes indexed.
   std::size_t size() const { return Interned.size(); }

@@ -16,18 +16,12 @@
 /// threshold to obtain flat clusters and rendered as ASCII art for manual
 /// rule elicitation (Figure 8).
 ///
-/// Two agglomeration engines share one canonical tie-breaking rule
-/// (DESIGN.md "Clustering engine") and therefore produce bit-identical
-/// dendrograms:
-///
-///   * NNChain — the nearest-neighbor-chain algorithm, exact for
-///     complete linkage (a reducible dissimilarity), O(n^2) after the
-///     distance matrix;
-///   * Naive — the O(n^3) greedy reference, recomputing linkages from
-///     raw item distances; retained as the differential-testing oracle.
-///
-/// The pairwise distance matrix is computed in parallel blocks over a
-/// support::ThreadPool; results are deterministic for any thread count.
+/// Agglomeration runs the nearest-neighbor-chain algorithm, exact for
+/// complete linkage (a reducible dissimilarity) and O(n^2) after the
+/// distance matrix. A canonical tie-breaking order (DESIGN.md
+/// "Clustering engine") makes the dendrogram unique, so it equals the
+/// O(n^3) greedy reference that tests/NaiveClustering.h keeps as the
+/// differential oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,72 +36,7 @@
 #include <vector>
 
 namespace diffcode {
-namespace support {
-class ThreadPool;
-} // namespace support
-
 namespace cluster {
-
-/// Sharded-clustering knobs (cluster/ShardedClustering.h). At paper
-/// scale (n=11,551 Cipher changes) the dense distance matrix alone is
-/// ~1 GiB; sharding caps matrix memory at the largest shard plus the
-/// representative matrix, at the cost of approximating cross-shard
-/// linkages from per-shard representatives.
-struct ShardingOptions {
-  /// Master switch. Disabled (the default) leaves every clustering path
-  /// bit-identical to the unsharded engine.
-  bool Enabled = false;
-  /// Largest number of usage changes per shard; 0 = unlimited, which
-  /// packs the whole corpus into one shard and therefore reproduces the
-  /// unsharded dendrogram byte for byte.
-  std::size_t MaxShardSize = 512;
-  /// How many leading method labels of a change's first feature path
-  /// form its canopy key; 0 keys every change identically.
-  unsigned KeyDepth = 1;
-  /// Threads over shards (each shard clusters serially inside its
-  /// worker); resolved by support::resolveThreads.
-  unsigned Threads = 1;
-  /// Per-shard dendrogram cut that elects representatives: one per flat
-  /// sub-cluster (its minimum item id). Smaller cuts mean more
-  /// representatives and a tighter cross-shard linkage estimate.
-  double RepresentativeCut = 0.4;
-  /// Cap on representatives elected per shard (largest sub-clusters
-  /// first); bounds the representative matrix at
-  /// (NumShards * MaxRepsPerShard)^2 doubles.
-  std::size_t MaxRepsPerShard = 64;
-};
-
-/// What the sharded engine did, for reports and benchmarks.
-struct ShardingStats {
-  std::size_t NumShards = 0; ///< 0 when the sharded engine did not run.
-  std::size_t LargestShard = 0;
-  std::size_t Representatives = 0;
-  /// High-water mark of concurrently allocated distance-matrix bytes
-  /// (per-shard matrices across workers, then the representative and
-  /// shard-linkage matrices).
-  std::size_t PeakMatrixBytes = 0;
-  /// Item count of every shard, in canonical shard order; feeds the
-  /// observability layer's shard-size histogram.
-  std::vector<std::size_t> ShardSizes;
-};
-
-/// Clustering engine knobs.
-struct ClusteringOptions {
-  /// Threads for the pairwise distance matrix and cache warm-up
-  /// (support::resolveThreads semantics). The dendrogram is identical
-  /// for every value.
-  unsigned Threads = 1;
-  /// Agglomeration algorithm; both are exact complete linkage with the
-  /// same canonical tie-breaking, so they differ only in running time.
-  enum class Algorithm {
-    NNChain, ///< O(n^2) production engine.
-    Naive,   ///< O(n^3) reference for differential testing.
-  };
-  Algorithm Algo = Algorithm::NNChain;
-  /// Shard-and-merge engine for corpora whose dense matrix would not
-  /// fit; clusterUsageChanges dispatches on Sharding.Enabled.
-  ShardingOptions Sharding;
-};
 
 /// Binary merge tree over clustered items.
 class Dendrogram {
@@ -139,13 +68,7 @@ public:
 
 private:
   friend Dendrogram agglomerateDistanceMatrix(std::size_t,
-                                              std::vector<double>,
-                                              ClusteringOptions::Algorithm);
-  /// The sharded engine (cluster/ShardedClustering.cpp) grafts shard
-  /// trees and representative-level merges into one node array.
-  friend Dendrogram
-  clusterUsageChangesSharded(const std::vector<usage::UsageChange> &,
-                             const ClusteringOptions &, ShardingStats *);
+                                              std::vector<double>);
 
   std::vector<Node> Nodes;
   int Root = -1;
@@ -155,35 +78,32 @@ private:
 };
 
 /// Row-major NumItems x NumItems pairwise distance matrix (diagonal 0,
-/// symmetric). Rows are computed in parallel when \p Pool (may be null)
-/// has workers; every entry is computed exactly once, so the result is
-/// deterministic for any thread count.
+/// symmetric); Dist is evaluated once per unordered pair, I < J.
 std::vector<double> pairwiseDistanceMatrix(
     std::size_t NumItems,
-    const std::function<double(std::size_t, std::size_t)> &Dist,
-    support::ThreadPool *Pool = nullptr);
+    const std::function<double(std::size_t, std::size_t)> &Dist);
 
 /// Complete-linkage agglomeration of a precomputed distance matrix
 /// (row-major NumItems^2, consumed). Merge nodes are appended in
 /// ascending canonical merge order, so node creation order equals merge
-/// order for both algorithms.
-Dendrogram agglomerateDistanceMatrix(
-    std::size_t NumItems, std::vector<double> Matrix,
-    ClusteringOptions::Algorithm Algo = ClusteringOptions::Algorithm::NNChain);
+/// order.
+Dendrogram agglomerateDistanceMatrix(std::size_t NumItems,
+                                     std::vector<double> Matrix);
 
 /// Clusters \p NumItems items under item distance \p Dist with complete
 /// linkage.
 Dendrogram agglomerativeCluster(
     std::size_t NumItems,
-    const std::function<double(std::size_t, std::size_t)> &Dist,
-    const ClusteringOptions &Opts = ClusteringOptions());
+    const std::function<double(std::size_t, std::size_t)> &Dist);
 
-/// Convenience wrapper clustering usage changes by usageDist, memoised
-/// through cluster::UsageDistCache. Dispatches to the shard-and-merge
-/// engine (cluster/ShardedClustering.h) when Opts.Sharding.Enabled.
-Dendrogram clusterUsageChanges(const std::vector<usage::UsageChange> &Changes,
-                               const ClusteringOptions &Opts =
-                                   ClusteringOptions());
+/// The usageDist matrix over \p Changes, memoised through
+/// cluster::UsageDistCache.
+std::vector<double>
+usageDistanceMatrix(const std::vector<usage::UsageChange> &Changes);
+
+/// Clusters usage changes by usageDist:
+/// agglomerateDistanceMatrix over usageDistanceMatrix(Changes).
+Dendrogram clusterUsageChanges(const std::vector<usage::UsageChange> &Changes);
 
 } // namespace cluster
 } // namespace diffcode

@@ -2,7 +2,6 @@
 
 #include "core/DiffCode.h"
 
-#include "cluster/ShardedClustering.h"
 #include "exec/Supervisor.h"
 #include "javaast/Parser.h"
 #include "obs/Observer.h"
@@ -339,9 +338,16 @@ ClassReport DiffCode::filterClass(const std::vector<ChangeRecord> &Records,
 }
 
 void DiffCode::clusterClass(ClassReport &Class) const {
+  clusterClass(Class, [&Class] {
+    return cluster::usageDistanceMatrix(Class.Filtered.Kept);
+  });
+}
+
+void DiffCode::clusterClass(
+    ClassReport &Class,
+    const std::function<std::vector<double>()> &Distances) const {
   Class.Tree = cluster::Dendrogram();
   Class.ClusteringError.clear();
-  Class.Sharding = cluster::ShardingStats();
   if (Class.Filtered.Kept.empty())
     return;
   // Scope key = class-name hash (FNV-1a), distinct from any change
@@ -350,23 +356,17 @@ void DiffCode::clusterClass(ClassReport &Class) const {
   for (char C : Class.TargetClass)
     ClassKey = (ClassKey ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
   support::FaultScope Scope(&Config.Faults, ClassKey);
-  cluster::ClusteringOptions Engine = Config.clusteringOptions();
   try {
-    if (Engine.Sharding.Enabled)
-      Class.Tree = cluster::clusterUsageChangesSharded(
-          Class.Filtered.Kept, Engine, &Class.Sharding);
-    else
-      Class.Tree = cluster::clusterUsageChanges(Class.Filtered.Kept, Engine);
+    Class.Tree = cluster::agglomerateDistanceMatrix(Class.Filtered.Kept.size(),
+                                                    Distances());
   } catch (const std::exception &E) {
     Class.Tree = cluster::Dendrogram();
-    Class.Sharding = cluster::ShardingStats();
     Class.ClusteringError = E.what();
   }
 }
 
 /// Folds one class's filter attrition and clustering shape into the
-/// metrics registry. Counters accumulate across classes; shard sizes go
-/// into one corpus-wide histogram.
+/// metrics registry. Counters accumulate across classes.
 static void recordClassMetrics(obs::Registry &R, const ClassReport &Class) {
   const FilterResult &F = Class.Filtered;
   R.counter("filter.input").add(F.Total);
@@ -377,19 +377,6 @@ static void recordClassMetrics(obs::Registry &R, const ClassReport &Class) {
   R.counter("cluster.leaves").add(Class.Tree.leafCount());
   if (!Class.ClusteringError.empty())
     R.counter("cluster.failures").add(1);
-  const cluster::ShardingStats &Sh = Class.Sharding;
-  if (Sh.NumShards > 0) {
-    R.counter("cluster.shards").add(Sh.NumShards);
-    R.counter("cluster.representatives").add(Sh.Representatives);
-    auto &Sizes = R.histogram("cluster.shard_size");
-    for (std::size_t Size : Sh.ShardSizes)
-      Sizes.record(Size);
-    // Concurrent per-shard matrices make the high-water mark
-    // scheduling-dependent.
-    R.gauge("cluster.peak_matrix_bytes", obs::Unit::Bytes,
-            obs::Stability::PerRun)
-        .max(std::int64_t(Sh.PeakMatrixBytes));
-  }
 }
 
 CorpusReport DiffCode::run(const PipelineRequest &Request) const {

@@ -83,19 +83,18 @@ struct ExecutionPolicy {
 };
 
 /// The system's one documented knob surface, replacing the ad-hoc
-/// option clusters that accumulated across PRs 1-7. Six
-/// groups — threads, limits, clustering, sharding, exec, metrics — plus
-/// the fault-injection campaign, all designed for designated-initializer
+/// option clusters that accumulated across PRs 1-7. Five
+/// groups — threads, limits, clustering, exec, metrics — plus the
+/// fault-injection campaign, all designed for designated-initializer
 /// construction:
 ///
 ///   core::DiffCode System(Api, {.Threads = 8,
-///                               .Clustering = {.Cut = 0.3},
-///                               .Sharding = {.Enabled = true}});
+///                               .Clustering = {.Cut = 0.3}});
 ///
 /// Every thread knob shares support::resolveThreads semantics (0 = one
 /// per hardware thread), and no knob changes report bytes except through
-/// its documented effect (sharding estimates cross-shard linkage; the
-/// cut threshold moves flat-cluster boundaries).
+/// its documented effect (the cut threshold moves flat-cluster
+/// boundaries).
 struct PipelineConfig {
   /// -- threads: worker threads for the per-change analysis stage (each
   /// change is independent: parse + analyze + diff). Results are
@@ -113,22 +112,12 @@ struct PipelineConfig {
   };
   LimitsGroup Limits;
 
-  /// -- clustering: the agglomeration engine. Algorithm choice (NNChain
-  /// by default; the naive reference is retained for differential
-  /// testing) and matrix threads never change the dendrogram; Cut is the
-  /// threshold for flat clusters (manual-inspection aid).
+  /// -- clustering: Cut is the threshold for flat clusters
+  /// (manual-inspection aid); the dendrogram itself has no knobs.
   struct ClusteringGroup {
     double Cut = 0.4;
-    cluster::ClusteringOptions::Algorithm Algo =
-        cluster::ClusteringOptions::Algorithm::NNChain;
-    /// Threads for the pairwise distance matrix and cache warm-up.
-    unsigned Threads = 1;
   };
   ClusteringGroup Clustering;
-
-  /// -- sharding: the shard-and-merge engine for corpora whose dense
-  /// matrix would not fit; clustering dispatches on Sharding.Enabled.
-  cluster::ShardingOptions Sharding;
 
   /// -- exec: the execution policy run() falls back to when the request
   /// leaves its own policy default-constructed.
@@ -144,16 +133,6 @@ struct PipelineConfig {
   /// under a deterministic FaultScope, so injected failures land on the
   /// same changes at any thread count.
   support::FaultPlan Faults;
-
-  /// The clustering-engine view of this config (Clustering + Sharding
-  /// folded back into the cluster layer's option struct).
-  cluster::ClusteringOptions clusteringOptions() const {
-    cluster::ClusteringOptions Out;
-    Out.Threads = Clustering.Threads;
-    Out.Algo = Clustering.Algo;
-    Out.Sharding = Sharding;
-    return Out;
-  }
 };
 
 /// Outcome taxonomy for one processed code change. Ordered by severity:
@@ -217,9 +196,6 @@ struct ClassReport {
   /// Non-empty when dendrogram construction failed; Tree is then empty
   /// but AllChanges/Filtered are still valid.
   std::string ClusteringError;
-  /// What the sharded engine did (NumShards == 0 when clustering ran
-  /// unsharded or not at all).
-  cluster::ShardingStats Sharding;
 };
 
 /// One row of the corpus-health worst-offender table.
@@ -384,8 +360,7 @@ public:
   //===--------------------------------------------------------------------===//
   // Stage entry points. run() composes exactly these three, so
   // callers can run any prefix (analysis only, analysis + filters) or
-  // re-cluster a filtered class under different options without
-  // re-analyzing the corpus.
+  // re-cluster a filtered class without re-analyzing the corpus.
   //===--------------------------------------------------------------------===//
 
   /// Stage 1 — per-change analysis: processChange over
@@ -401,10 +376,15 @@ public:
                           const std::string &TargetClass) const;
 
   /// Stage 3 — clustering: builds \p Class.Tree over Class.Filtered.Kept
-  /// under config's clustering/sharding groups (sharded when
-  /// config().Sharding.Enabled, filling Class.Sharding). A failure
-  /// empties the Tree and sets Class.ClusteringError instead of throwing.
+  /// by complete linkage under usageDist. A failure empties the Tree and
+  /// sets Class.ClusteringError instead of throwing.
   void clusterClass(ClassReport &Class) const;
+  /// clusterClass over a distance matrix from \p Distances (row-major
+  /// Kept.size()^2, e.g. assembled from persisted pair distances) instead
+  /// of computing usageDist afresh. Distances runs inside the class's
+  /// fault scope and error containment, exactly like the cold matrix.
+  void clusterClass(ClassReport &Class,
+                    const std::function<std::vector<double>()> &Distances) const;
 
   /// The one pipeline entry point: dispatches on Request.Exec.Mode
   /// (falling back to config().Exec when the request's policy is

@@ -139,20 +139,6 @@ std::string diffcode::core::corpusReportToJson(const CorpusReport &Report) {
     W.endArray();
     if (!Class.ClusteringError.empty())
       W.key("clusteringError").value(Class.ClusteringError);
-    // Only present when the sharded engine ran, so reports from
-    // unsharded runs stay byte-identical to earlier releases.
-    if (Class.Sharding.NumShards > 0) {
-      W.key("sharding").beginObject();
-      W.key("shards").value(
-          static_cast<std::uint64_t>(Class.Sharding.NumShards));
-      W.key("largestShard")
-          .value(static_cast<std::uint64_t>(Class.Sharding.LargestShard));
-      W.key("representatives")
-          .value(static_cast<std::uint64_t>(Class.Sharding.Representatives));
-      W.key("peakMatrixBytes")
-          .value(static_cast<std::uint64_t>(Class.Sharding.PeakMatrixBytes));
-      W.endObject();
-    }
     W.endObject();
   }
   W.endArray();

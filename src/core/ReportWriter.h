@@ -40,11 +40,7 @@ std::string changeRecordToJson(const ChangeRecord &Record);
 /// The whole corpus pipeline result:
 /// {"classes":[{"target":..,"total":..,"fsame":..,..,"kept":[...]}],
 ///  "changes":..,"health":{"statuses":{..},"clusteringFailures":..,
-///  "worstOffenders":[..]}}. A class clustered by the sharded engine
-/// additionally carries {"sharding":{"shards":..,"largestShard":..,
-/// "representatives":..,"peakMatrixBytes":..}}; unsharded runs emit no
-/// such key, keeping their serialization byte-identical to earlier
-/// releases.
+///  "worstOffenders":[..]}}.
 std::string corpusReportToJson(const CorpusReport &Report);
 
 /// A CryptoChecker project report:

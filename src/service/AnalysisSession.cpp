@@ -47,16 +47,6 @@ struct AnalysisSession::ClassState {
 
 namespace {
 
-/// FNV-1a-style scope key for a class name — the exact expression
-/// DiffCode::clusterClass uses, so the incremental cluster step evaluates
-/// fault points under the identical scope.
-std::uint64_t classScopeKey(const std::string &Name) {
-  std::uint64_t Key = 0xcbf29ce484222325ull;
-  for (char C : Name)
-    Key = (Key ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
-  return Key;
-}
-
 /// Strips everything a cache hit must re-stamp: provenance and the
 /// ground-truth label are properties of the *occurrence*, not the
 /// content.
@@ -327,81 +317,44 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
   if (!Opts.BuildDendrograms)
     return;
 
-  // Cold fallbacks: the sharded engine grafts shard trees (no clean pair
-  // seam), and armed analysis campaigns must evaluate every fault point
-  // a cold run would.
-  if (!CachingSafe || Opts.Config.Sharding.Enabled) {
+  // Cold fallback: armed analysis campaigns must evaluate every fault
+  // point a cold run would.
+  if (!CachingSafe) {
     System.clusterClass(Class);
     return;
   }
 
-  Class.Tree = cluster::Dendrogram();
-  Class.ClusteringError.clear();
-  Class.Sharding = cluster::ShardingStats();
-  const std::vector<usage::UsageChange> &Kept = Class.Filtered.Kept;
-  if (Kept.empty())
-    return;
-
   // Incremental re-cluster: rebuild the dense matrix from the persisted
   // pair table, computing only pairs never seen before (for an append
   // ingest that is one thin border strip of the matrix), then hand it to
-  // the same agglomeration the batch engine uses. usageDist is a pure
-  // function of the two feature sets and UsageDistCache is bit-identical
-  // to it, so every looked-up entry matches what clusterUsageChanges
-  // would have computed — and identical matrices agglomerate into
-  // identical dendrograms.
+  // the batch engine's clustering step. usageDist is a pure function of
+  // the two feature sets and UsageDistCache is bit-identical to it, so
+  // every looked-up entry matches what the cold matrix would hold — and
+  // identical matrices agglomerate into identical dendrograms.
   ClassState &State = *Classes[ClassIndex];
-  const std::size_t N = Kept.size();
-  std::vector<std::uint32_t> Sig(N);
-  for (std::size_t I = 0; I < N; ++I)
-    Sig[I] = State.idFor(Kept[I]);
-
-  std::vector<double> Matrix(N * N, 0.0);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> MissingPairs;
-  for (std::size_t I = 0; I < N; ++I)
-    for (std::size_t J = I + 1; J < N; ++J) {
-      auto It = State.PairDist.find(ClassState::pairKey(Sig[I], Sig[J]));
-      if (It != State.PairDist.end()) {
+  const std::vector<usage::UsageChange> &Kept = Class.Filtered.Kept;
+  System.clusterClass(Class, [&] {
+    const std::size_t N = Kept.size();
+    std::vector<std::uint32_t> Sig(N);
+    for (std::size_t I = 0; I < N; ++I)
+      Sig[I] = State.idFor(Kept[I]);
+    std::vector<double> Matrix(N * N, 0.0);
+    for (std::size_t I = 0; I < N; ++I)
+      for (std::size_t J = I + 1; J < N; ++J) {
+        std::uint64_t Key = ClassState::pairKey(Sig[I], Sig[J]);
+        auto It = State.PairDist.find(Key);
+        if (It == State.PairDist.end()) {
+          It = State.PairDist
+                   .emplace(Key, cluster::usageDist(Kept[I], Kept[J]))
+                   .first;
+          ++Stats.PairsComputed;
+        } else {
+          ++Stats.PairsReused;
+        }
         Matrix[I * N + J] = Matrix[J * N + I] = It->second;
-        ++Stats.PairsReused;
-      } else {
-        MissingPairs.emplace_back(std::uint32_t(I), std::uint32_t(J));
       }
-    }
-
-  if (!MissingPairs.empty()) {
-    std::vector<double> Fresh(MissingPairs.size());
-    unsigned Threads = std::min<unsigned>(
-        support::resolveThreads(Opts.Config.Clustering.Threads),
-        std::max<std::size_t>(MissingPairs.size(), 1));
-    support::ThreadPool Pool(Threads);
-    Pool.parallelForChunked(
-        MissingPairs.size(), 64, [&](std::size_t Begin, std::size_t Stop) {
-          for (std::size_t P = Begin; P < Stop; ++P)
-            Fresh[P] = cluster::usageDist(Kept[MissingPairs[P].first],
-                                          Kept[MissingPairs[P].second]);
-        });
-    for (std::size_t P = 0; P < MissingPairs.size(); ++P) {
-      auto [I, J] = MissingPairs[P];
-      Matrix[I * N + J] = Matrix[J * N + I] = Fresh[P];
-      State.PairDist.emplace(ClassState::pairKey(Sig[I], Sig[J]), Fresh[P]);
-    }
-    Stats.PairsComputed += MissingPairs.size();
-  }
-
-  // Same fault scope and same containment shape as DiffCode::clusterClass
-  // (with CachingSafe only disarmed-or-ServiceHash plans reach here, so
-  // the scope is inert — kept for exactness).
-  support::FaultScope Scope(&Opts.Config.Faults,
-                            classScopeKey(Class.TargetClass));
-  try {
-    Class.Tree = cluster::agglomerateDistanceMatrix(
-        N, std::move(Matrix), Opts.Config.Clustering.Algo);
-  } catch (const std::exception &E) {
-    Class.Tree = cluster::Dendrogram();
-    Class.Sharding = cluster::ShardingStats();
-    Class.ClusteringError = E.what();
-  }
+    return Matrix;
+  });
 }
 
 std::string AnalysisSession::reportJson() const {

@@ -28,13 +28,11 @@
 /// sequence of ingests, report() is byte-identical to a cold
 /// DiffCode::run over the same changes in the same order — at any
 /// thread count, any cache bound, and with the ServiceHash collision
-/// site armed. Two deliberate scope cuts keep that contract airtight:
-/// when the sharded clustering engine is enabled, changed classes fall
-/// back to a full (cold) cluster step, and when a fault campaign arms
-/// any in-process analysis site, memoisation is bypassed entirely —
-/// cached work evaluates fault points differently than cold work would,
-/// so the caches are only trusted when they cannot change observable
-/// behaviour.
+/// site armed. One deliberate scope cut keeps that contract airtight:
+/// when a fault campaign arms any in-process analysis site, memoisation
+/// is bypassed entirely — cached work evaluates fault points differently
+/// than cold work would, so the caches are only trusted when they cannot
+/// change observable behaviour.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -34,8 +34,8 @@
 /// Determinism contract: id *values* depend on intern order, which is
 /// racy when pipeline workers intern concurrently. No output may
 /// therefore depend on id values — only on id equality — and every
-/// consumer (shortest-path elimination, filters, distance cache, shard
-/// keys) is written to be id-value independent. That is why reports stay
+/// consumer (shortest-path elimination, filters, distance cache) is
+/// written to be id-value independent. That is why reports stay
 /// byte-identical across thread counts and vs the string-based engine.
 ///
 //===----------------------------------------------------------------------===//

@@ -46,8 +46,8 @@ namespace diffcode {
 namespace support {
 
 /// Canonical resolution of every "Threads" knob in the system
-/// (PipelineConfig::Threads, ClusteringOptions::Threads,
-/// ShardingOptions::Threads): 0 means one thread per hardware thread
+/// (PipelineConfig::Threads, scan::ScanConfig::Threads,
+/// ExecutionPolicy::Workers): 0 means one thread per hardware thread
 /// (at least 1), any other value is taken literally (1 = serial).
 /// ThreadPool's constructor applies it, so passing a raw knob through is
 /// always correct; call it directly only to pre-compute the count.

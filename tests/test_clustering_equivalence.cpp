@@ -1,24 +1,26 @@
 //===- tests/test_clustering_equivalence.cpp - NN-chain vs naive oracle ----===//
 //
 // Differential harness for the clustering engine: the production
-// nearest-neighbor-chain agglomeration must produce bit-identical
-// dendrograms to the retained O(n^3) naive reference — same node array,
-// same merge heights, same flat clusters at every cut — on seeded random
-// usage-change corpora and on tie-heavy synthetic metrics. Ties are the
-// hard part: usageDist values like 0.0, 0.5, and 1.0 recur constantly,
-// and complete linkage is only unique once the canonical tie-breaking
-// order fixes it.
+// nearest-neighbor-chain agglomeration must reproduce the O(n^3) naive
+// reference in tests/NaiveClustering.h exactly — same merges in the same
+// order, heights equal by ==, and the matching flat-cluster counts at
+// every cut — on seeded random usage-change corpora and on tie-heavy
+// synthetic metrics. Ties are the hard part: usageDist values like 0.0,
+// 0.5, and 1.0 recur constantly, and complete linkage is only unique
+// once the canonical tie-breaking order fixes it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cluster/HierarchicalClustering.h"
 
+#include "NaiveClustering.h"
 #include "cluster/Distance.h"
 #include "cluster/DistanceCache.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace diffcode;
 using namespace diffcode::analysis;
@@ -26,8 +28,6 @@ using namespace diffcode::cluster;
 using namespace diffcode::usage;
 
 namespace {
-
-using Algorithm = ClusteringOptions::Algorithm;
 
 /// Random feature path over a small vocabulary, so exact duplicates and
 /// tied distances are common across a corpus.
@@ -69,25 +69,33 @@ std::vector<UsageChange> randomCorpus(unsigned Seed, std::size_t Size) {
   return Changes;
 }
 
-/// Bit-identical dendrograms: same leaves, same merge nodes in the same
-/// order with exactly equal heights, same root.
-void expectIdenticalTrees(const Dendrogram &A, const Dendrogram &B) {
-  ASSERT_EQ(A.leafCount(), B.leafCount());
-  ASSERT_EQ(A.nodes().size(), B.nodes().size());
-  EXPECT_EQ(A.root(), B.root());
-  for (std::size_t I = 0; I < A.nodes().size(); ++I) {
-    const Dendrogram::Node &X = A.nodes()[I];
-    const Dendrogram::Node &Y = B.nodes()[I];
-    EXPECT_EQ(X.Left, Y.Left) << "node " << I;
-    EXPECT_EQ(X.Right, Y.Right) << "node " << I;
-    EXPECT_EQ(X.Item, Y.Item) << "node " << I;
-    EXPECT_EQ(X.Height, Y.Height) << "node " << I; // exact, not approximate
+/// The engine's tree over \p D has the engine's node layout and
+/// reproduces the oracle's merge list exactly; its cuts then follow.
+/// Complete-linkage heights never decrease towards the root, so a cut at
+/// T leaves one flat cluster per item minus each merge at or below T.
+void expectMatchesOracle(std::size_t N, const std::vector<double> &D) {
+  Dendrogram Tree = agglomerateDistanceMatrix(N, D);
+  ASSERT_EQ(Tree.leafCount(), N);
+  ASSERT_TRUE(oracle::hasEngineLayout(Tree));
+  std::vector<oracle::Merge> Expected = oracle::naiveMerges(N, D);
+  EXPECT_EQ(oracle::mergesOf(Tree), Expected);
+  for (double Threshold : {0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0}) {
+    std::size_t AtOrBelow =
+        std::count_if(Expected.begin(), Expected.end(),
+                      [&](const oracle::Merge &M) {
+                        return M.Height <= Threshold;
+                      });
+    EXPECT_EQ(Tree.cut(Threshold).size(), N - AtOrBelow)
+        << "cut at " << Threshold;
   }
 }
 
-void expectIdenticalCuts(const Dendrogram &A, const Dendrogram &B) {
-  for (double Threshold : {0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0})
-    EXPECT_EQ(A.cut(Threshold), B.cut(Threshold)) << "cut at " << Threshold;
+/// The usageDist matrix of \p Changes through the production cache.
+std::vector<double> cachedMatrix(const std::vector<UsageChange> &Changes) {
+  UsageDistCache Cache(Changes);
+  return pairwiseDistanceMatrix(
+      Changes.size(),
+      [&](std::size_t I, std::size_t J) { return Cache(I, J); });
 }
 
 } // namespace
@@ -100,18 +108,14 @@ class CorpusEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(CorpusEquivalence, ChainMatchesNaiveOracle) {
   unsigned Seed = static_cast<unsigned>(GetParam());
-  // Sizes sweep the ISSUE's 50-300 range across the seeds.
+  // Sizes sweep the 50-300 range across the seeds.
   std::size_t Size = 50 + (Seed * 83) % 251;
   std::vector<UsageChange> Changes = randomCorpus(Seed, Size);
-
-  UsageDistCache Cache(Changes);
-  std::vector<double> D = pairwiseDistanceMatrix(
-      Size, [&](std::size_t I, std::size_t J) { return Cache(I, J); });
-
-  Dendrogram Naive = agglomerateDistanceMatrix(Size, D, Algorithm::Naive);
-  Dendrogram Chain = agglomerateDistanceMatrix(Size, D, Algorithm::NNChain);
-  expectIdenticalTrees(Naive, Chain);
-  expectIdenticalCuts(Naive, Chain);
+  std::vector<double> D = cachedMatrix(Changes);
+  expectMatchesOracle(Size, D);
+  // clusterUsageChanges is this matrix agglomerated.
+  EXPECT_EQ(oracle::mergesOf(clusterUsageChanges(Changes)),
+            oracle::mergesOf(agglomerateDistanceMatrix(Size, D)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorpusEquivalence, ::testing::Range(0, 6));
@@ -132,11 +136,7 @@ TEST_P(TieGridEquivalence, QuantizedDistancesAgree) {
   for (std::size_t I = 0; I < N; ++I)
     for (std::size_t J = I + 1; J < N; ++J)
       D[I * N + J] = D[J * N + I] = Grid[R.index(5)];
-
-  Dendrogram Naive = agglomerateDistanceMatrix(N, D, Algorithm::Naive);
-  Dendrogram Chain = agglomerateDistanceMatrix(N, D, Algorithm::NNChain);
-  expectIdenticalTrees(Naive, Chain);
-  expectIdenticalCuts(Naive, Chain);
+  expectMatchesOracle(N, D);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TieGridEquivalence, ::testing::Range(0, 24));
@@ -150,55 +150,11 @@ TEST(ClusteringEquivalence, DuplicateItemsAgree) {
   std::vector<UsageChange> Changes;
   for (int Copy = 0; Copy < 4; ++Copy)
     Changes.insert(Changes.end(), Base.begin(), Base.end());
-
-  UsageDistCache Cache(Changes);
-  std::vector<double> D = pairwiseDistanceMatrix(
-      Changes.size(),
-      [&](std::size_t I, std::size_t J) { return Cache(I, J); });
-  Dendrogram Naive =
-      agglomerateDistanceMatrix(Changes.size(), D, Algorithm::Naive);
-  Dendrogram Chain =
-      agglomerateDistanceMatrix(Changes.size(), D, Algorithm::NNChain);
-  expectIdenticalTrees(Naive, Chain);
-  expectIdenticalCuts(Naive, Chain);
+  expectMatchesOracle(Changes.size(), cachedMatrix(Changes));
 }
 
 //===----------------------------------------------------------------------===//
-// Engine determinism: the threaded matrix and the threaded end-to-end
-// wrapper must equal their serial counterparts bit for bit.
-//===----------------------------------------------------------------------===//
-
-TEST(ClusteringEquivalence, ThreadedMatrixMatchesSerial) {
-  std::vector<UsageChange> Changes = randomCorpus(7, 120);
-  UsageDistCache Cache(Changes);
-  auto Dist = [&](std::size_t I, std::size_t J) { return Cache(I, J); };
-
-  std::vector<double> Serial =
-      pairwiseDistanceMatrix(Changes.size(), Dist, nullptr);
-  support::ThreadPool Pool(8);
-  std::vector<double> Threaded =
-      pairwiseDistanceMatrix(Changes.size(), Dist, &Pool);
-  EXPECT_EQ(Serial, Threaded);
-}
-
-TEST(ClusteringEquivalence, ThreadCountDoesNotChangeDendrogram) {
-  std::vector<UsageChange> Changes = randomCorpus(11, 150);
-  ClusteringOptions One;
-  One.Threads = 1;
-  ClusteringOptions Eight;
-  Eight.Threads = 8;
-  Dendrogram A = clusterUsageChanges(Changes, One);
-  Dendrogram B = clusterUsageChanges(Changes, Eight);
-  expectIdenticalTrees(A, B);
-
-  ClusteringOptions NaiveSerial;
-  NaiveSerial.Algo = Algorithm::Naive;
-  Dendrogram C = clusterUsageChanges(Changes, NaiveSerial);
-  expectIdenticalTrees(A, C);
-}
-
-//===----------------------------------------------------------------------===//
-// Small shapes: both engines on the degenerate inputs.
+// Small shapes: the engine on the degenerate inputs.
 //===----------------------------------------------------------------------===//
 
 TEST(ClusteringEquivalence, TinyInputsAgree) {
@@ -207,9 +163,6 @@ TEST(ClusteringEquivalence, TinyInputsAgree) {
     for (std::size_t I = 0; I < N; ++I)
       for (std::size_t J = I + 1; J < N; ++J)
         D[I * N + J] = D[J * N + I] = 0.5;
-    Dendrogram Naive = agglomerateDistanceMatrix(N, D, Algorithm::Naive);
-    Dendrogram Chain = agglomerateDistanceMatrix(N, D, Algorithm::NNChain);
-    expectIdenticalTrees(Naive, Chain);
-    EXPECT_EQ(Naive.leafCount(), N);
+    expectMatchesOracle(N, D);
   }
 }

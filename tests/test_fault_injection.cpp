@@ -57,11 +57,9 @@ const Env &env() {
   return *E;
 }
 
-CorpusReport runWithPlan(const support::FaultPlan &Plan, unsigned Threads,
-                         unsigned ClusterThreads = 1) {
+CorpusReport runWithPlan(const support::FaultPlan &Plan, unsigned Threads) {
   PipelineConfig Opts;
   Opts.Threads = Threads;
-  Opts.Clustering.Threads = ClusterThreads;
   Opts.Faults = Plan;
   return DiffCode(api(), Opts).run(
       {.Changes = env().Mined, .TargetClasses = api().targetClasses()});
@@ -75,8 +73,8 @@ TEST(FaultHarness, DisabledPlanIsBitIdenticalToBaseline) {
   Plan.Seed = 99;
   Plan.Rate = 0.0;
   for (unsigned Threads : {1u, 4u})
-    EXPECT_EQ(env().BaselineJson, corpusReportToJson(runWithPlan(
-                                      Plan, Threads, Threads)));
+    EXPECT_EQ(env().BaselineJson,
+              corpusReportToJson(runWithPlan(Plan, Threads)));
   EXPECT_EQ(env().Baseline.Health.troubled() +
                 env().Baseline.Health.count(ChangeStatus::Ok),
             env().Baseline.Changes.size());
@@ -118,7 +116,7 @@ TEST(FaultHarness, ArmedCampaignYieldsCompleteDeterministicReport) {
   // thread count, byte for byte.
   for (unsigned Threads : {2u, 8u})
     EXPECT_EQ(SerialJson,
-              corpusReportToJson(runWithPlan(Plan, Threads, Threads)))
+              corpusReportToJson(runWithPlan(Plan, Threads)))
         << "thread count " << Threads;
 }
 
@@ -126,7 +124,7 @@ TEST(FaultHarness, UnfaultedChangesMatchCleanRunByteForByte) {
   support::FaultPlan Plan;
   Plan.Seed = 77;
   Plan.Rate = 0.001;
-  CorpusReport Faulted = runWithPlan(Plan, 4, 4);
+  CorpusReport Faulted = runWithPlan(Plan, 4);
   ASSERT_EQ(Faulted.Changes.size(), env().Baseline.Changes.size());
   std::size_t Unfaulted = 0;
   for (std::size_t I = 0; I < Faulted.Changes.size(); ++I) {
@@ -148,7 +146,7 @@ TEST(FaultHarness, ClusteringFaultLeavesChangeRecordsIntact) {
   Plan.Rate = 1.0;
   Plan.SiteMask = support::faultSiteBit(support::FaultSite::Clustering);
 
-  CorpusReport Report = runWithPlan(Plan, 2, 2);
+  CorpusReport Report = runWithPlan(Plan, 2);
   ASSERT_EQ(Report.Changes.size(), env().Baseline.Changes.size());
   for (std::size_t I = 0; I < Report.Changes.size(); ++I)
     EXPECT_EQ(changeRecordToJson(Report.Changes[I]),
@@ -180,7 +178,7 @@ TEST(FaultHarness, ClusteringFaultLeavesChangeRecordsIntact) {
 
   // Still deterministic across thread counts.
   EXPECT_EQ(corpusReportToJson(Report),
-            corpusReportToJson(runWithPlan(Plan, 8, 8)));
+            corpusReportToJson(runWithPlan(Plan, 8)));
 }
 
 TEST(FaultHarness, SeedSelectsDifferentVictims) {

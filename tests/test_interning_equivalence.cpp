@@ -20,6 +20,7 @@
 
 #include "core/DiffCode.h"
 
+#include "NaiveClustering.h"
 #include "cluster/Distance.h"
 #include "cluster/DistanceCache.h"
 #include "cluster/HierarchicalClustering.h"
@@ -172,20 +173,6 @@ std::vector<UsageChange> smokeCorpus() {
   return Changes;
 }
 
-void expectIdenticalTrees(const cluster::Dendrogram &A,
-                          const cluster::Dendrogram &B) {
-  ASSERT_EQ(A.leafCount(), B.leafCount());
-  ASSERT_EQ(A.nodes().size(), B.nodes().size());
-  for (std::size_t I = 0; I < A.nodes().size(); ++I) {
-    const cluster::Dendrogram::Node &X = A.nodes()[I];
-    const cluster::Dendrogram::Node &Y = B.nodes()[I];
-    EXPECT_EQ(X.Left, Y.Left) << "node " << I;
-    EXPECT_EQ(X.Right, Y.Right) << "node " << I;
-    EXPECT_EQ(X.Item, Y.Item) << "node " << I;
-    EXPECT_EQ(X.Height, Y.Height) << "node " << I; // exact, not approximate
-  }
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -230,18 +217,19 @@ TEST(InterningEquivalence, DistanceCacheMatchesStringMetricExactly) {
 
 TEST(InterningEquivalence, ClusteringMatchesStringMetricTrees) {
   // Production: interned cache + NN-chain. Reference: string-space
-  // usageDist matrix + naive agglomeration. Trees must be bit-identical.
+  // usageDist matrix + the naive oracle. Merges must be bit-identical.
   for (unsigned Seed : {3u, 4u}) {
     std::vector<UsageChange> Changes = randomCorpus(Seed + 200, 80);
     cluster::Dendrogram Production = cluster::clusterUsageChanges(Changes);
+    ASSERT_TRUE(oracle::hasEngineLayout(Production));
 
     std::vector<double> D = cluster::pairwiseDistanceMatrix(
         Changes.size(), [&](std::size_t I, std::size_t J) {
           return cluster::usageDist(Changes[I], Changes[J]);
         });
-    cluster::Dendrogram Reference = cluster::agglomerateDistanceMatrix(
-        Changes.size(), D, cluster::ClusteringOptions::Algorithm::Naive);
-    expectIdenticalTrees(Production, Reference);
+    EXPECT_EQ(oracle::mergesOf(Production),
+              oracle::naiveMerges(Changes.size(), D))
+        << "seed " << Seed;
   }
 }
 
@@ -292,7 +280,6 @@ TEST(InterningEquivalence, PipelineReportByteIdenticalAcrossThreadCounts) {
   for (unsigned Threads : {1u, 2u, 8u}) {
     PipelineConfig Options;
     Options.Threads = Threads;
-    Options.Clustering.Threads = Threads;
     CorpusReport Report = DiffCode(api(), Options).run(Request);
     std::string Json = corpusReportToJson(Report);
     if (Baseline.empty())

@@ -9,7 +9,7 @@
 //     metrics-off report is a byte-for-byte PREFIX of the metrics-on
 //     report over the same corpus (the "metrics" block is the last key);
 //   * the deterministic metric surface (everything not flagged PerRun)
-//     is byte-identical at 1, 2, and 8 analysis/clustering threads;
+//     is byte-identical at 1, 2, and 8 analysis threads;
 //   * span aggregation is structurally deterministic: the same stages
 //     run the same number of times at every thread count.
 //
@@ -55,28 +55,21 @@ const Env &env() {
   return *E;
 }
 
-PipelineConfig optionsFor(unsigned Threads, bool Shard = false) {
+PipelineConfig optionsFor(unsigned Threads) {
   PipelineConfig Opts;
   Opts.Threads = Threads;
-  Opts.Clustering.Threads = Threads;
-  if (Shard) {
-    Opts.Sharding.Enabled = true;
-    Opts.Sharding.MaxShardSize = 4;
-    Opts.Sharding.Threads = Threads;
-  }
   return Opts;
 }
 
-CorpusReport runObserved(unsigned Threads, obs::Observer &Obs,
-                         bool Shard = false) {
-  return DiffCode(api(), optionsFor(Threads, Shard))
+CorpusReport runObserved(unsigned Threads, obs::Observer &Obs) {
+  return DiffCode(api(), optionsFor(Threads))
       .run({.Changes = env().Mined,
                     .TargetClasses = api().targetClasses(),
                     .Metrics = &Obs});
 }
 
-CorpusReport runUnobserved(unsigned Threads, bool Shard = false) {
-  return DiffCode(api(), optionsFor(Threads, Shard))
+CorpusReport runUnobserved(unsigned Threads) {
+  return DiffCode(api(), optionsFor(Threads))
       .run({.Changes = env().Mined,
                     .TargetClasses = api().targetClasses()});
 }
@@ -117,26 +110,6 @@ TEST(MetricsDifferential, DeterministicSurfaceIsThreadCountInvariant) {
     // The underlying report body is untouched by threading too.
     EXPECT_EQ(corpusReportToJson(Baseline).substr(0, 64),
               corpusReportToJson(Report).substr(0, 64));
-  }
-}
-
-TEST(MetricsDifferential, ShardedMetricsAreThreadCountInvariant) {
-  obs::Observer Serial;
-  CorpusReport Baseline = runObserved(1, Serial, /*Shard=*/true);
-  std::string BaselineDet = Baseline.Metrics.deterministicJson();
-
-  // The sharded engine really ran and reported its deterministic shape.
-  bool SawShards = false;
-  for (const obs::MetricValue &V : Baseline.Metrics.Metrics.Values)
-    if (V.Name == "cluster.shards" && V.Count > 0)
-      SawShards = true;
-  EXPECT_TRUE(SawShards);
-
-  for (unsigned Threads : {2u, 8u}) {
-    obs::Observer Obs;
-    CorpusReport Report = runObserved(Threads, Obs, /*Shard=*/true);
-    EXPECT_EQ(BaselineDet, Report.Metrics.deterministicJson())
-        << "thread count " << Threads;
   }
 }
 

@@ -13,7 +13,8 @@
 /// bound changes cost, never bytes), with the ServiceHash fault site
 /// collapsing the primary content hash, and with an armed in-process
 /// fault plan (where the session bypasses its caches entirely rather
-/// than memoize nondeterministic outcomes).
+/// than memoize nondeterministic outcomes). The JSON leaves the
+/// dendrograms out, so repaired trees are also compared node for node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +72,20 @@ splitBatches(const std::vector<corpus::CodeChange> &Changes,
   std::vector<std::vector<corpus::CodeChange>> Out(Parts);
   for (std::size_t I = 0; I < Changes.size(); ++I)
     Out[I * Parts / Changes.size()].push_back(Changes[I]);
+  return Out;
+}
+
+/// Groups \p Changes into commits: runs of consecutive changes sharing a
+/// project and commit index, what one push delivers.
+std::vector<std::vector<corpus::CodeChange>>
+commitGroups(const std::vector<corpus::CodeChange> &Changes) {
+  std::vector<std::vector<corpus::CodeChange>> Out;
+  for (std::size_t I = 0; I < Changes.size(); ++I) {
+    if (I == 0 || Changes[I].ProjectName != Changes[I - 1].ProjectName ||
+        Changes[I].CommitIndex != Changes[I - 1].CommitIndex)
+      Out.emplace_back();
+    Out.back().push_back(Changes[I]);
+  }
   return Out;
 }
 
@@ -240,17 +255,63 @@ TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
   }
 }
 
-TEST(ServiceSession, ShardedClusteringFallsBackToColdPathIdentically) {
-  std::vector<corpus::CodeChange> Changes = minedChanges();
+TEST(ServiceSession, AppendedTreesEqualColdTreesNodeForNode) {
+  // The report JSON leaves the dendrograms out, so byte-identity alone
+  // cannot see a repaired tree drift from the cold one. Cold-ingest most
+  // of a stream, append the rest one commit per ingest (the daemon's
+  // IngestReq shape), then compare every class's tree node for node.
+  std::vector<corpus::CodeChange> Changes = minedChanges(60, 42);
+  std::vector<std::vector<corpus::CodeChange>> Commits =
+      commitGroups(Changes);
+  ASSERT_GE(Commits.size(), 60u);
+  const std::size_t Appended = 40;
+  std::vector<corpus::CodeChange> Head;
+  for (std::size_t C = 0; C + Appended < Commits.size(); ++C)
+    Head.insert(Head.end(), Commits[C].begin(), Commits[C].end());
 
-  PipelineConfig Sharded;
-  Sharded.Sharding.Enabled = true;
-  Sharded.Sharding.MaxShardSize = 4;
-  std::string Oracle = coldJson(Changes, Sharded);
+  for (unsigned Threads : {1u, 8u}) {
+    SessionOptions Opts;
+    Opts.Config.Threads = Threads;
+    AnalysisSession Session(api(), Opts);
+    Session.ingest(Head);
+    IngestStats Appends;
+    for (std::size_t C = Commits.size() - Appended; C < Commits.size(); ++C) {
+      IngestStats Stats = Session.ingest(Commits[C]);
+      Appends.ClassesRepaired += Stats.ClassesRepaired;
+      Appends.PairsReused += Stats.PairsReused;
+    }
+    // The appends went through the pair-table repair, not a cold rebuild.
+    EXPECT_GT(Appends.ClassesRepaired, 0u);
+    EXPECT_GT(Appends.PairsReused, 0u);
 
-  SessionOptions Opts;
-  Opts.Config = Sharded;
-  EXPECT_EQ(sessionJson(splitBatches(Changes, 3), Opts), Oracle);
+    PipelineRequest Request;
+    for (const corpus::CodeChange &Change : Changes)
+      Request.Changes.push_back(&Change);
+    Request.TargetClasses = api().targetClasses();
+    CorpusReport Cold = DiffCode(api(), Opts.Config).run(Request);
+
+    const CorpusReport &Live = Session.report();
+    ASSERT_EQ(Live.PerClass.size(), Cold.PerClass.size());
+    std::size_t Leaves = 0;
+    for (std::size_t I = 0; I < Cold.PerClass.size(); ++I) {
+      const cluster::Dendrogram &Want = Cold.PerClass[I].Tree;
+      const cluster::Dendrogram &Got = Live.PerClass[I].Tree;
+      const std::string &Class = Cold.PerClass[I].TargetClass;
+      ASSERT_EQ(Got.leafCount(), Want.leafCount()) << Class;
+      ASSERT_EQ(Got.nodes().size(), Want.nodes().size()) << Class;
+      EXPECT_EQ(Got.root(), Want.root()) << Class;
+      for (std::size_t K = 0; K < Want.nodes().size(); ++K) {
+        const cluster::Dendrogram::Node &X = Got.nodes()[K];
+        const cluster::Dendrogram::Node &Y = Want.nodes()[K];
+        EXPECT_EQ(X.Left, Y.Left) << Class << " node " << K;
+        EXPECT_EQ(X.Right, Y.Right) << Class << " node " << K;
+        EXPECT_EQ(X.Item, Y.Item) << Class << " node " << K;
+        EXPECT_EQ(X.Height, Y.Height) << Class << " node " << K; // exact
+      }
+      Leaves += Want.leafCount();
+    }
+    EXPECT_GE(Leaves, 10u) << "too few kept changes to exercise clustering";
+  }
 }
 
 TEST(ServiceSession, MetricsFlowThroughObserver) {
