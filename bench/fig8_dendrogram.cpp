@@ -79,10 +79,10 @@ int main(int argc, char **argv) {
                           .c_str());
 
   // Find the ECB->feedback-mode cluster (the paper's R7 cluster).
-  std::printf("flat clusters at cut %.2f:\n", System.config().Clustering.Cut);
+  std::printf("flat clusters at cut %.2f:\n", cluster::DefaultCut);
   std::size_t ClusterId = 0;
   for (const std::vector<std::size_t> &Cluster :
-       Cipher.Tree.cut(System.config().Clustering.Cut)) {
+       Cipher.Tree.cut(cluster::DefaultCut)) {
     std::size_t EcbMembers = 0;
     for (std::size_t Item : Cluster)
       if (removesEcbFeature(Kept[Item]) && addsFeedbackMode(Kept[Item]))
@@ -106,7 +106,7 @@ int main(int argc, char **argv) {
   // changes merge into the R7 cluster).
   bool FoundR7Cluster = false;
   for (const std::vector<std::size_t> &Cluster :
-       Cipher.Tree.cut(System.config().Clustering.Cut)) {
+       Cipher.Tree.cut(cluster::DefaultCut)) {
     std::size_t EcbMembers = 0;
     for (std::size_t Item : Cluster)
       if (removesEcbFeature(Kept[Item]) && addsFeedbackMode(Kept[Item]))

@@ -33,7 +33,6 @@
 #include "javaast/AstPrinter.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
 #include "obs/Observer.h"
 #include "support/JsonWriter.h"
 
@@ -67,19 +66,6 @@ void BM_Lexer(benchmark::State &State) {
   State.SetBytesProcessed(State.iterations() * Source.size());
 }
 BENCHMARK(BM_Lexer);
-
-void BM_ReferenceLexer(benchmark::State &State) {
-  // The retained seed scanner — the baseline BM_Lexer is measured against
-  // (bench/micro_lexer.cpp asserts the speedup bar over a whole corpus).
-  std::string Source = sampleSource(true);
-  for (auto _ : State) {
-    java::DiagnosticsEngine Diags;
-    java::ReferenceLexer Lex(Source, Diags);
-    benchmark::DoNotOptimize(Lex.lexAll());
-  }
-  State.SetBytesProcessed(State.iterations() * Source.size());
-}
-BENCHMARK(BM_ReferenceLexer);
 
 void BM_Parser(benchmark::State &State) {
   std::string Source = sampleSource(true);
@@ -148,7 +134,8 @@ void BM_FullCodeChange(benchmark::State &State) {
   const std::vector<std::string> &Targets =
       apimodel::CryptoApiModel::javaCryptoApi().targetClasses();
   for (auto _ : State)
-    benchmark::DoNotOptimize(System.processChange(Change, Targets, {}));
+    benchmark::DoNotOptimize(
+        System.processChange(Change, Targets, {}, *System.labels()));
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_FullCodeChange);

@@ -47,8 +47,7 @@
 //
 //   diffcode_cli scan (<file.java ...> | --corpus <dir>) [--json]
 //                [--rules <id,id,...>] [--refine] [--threads <n>]
-//                [--no-unit-cache] [--metrics] [--trace-out=<file>]
-//                [--fail-on-violation]
+//                [--metrics] [--trace-out=<file>] [--fail-on-violation]
 //       run the streaming rule scanner (scan/Scanner.h). Plain files are
 //       scanned as one project; --corpus scans every project of an
 //       on-disk corpus (HEAD files). --rules restricts evaluation to a
@@ -58,28 +57,18 @@
 //       (suppressed witness counts appear in the report; off by default,
 //       and off is byte-identical to the batch CryptoChecker).
 //       --threads fans projects out over a thread pool (0 = one per
-//       hardware thread; report bytes never depend on it);
-//       --no-unit-cache disables the content-hash unit cache. --json
+//       hardware thread; report bytes never depend on it). --json
 //       streams the report as projects complete; --metrics adds per-rule
 //       counters and latency histograms; --trace-out=<file> (implies
 //       --metrics) writes the span trace as Chrome trace_event JSON.
 //       --fail-on-violation exits 1 when any project violates any
 //       evaluated rule (the CI tripwire).
 //
-//   diffcode_cli serve <socket-path> [--threads <n>] [--max-cached <n>]
-//                [--metrics] [--trace-out=<file>]
-//       run the incremental analysis service in the foreground on a UNIX
-//       socket (same server loop as the diffcoded binary); stops at the
-//       first client shutdown request. --metrics runs the daemon
-//       observed so `connect --query metrics` can introspect it live;
-//       --trace-out=<file> (implies --metrics) flushes the stitched span
-//       trace as Chrome trace_event JSON at shutdown. Also spelled
-//       --serve.
-//
 //   diffcode_cli connect <socket-path> [--ingest <corpus-dir>]
 //                [--query <what>] [--snapshot] [--rules <id,...>]
 //                [--refine] [--scan <corpus-dir>] [--shutdown]
-//       talk to a running service; operations execute in flag order.
+//       talk to a running service (examples/diffcoded.cpp, the daemon);
+//       operations execute in flag order.
 //       --ingest mines a corpus directory client-side and ships the
 //       changes, printing the session's cache/repair stats; --query asks
 //       "health", "stats", "class:<Name>", or "metrics" (the daemon's
@@ -137,12 +126,8 @@ int printUsage() {
                "[--json]\n"
                "                    [--rules <id,id,...>] [--refine] "
                "[--threads <n>]\n"
-               "                    [--no-unit-cache] [--metrics] "
-               "[--trace-out=<file>]\n"
-               "                    [--fail-on-violation]\n"
-               "       diffcode_cli serve <socket-path> [--threads <n>] "
-               "[--max-cached <n>]\n"
-               "                    [--metrics] [--trace-out=<file>]\n"
+               "                    [--metrics] [--trace-out=<file>] "
+               "[--fail-on-violation]\n"
                "       diffcode_cli connect <socket-path> "
                "[--ingest <corpus-dir>]\n"
                "                    [--query <what>] [--snapshot] "
@@ -380,11 +365,9 @@ int runPipeline(int argc, char **argv, bool Json) {
     for (const core::ClassReport &Class : Report.PerClass) {
       if (Class.Filtered.Kept.empty())
         continue;
-      std::size_t Clusters =
-          Class.Tree.cut(System.config().Clustering.Cut).size();
+      std::size_t Clusters = Class.Tree.cut(cluster::DefaultCut).size();
       std::printf("%s: %zu flat clusters at cut %.2f\n",
-                  Class.TargetClass.c_str(), Clusters,
-                  System.config().Clustering.Cut);
+                  Class.TargetClass.c_str(), Clusters, cluster::DefaultCut);
     }
   }
 
@@ -465,7 +448,7 @@ std::vector<std::string> splitCommaList(const char *Arg) {
 
 int runScan(int argc, char **argv) {
   bool Json = false, Refine = false, Metrics = false;
-  bool FailOnViolation = false, CacheUnits = true;
+  bool FailOnViolation = false;
   unsigned Threads = 0;
   std::string CorpusDir;
   std::string TraceOut;
@@ -485,8 +468,6 @@ int runScan(int argc, char **argv) {
       Metrics = true;
     } else if (std::strcmp(argv[I], "--fail-on-violation") == 0)
       FailOnViolation = true;
-    else if (std::strcmp(argv[I], "--no-unit-cache") == 0)
-      CacheUnits = false;
     else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
       if (!parseNonNegative(argv[++I], Threads))
         return printUsage();
@@ -529,7 +510,6 @@ int runScan(int argc, char **argv) {
   obs::Observer Obs;
   scan::ScanConfig Config;
   Config.Threads = Threads;
-  Config.CacheUnits = CacheUnits;
   Config.Metrics = Metrics ? &Obs : nullptr;
   scan::Scanner Scanner(apimodel::CryptoApiModel::javaCryptoApi(), Config);
 
@@ -623,59 +603,6 @@ int runScan(int argc, char **argv) {
                   Obs.Trace.eventCount());
   }
   return FailOnViolation && Report.ProjectsWithViolation > 0 ? 1 : 0;
-}
-
-int runServe(int argc, char **argv) {
-  if (argc < 3)
-    return printUsage();
-  service::SessionOptions Opts;
-  Opts.Config.Threads = 0; // one analysis worker per hardware thread
-  bool Metrics = false;
-  std::string TraceOut;
-  for (int I = 3; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      if (!parseNonNegative(argv[++I], Opts.Config.Threads))
-        return printUsage();
-    } else if (std::strcmp(argv[I], "--max-cached") == 0 && I + 1 < argc) {
-      if (!parseNonNegative(argv[++I], Opts.MaxCachedChanges))
-        return printUsage();
-    } else if (std::strcmp(argv[I], "--metrics") == 0)
-      Metrics = true;
-    else if (std::strncmp(argv[I], "--trace-out=", 12) == 0) {
-      TraceOut = argv[I] + 12;
-      if (TraceOut.empty())
-        return printUsage();
-      Metrics = true;
-    } else
-      return printUsage();
-  }
-  // The observer must outlive the Server: the session records into it on
-  // every ingest and StatsReq summarizes it live.
-  obs::Observer Obs;
-  if (Metrics)
-    Opts.Metrics = &Obs;
-  std::string Error;
-  int ListenFd = service::listenUnix(argv[2], &Error);
-  if (ListenFd < 0) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  service::Server S(apimodel::CryptoApiModel::javaCryptoApi(),
-                    std::move(Opts));
-  std::fprintf(stderr, "serving on %s\n", argv[2]);
-  int Code = service::serveUnix(S, ListenFd);
-  std::remove(argv[2]);
-  if (!TraceOut.empty()) {
-    std::ofstream Out(TraceOut);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", TraceOut.c_str());
-      return 1;
-    }
-    Out << Obs.Trace.traceJson() << '\n';
-    std::fprintf(stderr, "trace written to %s (%zu events)\n",
-                 TraceOut.c_str(), Obs.Trace.eventCount());
-  }
-  return Code;
 }
 
 int runConnect(int argc, char **argv) {
@@ -800,9 +727,6 @@ int main(int argc, char **argv) {
     return runPipeline(argc, argv, Json);
   if (std::strcmp(argv[1], "scan") == 0)
     return runScan(argc, argv);
-  if (std::strcmp(argv[1], "serve") == 0 ||
-      std::strcmp(argv[1], "--serve") == 0)
-    return runServe(argc, argv);
   if (std::strcmp(argv[1], "connect") == 0 ||
       std::strcmp(argv[1], "--connect") == 0)
     return runConnect(argc, argv);

@@ -54,7 +54,7 @@ int main(int argc, char **argv) {
                 Class.Filtered.AfterRem, Class.Filtered.AfterDup);
 
   // Show the Cipher dendrogram (Figure 8 analogue) and suggest rules for
-  // the flat clusters at the pipeline's cut threshold.
+  // the flat clusters at the default cut threshold.
   for (const core::ClassReport &Class : Report.PerClass) {
     if (Class.TargetClass != "Cipher" || Class.Filtered.Kept.empty())
       continue;
@@ -70,7 +70,7 @@ int main(int argc, char **argv) {
     std::printf("\n== auto-suggested rule candidates (clusters with >= 2 "
                 "changes) ==\n");
     for (const std::vector<std::size_t> &Cluster :
-         Class.Tree.cut(System.config().Clustering.Cut)) {
+         Class.Tree.cut(cluster::DefaultCut)) {
       if (Cluster.size() < 2)
         continue;
       std::vector<usage::UsageChange> Members;

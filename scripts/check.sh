@@ -25,15 +25,6 @@
 # BENCH_faults.json in the build directory.
 #   scripts/check.sh --bench-faults -L tier1
 #
-# --bench-lexer (opt-in): after the test suite, run the front-end scanner
-# sweep (bench/micro_lexer): table-driven lexer vs the retained seed
-# scanner over the concatenated corpus stream, with each timing taken in
-# a forked child so neither scanner inherits the other's heap state.
-# Self-verifying — non-zero exit if the two scanners are not
-# byte-identical on every corpus source or the corpus-stream speedup
-# falls below 5x — and leaves BENCH_lexer.json in the build directory.
-#   scripts/check.sh --bench-lexer -L tier1
-#
 # --bench-incremental (opt-in): after the test suite, run the service
 # append-vs-cold-batch guard (bench/micro_incremental) at n=10k.
 # Self-verifying — non-zero exit if the warmed session's snapshot is not
@@ -72,7 +63,6 @@ CMAKE_ARGS=()
 CTEST_ARGS=()
 ASAN=0
 BENCH_FAULTS=0
-BENCH_LEXER=0
 BENCH_INCREMENTAL=0
 BENCH_SCAN=0
 CHAOS=0
@@ -86,8 +76,6 @@ for arg in "$@"; do
     )
   elif [[ "$arg" == "--bench-faults" ]]; then
     BENCH_FAULTS=1
-  elif [[ "$arg" == "--bench-lexer" ]]; then
-    BENCH_LEXER=1
   elif [[ "$arg" == "--bench-incremental" ]]; then
     BENCH_INCREMENTAL=1
   elif [[ "$arg" == "--bench-scan" ]]; then
@@ -155,11 +143,6 @@ fi
 if [[ "$BENCH_FAULTS" == "1" ]]; then
   echo "== fault-campaign sweep (bench/micro_faults) =="
   ./bench/micro_faults 120 42 BENCH_faults.json
-fi
-
-if [[ "$BENCH_LEXER" == "1" ]]; then
-  echo "== front-end scanner sweep (bench/micro_lexer) =="
-  ./bench/micro_lexer 120 42 BENCH_lexer.json
 fi
 
 if [[ "$BENCH_INCREMENTAL" == "1" ]]; then

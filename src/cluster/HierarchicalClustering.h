@@ -38,6 +38,11 @@
 namespace diffcode {
 namespace cluster {
 
+/// The threshold at which the flat-cluster displays (CLI, examples,
+/// Figure 8) cut a dendrogram — a manual-inspection aid; the dendrogram
+/// itself has no knobs.
+inline constexpr double DefaultCut = 0.4;
+
 /// Binary merge tree over clustered items.
 class Dendrogram {
 public:

@@ -82,12 +82,7 @@ DiffCode::DiffCode(const apimodel::CryptoApiModel &Api)
     : DiffCode(Api, PipelineConfig()) {}
 
 DiffCode::DiffCode(const apimodel::CryptoApiModel &Api, PipelineConfig Config)
-    : Api(Api), Config(Config),
-      DefaultLabels(std::make_shared<support::Interner>()) {}
-
-support::Interner &DiffCode::internerFor(const PipelineRequest &Request) const {
-  return Request.Labels ? *Request.Labels : *DefaultLabels;
-}
+    : Api(Api), Config(Config), Labels(std::make_shared<support::Interner>()) {}
 
 DiffCode::SourceAnalysis
 DiffCode::analyzeSourceChecked(std::string_view Source) const {
@@ -160,25 +155,10 @@ DiffCode::usageChangesFor(const corpus::CodeChange &Change,
       analyzeSourceChecked(Change.NewCode, Ctx).Result;
   std::vector<usage::UsageChange> Changes = usage::deriveUsageChanges(
       dagsForClass(OldResult, TargetClass), dagsForClass(NewResult, TargetClass),
-      TargetClass, *DefaultLabels);
+      TargetClass, *Labels);
   for (usage::UsageChange &C : Changes)
     C.Origin = Change.origin();
   return Changes;
-}
-
-ChangeRecord DiffCode::processChange(
-    const corpus::CodeChange &Change,
-    const std::vector<std::string> &TargetClasses,
-    const std::vector<const rules::Rule *> &ClassifyWith) const {
-  return processChange(Change, TargetClasses, ClassifyWith, *DefaultLabels);
-}
-
-ChangeRecord DiffCode::processChange(
-    const corpus::CodeChange &Change,
-    const std::vector<std::string> &TargetClasses,
-    const std::vector<const rules::Rule *> &ClassifyWith,
-    support::Interner &Table) const {
-  return processChange(Change, TargetClasses, ClassifyWith, Table, nullptr);
 }
 
 ChangeRecord DiffCode::processChange(
@@ -274,7 +254,7 @@ DiffCode::analyzeChanges(const PipelineRequest &Request) const {
   // Workers intern into one shared table concurrently; id *values* are
   // therefore scheduling dependent, which is fine — everything downstream
   // is id-value independent (support/Interner.h, determinism contract).
-  support::Interner &Table = internerFor(Request);
+  support::Interner &Table = *Labels;
   obs::Observer *Obs = Request.Metrics;
   obs::Registry *Reg = Obs ? &Obs->Metrics : nullptr;
   support::ThreadPool Pool(Threads, /*CollectStats=*/Obs != nullptr);
@@ -380,31 +360,19 @@ static void recordClassMetrics(obs::Registry &R, const ClassReport &Class) {
 }
 
 CorpusReport DiffCode::run(const PipelineRequest &Request) const {
-  PipelineRequest Effective = Request;
-  if (Effective.Exec == ExecutionPolicy())
-    Effective.Exec = Config.Exec;
-  if (!Effective.Metrics)
-    Effective.Metrics = Config.Metrics;
-  if (Effective.Exec.Mode == ExecutionMode::Supervised)
-    return runPipelineFrom(Effective, [&, this] {
-      return exec::superviseChanges(*this, Effective);
-    });
-  return runPipelineFrom(Effective,
-                         [&, this] { return analyzeChanges(Effective); });
-}
-
-CorpusReport DiffCode::runPipelineFrom(
-    const PipelineRequest &Request,
-    const std::function<std::vector<ChangeRecord>()> &Analyze) const {
   CorpusReport Report;
-  Report.Labels = Request.Labels ? Request.Labels : DefaultLabels;
+  Report.Labels = Labels;
   obs::Observer *Obs = Request.Metrics;
   obs::Tracer *T = Obs ? &Obs->Trace : nullptr;
   {
     obs::Span Whole(T, "pipeline");
     {
+      // Both engines yield one record per change in input order, so
+      // everything below is the same code for either mode.
       obs::Span S(T, "analyzeChanges");
-      Report.Changes = Analyze();
+      Report.Changes = Request.Exec.Mode == ExecutionMode::Supervised
+                           ? exec::superviseChanges(*this, Request)
+                           : analyzeChanges(Request);
     }
     for (const std::string &TargetClass : Request.TargetClasses) {
       ClassReport ClassOut;

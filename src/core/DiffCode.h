@@ -74,27 +74,18 @@ struct ExecutionPolicy {
   /// RLIMIT_AS for each worker in MiB (0 = unlimited). A worker that
   /// cannot allocate takes a distinguished exit, reported as WorkerOom.
   std::uint64_t WorkerMemoryLimitMb = 0;
-
-  /// Field-wise equality. DiffCode::run uses it to recognize a
-  /// default-constructed request policy and fall back to
-  /// PipelineConfig::Exec.
-  friend bool operator==(const ExecutionPolicy &,
-                         const ExecutionPolicy &) = default;
 };
 
-/// The system's one documented knob surface, replacing the ad-hoc
-/// option clusters that accumulated across PRs 1-7. Five
-/// groups — threads, limits, clustering, exec, metrics — plus the
-/// fault-injection campaign, all designed for designated-initializer
-/// construction:
+/// The engine's settings, shared by every run of one DiffCode: only what
+/// the engine itself reads — threads, limits and the fault-injection
+/// campaign. Per-run settings (observer, execution policy) live on
+/// PipelineRequest, so each setting has exactly one home:
 ///
-///   core::DiffCode System(Api, {.Threads = 8,
-///                               .Clustering = {.Cut = 0.3}});
+///   core::DiffCode System(Api, {.Threads = 8});
 ///
-/// Every thread knob shares support::resolveThreads semantics (0 = one
-/// per hardware thread), and no knob changes report bytes except through
-/// its documented effect (the cut threshold moves flat-cluster
-/// boundaries).
+/// Threads follows support::resolveThreads semantics (0 = one per
+/// hardware thread) and never changes report bytes; the limits and an
+/// armed campaign change them only through their documented effects.
 struct PipelineConfig {
   /// -- threads: worker threads for the per-change analysis stage (each
   /// change is independent: parse + analyze + diff). Results are
@@ -111,22 +102,6 @@ struct PipelineConfig {
     unsigned DagDepth = 5; ///< Section 3.4's n.
   };
   LimitsGroup Limits;
-
-  /// -- clustering: Cut is the threshold for flat clusters
-  /// (manual-inspection aid); the dendrogram itself has no knobs.
-  struct ClusteringGroup {
-    double Cut = 0.4;
-  };
-  ClusteringGroup Clustering;
-
-  /// -- exec: the execution policy run() falls back to when the request
-  /// leaves its own policy default-constructed.
-  ExecutionPolicy Exec;
-
-  /// -- metrics: the observability sink run() falls back to when the
-  /// request does not carry one. Null keeps instrumentation off (every
-  /// site reduces to one pointer test). Must outlive the DiffCode.
-  obs::Observer *Metrics = nullptr;
 
   /// Fault-injection campaign (testing only; disabled by default). When
   /// armed, every per-change worker and the per-class clustering step run
@@ -234,7 +209,7 @@ struct CorpusReport {
   CorpusHealth Health;
   /// The interner every usage change in this report resolves through,
   /// pinned here so the report stays self-contained even if the DiffCode
-  /// instance (or the request's interner) goes away first.
+  /// instance goes away first.
   std::shared_ptr<const support::Interner> Labels;
   /// Observability summary of the run: metrics snapshot + per-stage
   /// timing table. Empty unless the request carried an Observer; rendered
@@ -259,11 +234,6 @@ struct PipelineRequest {
   std::vector<const rules::Rule *> ClassifyWith;
   /// Whether the (quadratic-distance) clustering stage runs.
   bool BuildDendrograms = true;
-  /// Interner the run's labels and feature paths resolve through. Null
-  /// (the default) uses the DiffCode instance's own corpus interner;
-  /// callers that compare or combine reports across pipeline runs pass a
-  /// shared one so id-based equality spans the runs.
-  std::shared_ptr<support::Interner> Labels;
   /// Observability sink. Null (the default) turns instrumentation off —
   /// every site reduces to one pointer test and the report's Metrics
   /// summary stays empty. When set, stages open spans in Metrics->Trace,
@@ -272,9 +242,7 @@ struct PipelineRequest {
   /// call.
   obs::Observer *Metrics = nullptr;
   /// Execution mode + supervision knobs. DiffCode::run dispatches on
-  /// Exec.Mode (a default-constructed policy falls back to
-  /// PipelineConfig::Exec first); the stage entry points and
-  /// runPipelineFrom ignore it.
+  /// Exec.Mode; the stage entry points ignore it.
   ExecutionPolicy Exec;
 };
 
@@ -319,12 +287,9 @@ public:
   dagsForClass(const analysis::AnalysisResult &Result,
                const std::string &TargetClass) const;
 
-  /// The instance's corpus interner: every usage change produced through
-  /// this facade without an explicit PipelineRequest::Labels resolves
-  /// through it.
-  const std::shared_ptr<support::Interner> &labels() const {
-    return DefaultLabels;
-  }
+  /// The instance's corpus interner: every usage change the pipeline
+  /// stages produce resolves through it.
+  const std::shared_ptr<support::Interner> &labels() const { return Labels; }
 
   /// Usage changes of one code change for one target class, interned in
   /// labels().
@@ -334,28 +299,17 @@ public:
 
   /// Processes one code change end to end for all \p TargetClasses,
   /// classifying it under \p ClassifyWith (may be empty); feature paths
-  /// intern into \p Table (the labels() interner for the parameterless
-  /// form). Never throws: any escaping exception is contained into an
-  /// empty record with Status == AnalysisThrow, so one poisoned change
-  /// cannot take down a corpus run.
-  ChangeRecord
-  processChange(const corpus::CodeChange &Change,
-                const std::vector<std::string> &TargetClasses,
-                const std::vector<const rules::Rule *> &ClassifyWith) const;
-  ChangeRecord
-  processChange(const corpus::CodeChange &Change,
-                const std::vector<std::string> &TargetClasses,
-                const std::vector<const rules::Rule *> &ClassifyWith,
-                support::Interner &Table) const;
-  /// Observed variant: additionally records per-version interpreter
-  /// metrics (steps/entries/objects histograms, budget-hit counters) and
-  /// usage-change counts into \p Reg. Null \p Reg behaves exactly like
-  /// the unobserved overload.
+  /// intern into \p Table (the stages pass *labels()). With \p Reg, also
+  /// records per-version interpreter metrics (steps/entries/objects
+  /// histograms, budget-hit counters) and usage-change counts into it.
+  /// Never throws: any escaping exception is contained into an empty
+  /// record with Status == AnalysisThrow, so one poisoned change cannot
+  /// take down a corpus run.
   ChangeRecord
   processChange(const corpus::CodeChange &Change,
                 const std::vector<std::string> &TargetClasses,
                 const std::vector<const rules::Rule *> &ClassifyWith,
-                support::Interner &Table, obs::Registry *Reg) const;
+                support::Interner &Table, obs::Registry *Reg = nullptr) const;
 
   //===--------------------------------------------------------------------===//
   // Stage entry points. run() composes exactly these three, so
@@ -386,40 +340,23 @@ public:
   void clusterClass(ClassReport &Class,
                     const std::function<std::vector<double>()> &Distances) const;
 
-  /// The one pipeline entry point: dispatches on Request.Exec.Mode
-  /// (falling back to config().Exec when the request's policy is
-  /// default-constructed, and to config().Metrics when the request
-  /// carries no observer), then runs analyzeChanges — in this process or
-  /// under the exec/Supervisor worker pool — followed per target class by
-  /// filterClass and (when Request.BuildDendrograms) clusterClass, then
-  /// the corpus-health rollup. Per-change failures are contained in the
-  /// corresponding ChangeRecord and tallied in the report's Health
-  /// summary; a clustering failure empties that class's Tree and sets
-  /// ClusteringError. Both execution modes produce byte-identical
-  /// reports.
+  /// The one pipeline entry point: dispatches on Request.Exec.Mode, runs
+  /// the per-change analysis stage — analyzeChanges in this process or
+  /// exec::superviseChanges under the worker pool — followed per target
+  /// class by filterClass and (when Request.BuildDendrograms)
+  /// clusterClass, then the corpus-health rollup. Per-change failures are
+  /// contained in the corresponding ChangeRecord and tallied in the
+  /// report's Health summary; a clustering failure empties that class's
+  /// Tree and sets ClusteringError. Both execution modes produce
+  /// byte-identical reports.
   CorpusReport run(const PipelineRequest &Request) const;
 
-  /// run with the per-change analysis stage swapped out: \p Analyze
-  /// produces the record vector (one per Request.Changes entry, input
-  /// order) and everything downstream — filters, clustering, health,
-  /// metrics rollup — is byte-identical to an in-process run over the
-  /// same records. This is the internal seam the supervised engine
-  /// (exec/Supervisor) and the incremental session
-  /// (service/AnalysisSession) plug into.
-  CorpusReport runPipelineFrom(
-      const PipelineRequest &Request,
-      const std::function<std::vector<ChangeRecord>()> &Analyze) const;
-
 private:
-  /// Request.Labels when set, the instance interner otherwise.
-  support::Interner &internerFor(const PipelineRequest &Request) const;
-
   const apimodel::CryptoApiModel &Api;
   PipelineConfig Config;
-  /// Corpus interner backing every change this instance derives (unless
-  /// a request supplies its own). shared_ptr so reports can outlive the
-  /// facade.
-  std::shared_ptr<support::Interner> DefaultLabels;
+  /// Corpus interner backing every change this instance derives.
+  /// shared_ptr so reports can outlive the facade.
+  std::shared_ptr<support::Interner> Labels;
 };
 
 } // namespace core

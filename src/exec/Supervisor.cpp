@@ -98,8 +98,7 @@ int workerMain(const core::DiffCode &System,
   // are ever re-interned or streamed as defs — on a warmed-up parent
   // table that is close to nothing. Hello advertises the base so the
   // coordinator maps inherited ids through the identity.
-  support::Interner &LocalTable =
-      Request.Labels ? *Request.Labels : *System.labels();
+  support::Interner &LocalTable = *System.labels();
   DefSender Defs(LocalTable);
 
   // Observed workers run their own Observer: per-change spans and the
@@ -930,9 +929,7 @@ diffcode::exec::superviseChanges(const core::DiffCode &System,
   support::ScopedSigpipeIgnore NoSigpipe;
   SupervisionStats Local;
   SupervisionStats &St = Stats ? *Stats : Local;
-  support::Interner &Table =
-      Request.Labels ? *Request.Labels : *System.labels();
-  Coordinator C(System, Request, Table, St);
+  Coordinator C(System, Request, *System.labels(), St);
   C.Obs = Request.Metrics;
   if (Request.Metrics)
     C.UnitLatency =

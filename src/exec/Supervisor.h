@@ -30,9 +30,9 @@
 /// the exact same processChange under the exact same per-change fault
 /// scope, (b) the wire codec carries every record field that reaches the
 /// report, and (c) the downstream pipeline is literally the same code
-/// (DiffCode::runPipelineFrom). Interner id values differ across
-/// processes, but no consumer depends on id values — only equality
-/// (support/Interner.h determinism contract).
+/// (DiffCode::run). Interner id values differ across processes, but no
+/// consumer depends on id values — only equality (support/Interner.h
+/// determinism contract).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,10 +85,9 @@ struct SupervisionStats {
 /// deadline, retry budget, memory limit) and the system's fault plan
 /// (both the in-process sites — they fire inside workers exactly as they
 /// would in-process — and the Proc* chaos sites). This is the analysis
-/// stage core::DiffCode::run plugs into runPipelineFrom when
-/// Request.Exec.Mode is Supervised; exposed separately for the
-/// differential and chaos tests (the former exec::runPipeline dispatcher
-/// is gone — run() is the one entry point).
+/// stage core::DiffCode::run uses when Request.Exec.Mode is Supervised;
+/// exposed separately for the differential and chaos tests (run() is the
+/// one pipeline entry point).
 std::vector<core::ChangeRecord>
 superviseChanges(const core::DiffCode &System,
                  const core::PipelineRequest &Request,

@@ -86,10 +86,6 @@ Scanner::digest(std::string_view Code, bool Refine, bool UseCache,
   return Entry;
 }
 
-ScanReport Scanner::scan(const ScanRequest &Request) const {
-  return scan(Request, nullptr);
-}
-
 ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
   const std::size_t N = Request.Projects.size();
   ScanReport Report;
@@ -120,7 +116,7 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
   // Injected faults are a function of the per-project fault scope; a
   // content-keyed cache would replay one project's faults into another,
   // so campaigns always digest fresh.
-  const bool UseCache = Config.CacheUnits && !Config.Faults.enabled();
+  const bool UseCache = !Config.Faults.enabled();
   std::atomic<std::uint64_t> CacheHits{0}, CacheMisses{0};
 
   // Sequenced reorder buffer: workers complete in any order, the sink

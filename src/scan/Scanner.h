@@ -20,7 +20,7 @@
 ///
 /// Determinism contract: the report (and the streamed record sequence)
 /// is a pure function of (projects, rule set, Refine, Limits, fault
-/// plan) — never of Threads, CacheUnits, Metrics, or scheduling. The
+/// plan) — never of Threads, Metrics, the unit cache, or scheduling. The
 /// unit cache is keyed purely by file content (+ the refine bit) and is
 /// bypassed entirely while a fault campaign is armed, because injected
 /// faults depend on the per-project fault scope that content keys
@@ -49,7 +49,10 @@ namespace scan {
 /// Engine knobs, mirroring core::PipelineConfig's grouped shape. Every
 /// knob here is an *engine* property (how the scan runs), fixed for the
 /// Scanner's lifetime; per-run properties (which projects, which rules,
-/// refinement) live on ScanRequest.
+/// refinement) live on ScanRequest. Digested units are always shared
+/// across projects and scan() calls through a content-hash cache:
+/// synthetic and mined corpora repeat generated files heavily, and hit
+/// or miss, the digest is identical.
 struct ScanConfig {
   /// Worker threads for the per-project scan stage; each project is
   /// independent, so results are deterministic regardless
@@ -63,12 +66,6 @@ struct ScanConfig {
     analysis::AnalysisOptions Analysis;
   };
   LimitsGroup Limits;
-
-  /// Share digested units across projects and scan() calls through a
-  /// content-hash cache. Synthetic and mined corpora repeat generated
-  /// files heavily, so this is the scanner's dominant throughput lever;
-  /// purely an engine knob — hit or miss, the digest is identical.
-  bool CacheUnits = true;
 
   /// Observability sink; null keeps every instrumentation site at one
   /// pointer test. Must outlive the Scanner calls that use it.
@@ -164,8 +161,7 @@ public:
 
   /// Runs one scan. With \p Sink, completed project records additionally
   /// stream out in deterministic order as the scan progresses.
-  ScanReport scan(const ScanRequest &Request) const;
-  ScanReport scan(const ScanRequest &Request, ScanSink *Sink) const;
+  ScanReport scan(const ScanRequest &Request, ScanSink *Sink = nullptr) const;
 
   /// Digested units currently cached (tests / capacity planning).
   std::size_t cachedUnits() const;

@@ -16,8 +16,7 @@
 /// Two transports:
 ///   * serveUnix: bind + listen on a filesystem socket, accept
 ///     connections sequentially, serve each until disconnect, stop at
-///     the first ShutdownReq (the `diffcoded <socket>` / `diffcode_cli
-///     --serve` mode);
+///     the first ShutdownReq (the `diffcoded <socket>` daemon);
 ///   * Client: the matching request side over a connected fd
 ///     (`diffcode_cli --connect`), one blocking request/reply at a time.
 ///

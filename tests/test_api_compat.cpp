@@ -13,18 +13,25 @@
 /// release has passed: this suite is now the removal gate. It asserts,
 /// via unevaluated requires-expressions, that the old names no longer
 /// exist (someone re-adding one breaks the build here first) and that
-/// the replacement surface stands.
+/// the replacement surface stands. The same probes keep every setting in
+/// one home: settings that no caller set (the config-level execution
+/// policy, observer and cut, the request's interner, the scanner's cache
+/// switch) and entry points that only duplicated others must not resolve
+/// again.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/DiffCode.h"
 
 #include "core/ReportWriter.h"
+#include "scan/Scanner.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 using namespace diffcode;
 using namespace diffcode::core;
@@ -43,6 +50,38 @@ concept HasOptionsAccessor = requires(const System &S) { S.options(); };
 template <typename System>
 concept HasRunPipeline =
     requires(const System &S, const PipelineRequest &R) { S.runPipeline(R); };
+
+template <typename System>
+concept HasRunPipelineFrom =
+    requires(const System &S, const PipelineRequest &R,
+             const std::function<std::vector<ChangeRecord>()> &Analyze) {
+      S.runPipelineFrom(R, Analyze);
+    };
+
+// processChange has one signature: the interner is always explicit.
+template <typename System>
+concept HasThreeArgProcessChange =
+    requires(const System &S, const corpus::CodeChange &C,
+             const std::vector<std::string> &Targets,
+             const std::vector<const rules::Rule *> &Rules) {
+      S.processChange(C, Targets, Rules);
+    };
+
+// Settings probes: each concept is true only if the field still exists.
+template <typename Config>
+concept HasExecField = requires(const Config &C) { C.Exec; };
+
+template <typename Config>
+concept HasMetricsField = requires(const Config &C) { C.Metrics; };
+
+template <typename Config>
+concept HasClusteringField = requires(const Config &C) { C.Clustering; };
+
+template <typename Request>
+concept HasLabelsField = requires(const Request &R) { R.Labels; };
+
+template <typename Config>
+concept HasCacheUnitsField = requires(const Config &C) { C.CacheUnits; };
 
 } // namespace
 
@@ -69,6 +108,29 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   static_assert(diffcode::core::DiffCodeOptions::IsRemovalSentinel,
                 "core::DiffCodeOptions was removed in PR 9; construct from "
                 "core::PipelineConfig");
+
+  // Each setting has one home.
+  static_assert(!HasExecField<PipelineConfig>,
+                "the execution policy lives on PipelineRequest::Exec only");
+  static_assert(!HasMetricsField<PipelineConfig>,
+                "the observer lives on PipelineRequest::Metrics only");
+  static_assert(!HasClusteringField<PipelineConfig>,
+                "the display cut is cluster::DefaultCut");
+  static_assert(!HasLabelsField<PipelineRequest>,
+                "every run interns into DiffCode::labels()");
+  static_assert(!HasCacheUnitsField<scan::ScanConfig>,
+                "the unit cache is always on (an armed fault plan bypasses "
+                "it)");
+  static_assert(!HasRunPipelineFrom<DiffCode>,
+                "DiffCode::runPipelineFrom was folded into run()");
+  static_assert(!HasThreeArgProcessChange<DiffCode>,
+                "processChange takes the interner explicitly: pass "
+                "*System.labels()");
+  // The surviving homes still resolve, so the probes above cannot pass
+  // vacuously.
+  static_assert(HasExecField<PipelineRequest>);
+  static_assert(HasMetricsField<PipelineRequest>);
+  static_assert(HasMetricsField<scan::ScanConfig>);
   SUCCEED();
 }
 
@@ -78,11 +140,9 @@ TEST(ApiCompat, ReplacementSurfaceStands) {
   PipelineConfig Config;
   Config.Threads = 2;
   Config.Limits.DagDepth = 4;
-  Config.Clustering.Cut = 0.5;
   DiffCode System(api(), Config);
   EXPECT_EQ(System.config().Threads, 2u);
   EXPECT_EQ(System.config().Limits.DagDepth, 4u);
-  EXPECT_DOUBLE_EQ(System.config().Clustering.Cut, 0.5);
 
   corpus::CodeChange Fix;
   Fix.ProjectName = "proj";

@@ -6,12 +6,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceLexer.h"
 #include "core/DiffCode.h"
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>

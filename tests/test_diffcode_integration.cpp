@@ -143,8 +143,9 @@ TEST(DiffCodeE2E, ProcessChangeClassifies) {
   std::vector<const rules::Rule *> CLRules;
   for (const rules::Rule &R : rules::cryptoLintRules())
     CLRules.push_back(&R);
-  ChangeRecord Record = System.processChange(
-      change(Figure2Old, Figure2New), api().targetClasses(), CLRules);
+  ChangeRecord Record =
+      System.processChange(change(Figure2Old, Figure2New),
+                           api().targetClasses(), CLRules, *System.labels());
   ASSERT_TRUE(Record.Classification.count("CL1"));
   EXPECT_EQ(Record.Classification.at("CL1"),
             rules::ChangeClass::SecurityFix);

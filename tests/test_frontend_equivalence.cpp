@@ -1,7 +1,7 @@
 //===- tests/test_frontend_equivalence.cpp - Front-end differential suite --===//
 //
 // Locks the table-driven lexer + arena parser rewrite to the retained
-// seed front end (javaast/ReferenceLexer): on every source in the full
+// seed front end (tests/ReferenceLexer.h): on every source in the full
 // generated corpus, token streams, AstPrinter output, and diagnostics
 // must be byte-identical, and the whole-corpus report JSON must be
 // byte-identical across 1/2/8 pipeline threads. Any divergence means the
@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceLexer.h"
 #include "core/DiffCode.h"
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
@@ -16,7 +17,6 @@
 #include "javaast/AstPrinter.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>

@@ -300,26 +300,3 @@ TEST(InterningEquivalence, PipelineReportByteIdenticalAcrossThreadCounts) {
   }
   EXPECT_FALSE(Baseline.empty());
 }
-
-TEST(InterningEquivalence, ExplicitSharedInternerMatchesPerEngineDefault) {
-  // Supplying one shared table through the request must not change the
-  // report vs each engine interning into its own default table.
-  corpus::CorpusOptions Opts;
-  Opts.Seed = 89;
-  Opts.NumProjects = 6;
-  corpus::Corpus C = corpus::CorpusGenerator(Opts).generate();
-  corpus::Miner M(api());
-  std::vector<const corpus::CodeChange *> Mined = M.mine(C);
-  ASSERT_FALSE(Mined.empty());
-
-  DiffCode System(api());
-  PipelineRequest Default;
-  Default.Changes = Mined;
-  Default.TargetClasses = api().targetClasses();
-  PipelineRequest Shared = Default;
-  Shared.Labels = std::make_shared<support::Interner>();
-
-  std::string A = corpusReportToJson(System.run(Default));
-  std::string B = corpusReportToJson(System.run(Shared));
-  EXPECT_EQ(A, B);
-}

@@ -2,7 +2,7 @@
 //
 // Seeded random-byte and mutation fuzzing for the table-driven lexer.
 // Two oracles on every input: the retained seed scanner
-// (javaast/ReferenceLexer) must produce a byte-identical token stream and
+// (tests/ReferenceLexer.h) must produce a byte-identical token stream and
 // diagnostics, and the parser under tiny ParseLimits must stay inside its
 // budget (nullptr unit + budgetExceeded, never a crash or hang). The
 // suite is sharded so a failure names the shard — and therefore the seed
@@ -12,10 +12,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceLexer.h"
 #include "corpus/Scenario.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>

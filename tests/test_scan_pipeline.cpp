@@ -313,8 +313,12 @@ TEST(ScanCache, WarmAndColdAndUncachedReportsAreByteIdentical) {
   std::string Warm = scanReportToJson(Cached.scan(Request));
   EXPECT_EQ(Cold, Warm);
 
+  // Any armed plan bypasses the cache. This one arms only ProcKill, a
+  // site no scan evaluates, so nothing fires and the uncached digests
+  // must reproduce the cached bytes.
   ScanConfig NoCache;
-  NoCache.CacheUnits = false;
+  NoCache.Faults.Rate = 1.0;
+  NoCache.Faults.SiteMask = support::faultSiteBit(support::FaultSite::ProcKill);
   Scanner Uncached(api(), NoCache);
   EXPECT_EQ(scanReportToJson(Uncached.scan(Request)), Cold);
   EXPECT_EQ(Uncached.cachedUnits(), 0u);
