@@ -7,8 +7,10 @@
 //
 // Micro-benchmark M2: the algorithmic kernels behind Sections 3.5 and 4.3
 // — Levenshtein distance, the Hungarian assignment (DAG pairing and path
-// matching both use it), the DAG IoU distance, pathsDist, and complete-
-// linkage clustering as a function of input size. Shows the O(n^3)
+// matching both use it), pathsDist, usageDist, and complete-linkage
+// clustering as a function of input size. The clustering matrix calls
+// cluster::usageDist once per pair, the same function a service repair
+// calls, so BM_UsageDist times one matrix entry. Shows the O(n^3)
 // assignment and O(n^2)-distance clustering stay cheap at the paper's
 // post-filter scale (186 changes).
 //

@@ -3,7 +3,6 @@
 #include "cluster/Distance.h"
 
 #include "support/Hungarian.h"
-#include "support/Interner.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -14,9 +13,25 @@ using namespace diffcode::cluster;
 using namespace diffcode::usage;
 
 std::vector<std::string> diffcode::cluster::labelUnits(const NodeLabel &Label) {
-  // Single source of truth lives next to the interner, which precomputes
-  // these units per distinct label at intern time.
-  return support::Interner::labelUnits(Label);
+  std::vector<std::string> Out;
+  switch (Label.K) {
+  case NodeLabel::Kind::Root:
+  case NodeLabel::Kind::Method:
+    // Type names and method signatures are single units: swapping one
+    // method for another costs exactly one modification.
+    Out.push_back(Label.str());
+    return Out;
+  case NodeLabel::Kind::Arg:
+    Out.push_back("arg" + std::to_string(Label.ArgIndex));
+    if (Label.ValueIsString) {
+      for (char C : Label.Text)
+        Out.push_back(std::string(1, C));
+    } else {
+      Out.push_back(Label.Text);
+    }
+    return Out;
+  }
+  return Out;
 }
 
 double diffcode::cluster::labelSimilarity(const NodeLabel &A,
@@ -51,8 +66,14 @@ double diffcode::cluster::pathDist(const FeaturePath &A,
 
 double diffcode::cluster::pathsDist(const std::vector<FeaturePath> &F1,
                                     const std::vector<FeaturePath> &F2) {
-  if (F1.empty() && F2.empty())
+  // Bit-exact shortcuts around the assignment solver. Equal path lists
+  // admit the all-zero diagonal matching, and a sum of exact zeros is
+  // 0.0; one empty side makes every row cost exactly 1.0, and
+  // (1.0 * N) / N is exactly 1.0. Both match what the solver returns.
+  if (F1 == F2)
     return 0.0;
+  if (F1.empty() || F2.empty())
+    return 1.0;
   std::size_t N = std::max(F1.size(), F2.size());
   CostMatrix Costs(N, N);
   for (std::size_t R = 0; R < N; ++R)
@@ -68,8 +89,6 @@ double diffcode::cluster::pathsDist(const std::vector<FeaturePath> &F1,
 
 double diffcode::cluster::usageDist(const UsageChange &C1,
                                     const UsageChange &C2) {
-  // The string-space reference metric: materialise and measure. The hot
-  // path uses UsageDistCache, which computes the same value over ids.
   return (pathsDist(C1.removedPaths(), C2.removedPaths()) +
           pathsDist(C1.addedPaths(), C2.addedPaths())) /
          2.0;

@@ -47,7 +47,10 @@ std::size_t commonPrefixLen(const usage::FeaturePath &A,
 /// pathDist in [0, 1]; 0 iff the paths are identical.
 double pathDist(const usage::FeaturePath &A, const usage::FeaturePath &B);
 
-/// pathsDist in [0, 1] via min-cost matching; both empty -> 0.
+/// pathsDist in [0, 1] via min-cost matching. Equal lists (both empty
+/// included) give 0 and exactly one empty side gives 1 without a solver
+/// call, so fault campaigns arming FaultSite::Hungarian reach the solver
+/// only for pairs that need it.
 double pathsDist(const std::vector<usage::FeaturePath> &F1,
                  const std::vector<usage::FeaturePath> &F2);
 

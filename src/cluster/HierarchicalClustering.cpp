@@ -2,7 +2,7 @@
 
 #include "cluster/HierarchicalClustering.h"
 
-#include "cluster/DistanceCache.h"
+#include "cluster/Distance.h"
 #include "support/FaultInjection.h"
 
 #include <algorithm>
@@ -252,12 +252,10 @@ Dendrogram diffcode::cluster::agglomerativeCluster(
 
 std::vector<double> diffcode::cluster::usageDistanceMatrix(
     const std::vector<usage::UsageChange> &Changes) {
-  if (Changes.empty())
-    return {};
-  UsageDistCache Cache(Changes);
   return pairwiseDistanceMatrix(
-      Changes.size(),
-      [&Cache](std::size_t I, std::size_t J) { return Cache(I, J); });
+      Changes.size(), [&Changes](std::size_t I, std::size_t J) {
+        return usageDist(Changes[I], Changes[J]);
+      });
 }
 
 Dendrogram diffcode::cluster::clusterUsageChanges(

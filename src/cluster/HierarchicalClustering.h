@@ -101,8 +101,8 @@ Dendrogram agglomerativeCluster(
     std::size_t NumItems,
     const std::function<double(std::size_t, std::size_t)> &Dist);
 
-/// The usageDist matrix over \p Changes, memoised through
-/// cluster::UsageDistCache.
+/// The usageDist matrix over \p Changes: pairwiseDistanceMatrix with
+/// cluster::usageDist evaluated once per pair.
 std::vector<double>
 usageDistanceMatrix(const std::vector<usage::UsageChange> &Changes);
 

@@ -328,9 +328,9 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
   // pair table, computing only pairs never seen before (for an append
   // ingest that is one thin border strip of the matrix), then hand it to
   // the batch engine's clustering step. usageDist is a pure function of
-  // the two feature sets and UsageDistCache is bit-identical to it, so
-  // every looked-up entry matches what the cold matrix would hold — and
-  // identical matrices agglomerate into identical dendrograms.
+  // the two feature sets and the cold matrix evaluates it per pair too,
+  // so every looked-up entry matches what the cold matrix would hold —
+  // and identical matrices agglomerate into identical dendrograms.
   ClassState &State = *Classes[ClassIndex];
   const std::vector<usage::UsageChange> &Kept = Class.Filtered.Kept;
   System.clusterClass(Class, [&] {

@@ -19,8 +19,8 @@
 ///   * per-class pair distances are persisted across ingests keyed by
 ///     usage-change feature signatures, so repairing a dendrogram after
 ///     an append computes only the new item's pairs — every old pair is
-///     a table lookup (bit-identical: cluster::UsageDistCache's
-///     contract);
+///     a table lookup (bit-identical: cold runs evaluate the same
+///     cluster::usageDist per pair);
 ///   * only classes whose usage set actually changed are re-filtered and
 ///     re-clustered; untouched classes keep their ClassReport verbatim.
 ///

@@ -41,12 +41,10 @@ bool service::decodeIngestRequest(std::string_view Payload,
   if (R.ok() && Version != ServiceProtocolVersion)
     return fail(Error, "service protocol version mismatch");
   std::uint32_t Count = R.u32();
-  // An absurd count means a corrupt (but checksum-colliding) frame;
-  // refuse before the reserve below turns it into an allocation bomb.
-  if (R.ok() && Count > exec::MaxFramePayload / 16)
-    return fail(Error, "ingest count exceeds frame capacity");
   Out.clear();
-  Out.reserve(Count);
+  // No reserve from the wire-supplied count: a hostile count would
+  // balloon memory before the truncation check ever runs. Storage grows
+  // only with elements that decoded in full.
   for (std::uint32_t I = 0; I < Count && R.ok(); ++I) {
     corpus::CodeChange C;
     C.ProjectName = std::string(R.str());
@@ -55,7 +53,8 @@ bool service::decodeIngestRequest(std::string_view Payload,
     C.Kind = std::string(R.str());
     C.OldCode = std::string(R.str());
     C.NewCode = std::string(R.str());
-    Out.push_back(std::move(C));
+    if (R.ok())
+      Out.push_back(std::move(C));
   }
   if (!R.atEnd())
     return fail(Error, "malformed ingest payload");
@@ -127,18 +126,16 @@ bool service::decodeScanRequest(std::string_view Payload, ScanRequestWire &Out,
   if (R.ok() && Version != ServiceProtocolVersion)
     return fail(Error, "service protocol version mismatch");
   Out.Refine = (R.u8() & 1) != 0;
+  // As in decodeIngestRequest: no reserve from a wire-supplied count.
   std::uint32_t RuleCount = R.u32();
-  if (R.ok() && RuleCount > exec::MaxFramePayload / 16)
-    return fail(Error, "scan rule count exceeds frame capacity");
   Out.RuleFilter.clear();
-  Out.RuleFilter.reserve(RuleCount);
-  for (std::uint32_t I = 0; I < RuleCount && R.ok(); ++I)
-    Out.RuleFilter.emplace_back(R.str());
+  for (std::uint32_t I = 0; I < RuleCount && R.ok(); ++I) {
+    std::string_view Id = R.str();
+    if (R.ok())
+      Out.RuleFilter.emplace_back(Id);
+  }
   std::uint32_t ProjectCount = R.u32();
-  if (R.ok() && ProjectCount > exec::MaxFramePayload / 16)
-    return fail(Error, "scan project count exceeds frame capacity");
   Out.Projects.clear();
-  Out.Projects.reserve(ProjectCount);
   for (std::uint32_t I = 0; I < ProjectCount && R.ok(); ++I) {
     corpus::Project P;
     P.Name = std::string(R.str());
@@ -146,16 +143,15 @@ bool service::decodeScanRequest(std::string_view Payload, ScanRequestWire &Out,
     P.Meta.MinSdkVersion = static_cast<int>(R.u32());
     P.Meta.HasLinuxPrngFix = (R.u8() & 1) != 0;
     std::uint32_t FileCount = R.u32();
-    if (R.ok() && FileCount > exec::MaxFramePayload / 16)
-      return fail(Error, "scan file count exceeds frame capacity");
-    P.Files.reserve(FileCount);
     for (std::uint32_t J = 0; J < FileCount && R.ok(); ++J) {
       corpus::ProjectFile File;
       File.Name = std::string(R.str());
       File.Code = std::string(R.str());
-      P.Files.push_back(std::move(File));
+      if (R.ok())
+        P.Files.push_back(std::move(File));
     }
-    Out.Projects.push_back(std::move(P));
+    if (R.ok())
+      Out.Projects.push_back(std::move(P));
   }
   if (!R.atEnd())
     return fail(Error, "malformed scan payload");

@@ -30,9 +30,11 @@
 /// exec worker protocol's 1..7, so a frame mis-routed between the two
 /// protocols is rejected by type, not misparsed.
 ///
-/// Every decoder is defensive: truncation, trailing bytes, or an absurd
-/// element count returns false and the server answers ReplyErr (or the
-/// client treats the server as poisoned).
+/// Every decoder is defensive: truncation, trailing bytes, or an element
+/// count the payload cannot back returns false and the server answers
+/// ReplyErr (or the client treats the server as poisoned). No decoder
+/// reserves storage from a count read off the wire; vectors grow only
+/// with elements that decoded in full.
 ///
 //===----------------------------------------------------------------------===//
 

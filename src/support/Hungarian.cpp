@@ -13,19 +13,14 @@ using namespace diffcode;
 // Kuhn–Munkres with row/column potentials (the classic O(n^3) "e-maxx"
 // formulation, 1-indexed internally). Works on a square matrix (row-major
 // flat, stride N); callers with rectangular inputs are padded with
-// zero-cost entries below. All buffers live in the caller's workspace so
-// the hot path (one solve per usage-change pair) performs no allocation
-// once the workspace has warmed up.
-static void solveSquare(const std::vector<double> &A, std::size_t N,
-                        std::vector<double> &U, std::vector<double> &V,
-                        std::vector<double> &MinV, std::vector<std::size_t> &P,
-                        std::vector<std::size_t> &Way,
-                        std::vector<char> &Used) {
+// zero-cost entries below. Returns P, where P[J] is the 1-based row
+// assigned to column J.
+static std::vector<std::size_t> solveSquare(const std::vector<double> &A,
+                                            std::size_t N) {
   const double Inf = std::numeric_limits<double>::infinity();
-  U.assign(N + 1, 0.0);
-  V.assign(N + 1, 0.0);
-  P.assign(N + 1, 0);
-  Way.assign(N + 1, 0);
+  std::vector<double> U(N + 1, 0.0), V(N + 1, 0.0), MinV;
+  std::vector<std::size_t> P(N + 1, 0), Way(N + 1, 0);
+  std::vector<char> Used;
 
   for (std::size_t I = 1; I <= N; ++I) {
     P[0] = I;
@@ -65,10 +60,10 @@ static void solveSquare(const std::vector<double> &A, std::size_t N,
       J0 = J1;
     } while (J0 != 0);
   }
+  return P;
 }
 
-Assignment diffcode::solveAssignment(const CostMatrix &Costs,
-                                     AssignmentWorkspace &Scratch) {
+Assignment diffcode::solveAssignment(const CostMatrix &Costs) {
   const std::size_t N = std::max(Costs.rows(), Costs.cols());
   Assignment Result;
   if (N == 0)
@@ -88,18 +83,17 @@ Assignment diffcode::solveAssignment(const CostMatrix &Costs,
     support::throwIfFault(support::FaultSite::Hungarian, Key);
   }
 
-  Scratch.Square.assign(N * N, 0.0);
+  std::vector<double> Square(N * N, 0.0);
   for (std::size_t R = 0; R < Costs.rows(); ++R)
     for (std::size_t C = 0; C < Costs.cols(); ++C)
-      Scratch.Square[R * N + C] = Costs.at(R, C);
+      Square[R * N + C] = Costs.at(R, C);
 
-  solveSquare(Scratch.Square, N, Scratch.U, Scratch.V, Scratch.MinV,
-              Scratch.P, Scratch.Way, Scratch.Used);
+  std::vector<std::size_t> P = solveSquare(Square, N);
 
   // P[J] = row assigned to column J; read the matching column-by-column.
   Result.RowToCol.assign(Costs.rows(), Assignment::Unmatched);
   for (std::size_t J = 1; J <= N; ++J) {
-    std::size_t R = Scratch.P[J] - 1, C = J - 1;
+    std::size_t R = P[J] - 1, C = J - 1;
     if (R < Costs.rows() && C < Costs.cols())
       Result.RowToCol[R] = C;
   }
@@ -109,9 +103,4 @@ Assignment diffcode::solveAssignment(const CostMatrix &Costs,
       Result.TotalCost += Costs.at(R, C);
   }
   return Result;
-}
-
-Assignment diffcode::solveAssignment(const CostMatrix &Costs) {
-  AssignmentWorkspace Scratch;
-  return solveAssignment(Costs, Scratch);
 }

@@ -38,15 +38,6 @@ public:
   std::size_t rows() const { return NumRows; }
   std::size_t cols() const { return NumCols; }
 
-  /// Re-shapes the matrix to \p Rows x \p Cols with all entries zeroed,
-  /// reusing the existing allocation. Lets hot loops (one assignment per
-  /// usage-change pair) keep a scratch matrix instead of reallocating.
-  void reset(std::size_t Rows, std::size_t Cols) {
-    NumRows = Rows;
-    NumCols = Cols;
-    Data.assign(Rows * Cols, 0.0);
-  }
-
 private:
   std::size_t NumRows;
   std::size_t NumCols;
@@ -63,28 +54,10 @@ struct Assignment {
   static constexpr std::size_t Unmatched = static_cast<std::size_t>(-1);
 };
 
-/// Reusable scratch buffers for solveAssignment. The solver is called
-/// once per usage-change pair during distance-matrix construction
-/// (O(n^2) calls on tiny matrices), where per-call allocation dominates
-/// the actual arithmetic; keeping one workspace per thread removes it.
-class AssignmentWorkspace {
-  friend Assignment solveAssignment(const CostMatrix &Costs,
-                                    AssignmentWorkspace &Scratch);
-  std::vector<double> Square;
-  std::vector<double> U, V, MinV;
-  std::vector<std::size_t> P, Way;
-  std::vector<char> Used;
-};
-
 /// Solves the min-cost assignment for \p Costs. Every real row/column is
 /// matched; when the matrix is rectangular the surplus side pairs with
 /// zero-cost padding.
 Assignment solveAssignment(const CostMatrix &Costs);
-
-/// As above, reusing \p Scratch across calls. Bitwise-identical results:
-/// the workspace only replaces allocations, never arithmetic.
-Assignment solveAssignment(const CostMatrix &Costs,
-                           AssignmentWorkspace &Scratch);
 
 } // namespace diffcode
 

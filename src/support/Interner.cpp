@@ -9,28 +9,6 @@ using namespace diffcode::support;
 using diffcode::usage::FeaturePath;
 using diffcode::usage::NodeLabel;
 
-std::vector<std::string> Interner::labelUnits(const NodeLabel &Label) {
-  std::vector<std::string> Out;
-  switch (Label.K) {
-  case NodeLabel::Kind::Root:
-  case NodeLabel::Kind::Method:
-    // Type names and method signatures are single units: swapping one
-    // method for another costs exactly one modification.
-    Out.push_back(Label.str());
-    return Out;
-  case NodeLabel::Kind::Arg:
-    Out.push_back("arg" + std::to_string(Label.ArgIndex));
-    if (Label.ValueIsString) {
-      for (char C : Label.Text)
-        Out.push_back(std::string(1, C));
-    } else {
-      Out.push_back(Label.Text);
-    }
-    return Out;
-  }
-  return Out;
-}
-
 LabelId Interner::label(const NodeLabel &Label) {
   {
     std::shared_lock<std::shared_mutex> Lock(Mutex);
@@ -41,10 +19,8 @@ LabelId Interner::label(const NodeLabel &Label) {
   std::unique_lock<std::shared_mutex> Lock(Mutex);
   auto [It, Inserted] =
       LabelIds.emplace(Label, static_cast<LabelId>(Labels.size()));
-  if (Inserted) {
+  if (Inserted)
     Labels.push_back(Label);
-    Units.push_back(labelUnits(Label));
-  }
   return It->second;
 }
 
@@ -79,11 +55,6 @@ const NodeLabel &Interner::labelAt(LabelId Id) const {
 const std::vector<LabelId> &Interner::labelsOf(PathId Id) const {
   std::shared_lock<std::shared_mutex> Lock(Mutex);
   return Paths[Id];
-}
-
-const std::vector<std::string> &Interner::unitsOf(LabelId Id) const {
-  std::shared_lock<std::shared_mutex> Lock(Mutex);
-  return Units[Id];
 }
 
 FeaturePath Interner::materialize(PathId Id) const {
@@ -123,11 +94,6 @@ std::size_t Interner::memoryBytes() const {
   std::size_t Bytes = 0;
   for (const NodeLabel &L : Labels)
     Bytes += sizeof(NodeLabel) + L.Text.capacity();
-  for (const std::vector<std::string> &U : Units) {
-    Bytes += sizeof(U) + U.capacity() * sizeof(std::string);
-    for (const std::string &S : U)
-      Bytes += S.capacity();
-  }
   for (const std::vector<LabelId> &P : Paths)
     Bytes += sizeof(P) + P.capacity() * sizeof(LabelId);
   // Lookup maps: one node per entry (key storage counted above for

@@ -15,28 +15,27 @@
 ///
 ///   * label and path equality are single integer compares,
 ///   * strict-prefix tests are integer-sequence compares,
-///   * the Levenshtein unit vector of every label (the expensive split
-///     the clustering metric needs) is computed once at intern time,
 ///   * a usage change is two small id vectors instead of a tree of
 ///     heap-allocated strings.
 ///
 /// Interning is *structural*: id equality coincides exactly with
 /// NodeLabel::operator== (which includes ValueIsString), the property
-/// the memoised distance cache relies on.
+/// shortest-path elimination, the filters and the service's
+/// pair-distance table rely on.
 ///
 /// Thread-safety contract: the interner is append-only behind a
 /// std::shared_mutex — intern calls take the exclusive lock, lookups
 /// take the shared lock, and storage lives in std::deque arenas whose
 /// chunked allocation never moves an element, so references returned by
-/// labelAt()/labelsOf()/unitsOf() stay valid for the interner's lifetime
-/// even while other threads keep interning.
+/// labelAt()/labelsOf() stay valid for the interner's lifetime even
+/// while other threads keep interning.
 ///
 /// Determinism contract: id *values* depend on intern order, which is
 /// racy when pipeline workers intern concurrently. No output may
 /// therefore depend on id values — only on id equality — and every
-/// consumer (shortest-path elimination, filters, distance cache) is
-/// written to be id-value independent. That is why reports stay
-/// byte-identical across thread counts and vs the string-based engine.
+/// consumer (shortest-path elimination, filters) is written to be
+/// id-value independent. That is why reports stay byte-identical across
+/// thread counts and vs the string-based engine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,11 +84,6 @@ public:
   /// The label-id sequence behind \p Id; same lifetime guarantee.
   const std::vector<LabelId> &labelsOf(PathId Id) const;
 
-  /// Precomputed Levenshtein units of \p Id's label (Section 4.3: string
-  /// constants split per character; type names, method signatures and
-  /// other values are atomic). Computed once at intern time.
-  const std::vector<std::string> &unitsOf(LabelId Id) const;
-
   /// Rebuilds the owning FeaturePath (display/compat use only).
   usage::FeaturePath materialize(PathId Id) const;
 
@@ -99,20 +93,15 @@ public:
   std::size_t labelCount() const;
   std::size_t pathCount() const;
 
-  /// Approximate resident bytes of the table (labels, units, paths,
-  /// lookup maps) for the memory benchmark.
+  /// Approximate resident bytes of the table (labels, paths, lookup
+  /// maps) for the memory benchmark.
   std::size_t memoryBytes() const;
-
-  /// Splits \p Label into the clustering metric's Levenshtein units; the
-  /// single source of truth also used by cluster::labelUnits.
-  static std::vector<std::string> labelUnits(const usage::NodeLabel &Label);
 
 private:
   mutable std::shared_mutex Mutex;
   // Arena storage: deque chunks never move elements, so post-intern
   // references are stable without per-element allocations.
   std::deque<usage::NodeLabel> Labels;
-  std::deque<std::vector<std::string>> Units; ///< Parallel to Labels.
   std::deque<std::vector<LabelId>> Paths;
   std::map<usage::NodeLabel, LabelId> LabelIds;
   std::map<std::vector<LabelId>, PathId> PathIds;

@@ -61,8 +61,7 @@ struct NodeLabel {
   /// Full structural identity, including ValueIsString: the clustering
   /// metric assigns different Levenshtein units to string and non-string
   /// labels with equal text, and the interned label table
-  /// (cluster/DistanceCache) relies on id equality coinciding with this
-  /// operator.
+  /// (support/Interner) makes id equality coincide with this operator.
   bool operator==(const NodeLabel &Other) const {
     return K == Other.K && ArgIndex == Other.ArgIndex &&
            ValueIsString == Other.ValueIsString && Text == Other.Text;

@@ -15,7 +15,6 @@
 
 #include "NaiveClustering.h"
 #include "cluster/Distance.h"
-#include "cluster/DistanceCache.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -90,14 +89,6 @@ void expectMatchesOracle(std::size_t N, const std::vector<double> &D) {
   }
 }
 
-/// The usageDist matrix of \p Changes through the production cache.
-std::vector<double> cachedMatrix(const std::vector<UsageChange> &Changes) {
-  UsageDistCache Cache(Changes);
-  return pairwiseDistanceMatrix(
-      Changes.size(),
-      [&](std::size_t I, std::size_t J) { return Cache(I, J); });
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -111,7 +102,7 @@ TEST_P(CorpusEquivalence, ChainMatchesNaiveOracle) {
   // Sizes sweep the 50-300 range across the seeds.
   std::size_t Size = 50 + (Seed * 83) % 251;
   std::vector<UsageChange> Changes = randomCorpus(Seed, Size);
-  std::vector<double> D = cachedMatrix(Changes);
+  std::vector<double> D = usageDistanceMatrix(Changes);
   expectMatchesOracle(Size, D);
   // clusterUsageChanges is this matrix agglomerated.
   EXPECT_EQ(oracle::mergesOf(clusterUsageChanges(Changes)),
@@ -150,7 +141,7 @@ TEST(ClusteringEquivalence, DuplicateItemsAgree) {
   std::vector<UsageChange> Changes;
   for (int Copy = 0; Copy < 4; ++Copy)
     Changes.insert(Changes.end(), Base.begin(), Base.end());
-  expectMatchesOracle(Changes.size(), cachedMatrix(Changes));
+  expectMatchesOracle(Changes.size(), usageDistanceMatrix(Changes));
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,7 +2,6 @@
 
 #include "cluster/Distance.h"
 
-#include "cluster/DistanceCache.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -239,56 +238,3 @@ TEST_P(UsageDistProperty, MetricShape) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UsageDistProperty, ::testing::Range(0, 50));
-
-//===----------------------------------------------------------------------===//
-// UsageDistCache — the memoised engine path must be a bit-exact drop-in
-// for the direct usageDist computation, and keep its metric shape.
-//===----------------------------------------------------------------------===//
-
-class CachedUsageDistProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(CachedUsageDistProperty, CacheIsExactlyUncached) {
-  Rng R(GetParam() * 9341 + 17);
-  std::vector<UsageChange> Changes;
-  for (int I = 0; I < 60; ++I) {
-    std::vector<FeaturePath> Rem, Add;
-    for (std::size_t K = 0, N = R.range(0, 3); K < N; ++K)
-      Rem.push_back(randomPath(R));
-    for (std::size_t K = 0, N = R.range(0, 3); K < N; ++K)
-      Add.push_back(randomPath(R));
-    Changes.push_back(change(std::move(Rem), std::move(Add)));
-  }
-
-  UsageDistCache Cache(Changes);
-  ASSERT_EQ(Cache.size(), Changes.size());
-  for (std::size_t I = 0; I < Changes.size(); ++I) {
-    // Identity: d(a, a) == 0, straight from the cache.
-    EXPECT_EQ(Cache(I, I), 0.0) << "item " << I;
-    for (std::size_t J = I + 1; J < Changes.size(); ++J) {
-      double Cached = Cache(I, J);
-      // Symmetry and range.
-      EXPECT_EQ(Cached, Cache(J, I)) << I << "," << J;
-      EXPECT_GE(Cached, 0.0);
-      EXPECT_LE(Cached, 1.0);
-      // Bit-exact agreement with the uncached metric (EXPECT_EQ on
-      // doubles is deliberate: the cache mirrors the same arithmetic).
-      EXPECT_EQ(Cached, usageDist(Changes[I], Changes[J])) << I << "," << J;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CachedUsageDistProperty, ::testing::Range(0, 4));
-
-TEST(UsageDistCache, InterningDeduplicatesVocabulary) {
-  // Three changes over two distinct paths and a handful of labels: the
-  // interner must collapse them.
-  UsageChange A = change({cipherGet("AES")}, {cipherGet("DES")});
-  UsageChange B = change({cipherGet("AES")}, {cipherGet("DES")});
-  UsageChange C = change({cipherGet("DES")}, {cipherGet("AES")});
-  UsageDistCache Cache({A, B, C});
-  EXPECT_EQ(Cache.distinctPaths(), 2u);
-  // Labels: Cipher root, getInstance method, "AES" arg, "DES" arg.
-  EXPECT_EQ(Cache.distinctLabels(), 4u);
-  EXPECT_EQ(Cache(0, 1), 0.0); // duplicates are distance zero
-  EXPECT_EQ(Cache(0, 2), usageDist(A, C));
-}

@@ -198,3 +198,38 @@ TEST(FaultHarness, SeedSelectsDifferentVictims) {
       VictimsB.push_back(R.Origin);
   EXPECT_NE(VictimsA, VictimsB);
 }
+
+TEST(FaultHarness, HungarianSiteCountsOnlySolverPairs) {
+  // Three kept changes share their one removed path and differ in their
+  // one added path. Every removed-side pathsDist is between equal lists
+  // and skips the solver; every added-side one runs it. So the class's
+  // three pairs evaluate the armed Hungarian point exactly three times.
+  support::Interner Table;
+  auto Get = [](const char *Algo) {
+    return usage::FeaturePath{
+        usage::NodeLabel::root("Cipher"),
+        usage::NodeLabel::method("Cipher.getInstance/1"),
+        usage::NodeLabel::arg(1, analysis::AbstractValue::strConst(Algo))};
+  };
+  ClassReport Class;
+  Class.TargetClass = "Cipher";
+  for (const char *Algo :
+       {"AES/CBC/PKCS5Padding", "AES/GCM/NoPadding", "AES/CTR/NoPadding"})
+    Class.Filtered.Kept.push_back(
+        usage::UsageChange::intern(Table, "Cipher", {Get("AES")}, {Get(Algo)}));
+
+  support::FaultStats Stats;
+  support::FaultPlan Plan;
+  Plan.Seed = 3;
+  Plan.Rate = 1e-12; // armed, never fires
+  Plan.SiteMask = support::faultSiteBit(support::FaultSite::Hungarian);
+  Plan.Stats = &Stats;
+  PipelineConfig Opts;
+  Opts.Faults = Plan;
+  DiffCode(api(), Opts).clusterClass(Class);
+
+  EXPECT_TRUE(Class.ClusteringError.empty()) << Class.ClusteringError;
+  EXPECT_EQ(Class.Tree.leafCount(), 3u);
+  EXPECT_EQ(Stats.evaluated(support::FaultSite::Hungarian), 3u);
+  EXPECT_EQ(Stats.fired(support::FaultSite::Hungarian), 0u);
+}

@@ -6,18 +6,15 @@
 //   1. interning is structural — id equality coincides exactly with
 //      NodeLabel::operator== / element-wise path equality, including the
 //      ValueIsString distinction;
-//   2. references returned by labelAt/labelsOf/unitsOf stay valid while
-//      other threads keep interning (arena stability);
+//   2. references returned by labelAt/labelsOf stay valid while other
+//      threads keep interning (arena stability);
 //   3. pathString(Id) is byte-identical to pathToString(materialize(Id));
-//   4. the precomputed Levenshtein units match cluster::labelUnits;
-//   5. concurrent interning from many threads is safe and structural
+//   4. concurrent interning from many threads is safe and structural
 //      (ids may differ run to run, equality never does).
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/Interner.h"
-
-#include "cluster/Distance.h"
 
 #include <gtest/gtest.h>
 
@@ -102,39 +99,16 @@ TEST(Interner, PathStringMatchesPathToString) {
     EXPECT_EQ(Table.pathString(Table.path(Path)), pathToString(Path));
 }
 
-TEST(Interner, UnitsMatchClusterLabelUnits) {
-  Interner Table;
-  std::vector<NodeLabel> Labels = {
-      NodeLabel::root("Cipher"),
-      NodeLabel::method("Cipher.getInstance/1"),
-      NodeLabel::arg(1, AbstractValue::strConst("AES/CBC/PKCS5Padding")),
-      NodeLabel::arg(2, AbstractValue::intConst(128)),
-      NodeLabel::arg(1, AbstractValue::byteArrayTop()),
-  };
-  for (const NodeLabel &Label : Labels) {
-    LabelId Id = Table.label(Label);
-    EXPECT_EQ(Table.unitsOf(Id), cluster::labelUnits(Label));
-  }
-  // String constants split per character — the expensive part the table
-  // precomputes once.
-  LabelId Aes =
-      Table.label(NodeLabel::arg(1, AbstractValue::strConst("AES")));
-  EXPECT_EQ(Table.unitsOf(Aes),
-            (std::vector<std::string>{"arg1", "A", "E", "S"}));
-}
-
 TEST(Interner, ReferencesStableAcrossGrowth) {
   // Arena storage: a reference taken early must stay valid after the
   // table grows by thousands of entries.
   Interner Table;
   LabelId First = Table.label(NodeLabel::root("Cipher"));
   const NodeLabel &Ref = Table.labelAt(First);
-  const std::vector<std::string> &Units = Table.unitsOf(First);
   for (int I = 0; I < 5000; ++I)
     Table.label(NodeLabel::arg(1, AbstractValue::strConst(
                                       "algo-" + std::to_string(I))));
   EXPECT_EQ(Ref.Text, "Cipher");
-  EXPECT_EQ(Units, (std::vector<std::string>{"Cipher"}));
 }
 
 TEST(Interner, ConcurrentInterningIsStructural) {

@@ -3,18 +3,16 @@
 // Differential harness for the interned corpus data model (DESIGN.md
 // "Interned data model"). The refactor's promise is behavioral
 // invisibility: every stage that now runs on LabelId/PathId integers —
-// shortest-path elimination, the fsame/fadd/frem/fdup filters, the
-// memoised distance cache, clustering, report emission — must produce
-// byte-identical results to a reference engine that works directly on
-// materialized strings, exactly like the pre-interning implementation.
+// shortest-path elimination, the fsame/fadd/frem/fdup filters,
+// clustering, report emission — must produce byte-identical results to
+// a reference engine that works directly on materialized strings,
+// exactly like the pre-interning implementation.
 //
 // The reference engine here is deliberately naive: it renders every
-// path with pathToString, filters on string tuples, and computes
-// distances with the string-space usageDist (Distance.h), which shares
-// no code with UsageDistCache's id-compacted tables beyond the unit
-// definitions. Agreement is checked on hand-built smoke changes and on
-// generated corpora, end-to-end through DiffCode::run at 1, 2, and 8
-// threads.
+// path with pathToString, filters on string tuples, and clusters with
+// the naive oracle over the string-space usageDist (Distance.h).
+// Agreement is checked on hand-built smoke changes and on generated
+// corpora, end-to-end through DiffCode::run at 1, 2, and 8 threads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +20,6 @@
 
 #include "NaiveClustering.h"
 #include "cluster/Distance.h"
-#include "cluster/DistanceCache.h"
 #include "cluster/HierarchicalClustering.h"
 #include "core/ReportWriter.h"
 #include "support/JsonWriter.h"
@@ -201,23 +198,13 @@ TEST(InterningEquivalence, FiltersMatchStringReferenceOnRandomCorpora) {
 }
 
 //===----------------------------------------------------------------------===//
-// Distance: id-compacted cache vs string-space usageDist
+// Clustering: NN-chain engine vs the naive oracle
 //===----------------------------------------------------------------------===//
 
-TEST(InterningEquivalence, DistanceCacheMatchesStringMetricExactly) {
-  for (unsigned Seed : {0u, 1u, 2u}) {
-    std::vector<UsageChange> Changes = randomCorpus(Seed + 100, 60);
-    cluster::UsageDistCache Cache(Changes);
-    for (std::size_t I = 0; I < Changes.size(); ++I)
-      for (std::size_t J = I; J < Changes.size(); ++J)
-        EXPECT_EQ(Cache(I, J), cluster::usageDist(Changes[I], Changes[J]))
-            << "seed " << Seed << " pair (" << I << "," << J << ")";
-  }
-}
-
 TEST(InterningEquivalence, ClusteringMatchesStringMetricTrees) {
-  // Production: interned cache + NN-chain. Reference: string-space
-  // usageDist matrix + the naive oracle. Merges must be bit-identical.
+  // Production: clusterUsageChanges (usageDistanceMatrix + NN-chain).
+  // Reference: a pairwise usageDist matrix + the naive oracle. Merges
+  // must be bit-identical.
   for (unsigned Seed : {3u, 4u}) {
     std::vector<UsageChange> Changes = randomCorpus(Seed + 200, 80);
     cluster::Dendrogram Production = cluster::clusterUsageChanges(Changes);

@@ -150,6 +150,15 @@ TEST(ServiceProtocol, IngestRequestRejectsHostilePayloads) {
   Bomb.u32(0xffffffffu);
   EXPECT_FALSE(decodeIngestRequest(Bomb.take(), Got, &Error));
 
+  // A count at the old per-frame cap with an empty body: decoding must
+  // fail without sizing storage from the count.
+  exec::WireWriter AtCap;
+  AtCap.u32(ServiceProtocolVersion);
+  AtCap.u32(exec::MaxFramePayload / 16);
+  std::vector<corpus::CodeChange> Fresh;
+  EXPECT_FALSE(decodeIngestRequest(AtCap.take(), Fresh, &Error));
+  EXPECT_EQ(Fresh.capacity(), 0u);
+
   // Empty payload.
   EXPECT_FALSE(decodeIngestRequest("", Got, &Error));
 }
@@ -240,6 +249,26 @@ TEST(ServiceProtocol, ScanRequestRejectsHostilePayloads) {
   Bomb.u32(0);           // no rule filter
   Bomb.u32(0xfffffff0u); // absurd project count
   EXPECT_FALSE(decodeScanRequest(Bomb.take(), Got, &Error));
+
+  // Rule and project counts at the old per-frame cap with empty bodies:
+  // decoding must fail without sizing storage from either count.
+  exec::WireWriter RulesAtCap;
+  RulesAtCap.u32(ServiceProtocolVersion);
+  RulesAtCap.u8(0);
+  RulesAtCap.u32(exec::MaxFramePayload / 16);
+  ScanRequestWire FreshRules;
+  EXPECT_FALSE(decodeScanRequest(RulesAtCap.take(), FreshRules, &Error));
+  EXPECT_EQ(FreshRules.RuleFilter.capacity(), 0u);
+
+  exec::WireWriter ProjectsAtCap;
+  ProjectsAtCap.u32(ServiceProtocolVersion);
+  ProjectsAtCap.u8(0);
+  ProjectsAtCap.u32(0); // no rule filter
+  ProjectsAtCap.u32(exec::MaxFramePayload / 16);
+  ScanRequestWire FreshProjects;
+  EXPECT_FALSE(
+      decodeScanRequest(ProjectsAtCap.take(), FreshProjects, &Error));
+  EXPECT_EQ(FreshProjects.Projects.capacity(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
