@@ -63,12 +63,10 @@ int main(int argc, char **argv) {
 
   for (const corpus::Project &P : C.Projects) {
     // Analyze every HEAD file of the project.
-    std::vector<analysis::AnalysisResult> Results;
-    for (const corpus::ProjectFile &File : P.Files)
-      Results.push_back(System.analyzeSourceChecked(File.Code).Result);
     std::vector<UnitFacts> Units;
-    for (const analysis::AnalysisResult &Result : Results)
-      Units.push_back(UnitFacts::from(Result));
+    for (const corpus::ProjectFile &File : P.Files)
+      Units.push_back(
+          UnitFacts::from(System.analyzeSourceChecked(File.Code).Result));
 
     ProjectReport Report = Checker.checkProject(Units, P.Meta);
     for (const RuleVerdict &Verdict : Report.verdicts()) {

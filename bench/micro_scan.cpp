@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The rule-scanner pipeline (scan/Scanner.h) vs the retained serial
-/// CryptoChecker loop, at 5x the Fig-10 corpus. The serial reference is
+/// The rule-scanner pipeline (scan/Scanner.h) vs the serial batch
+/// CryptoChecker loop, at 5x the Fig-10 corpus. The serial loop is
 /// exactly bench/fig10_rule_violations.cpp's shape: per project, analyze
 /// every HEAD file through the facade, build UnitFacts, run
-/// CryptoChecker::checkProject.
+/// CryptoChecker::checkProject. Both sides evaluate rules with
+/// rules::evaluateProject; the scanner adds threads, the unit cache and
+/// streaming emission, and the byte-identity check shows that none of
+/// them changes a report.
 ///
 /// The throughput gate measures the steady-state service scenario
 /// (micro_incremental's shape, warm-up untimed): a warm scanner
@@ -89,20 +92,15 @@ scan::ScanReport serialReference(const corpus::Corpus &C,
     scan::ProjectScanRecord Rec;
     Rec.Project = P.Name;
     Rec.Units = static_cast<unsigned>(P.Files.size());
-    // UnitFacts borrow the AnalysisResult's object table, so the results
-    // must outlive checkProject (fig10's exact two-phase shape).
-    std::vector<analysis::AnalysisResult> Results;
+    std::vector<rules::UnitFacts> Units;
     for (const corpus::ProjectFile &File : P.Files) {
       core::DiffCode::SourceAnalysis SA = System.analyzeSourceChecked(File.Code);
       if (SA.Status > Rec.Status) {
         Rec.Status = SA.Status;
         Rec.Detail = std::move(SA.Detail);
       }
-      Results.push_back(std::move(SA.Result));
+      Units.push_back(rules::UnitFacts::from(SA.Result));
     }
-    std::vector<rules::UnitFacts> Units;
-    for (const analysis::AnalysisResult &Result : Results)
-      Units.push_back(rules::UnitFacts::from(Result));
     Rec.Report = Checker.checkProject(Units, P.Meta);
     Report.Projects.push_back(std::move(Rec));
   }

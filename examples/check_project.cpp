@@ -69,17 +69,13 @@ int main(int argc, char **argv) {
       Sources.emplace_back(File.Name, File.Code);
   }
 
-  // Analyze every file; keep the results alive while the checker reads the
-  // object tables they own.
-  std::vector<analysis::AnalysisResult> Results;
-  Results.reserve(Sources.size());
+  std::vector<rules::UnitFacts> Units;
+  Units.reserve(Sources.size());
   for (const auto &[Name, Code] : Sources) {
     std::printf("analyzing %s ...\n", Name.c_str());
-    Results.push_back(System.analyzeSourceChecked(Code).Result);
+    Units.push_back(
+        rules::UnitFacts::from(System.analyzeSourceChecked(Code).Result));
   }
-  std::vector<rules::UnitFacts> Units;
-  for (const analysis::AnalysisResult &Result : Results)
-    Units.push_back(rules::UnitFacts::from(Result));
 
   rules::CryptoChecker Checker;
   rules::ProjectReport Report = Checker.checkProject(Units, Meta);

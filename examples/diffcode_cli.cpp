@@ -197,12 +197,10 @@ int runCheck(int argc, char **argv, bool Json) {
     return printUsage();
 
   core::DiffCode System(apimodel::CryptoApiModel::javaCryptoApi());
-  std::vector<analysis::AnalysisResult> Results;
-  for (const std::string &Code : Codes)
-    Results.push_back(System.analyzeSourceChecked(Code).Result);
   std::vector<rules::UnitFacts> Units;
-  for (const analysis::AnalysisResult &Result : Results)
-    Units.push_back(rules::UnitFacts::from(Result));
+  for (const std::string &Code : Codes)
+    Units.push_back(
+        rules::UnitFacts::from(System.analyzeSourceChecked(Code).Result));
 
   rules::CryptoChecker Checker;
   rules::ProjectReport Report = Checker.checkProject(Units);

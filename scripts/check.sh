@@ -36,10 +36,11 @@
 # --bench-scan (opt-in): after the test suite, run the streaming rule
 # scanner guard (bench/micro_scan) at 5x the Fig-10 corpus.
 # Self-verifying — non-zero exit if the streamed scan report is not
-# byte-identical to the serial CryptoChecker loop at 1/2/8 threads, the
-# warm-scan speedup falls below 3x, the per-rule counters are missing
-# from the metrics snapshot, or refinement widens a verdict — and leaves
-# BENCH_scan.json in the build directory.
+# byte-identical to the serial batch CryptoChecker loop (same evaluator,
+# no unit cache) at 1/2/8 threads, the warm-scan speedup falls below 3x,
+# the per-rule counters are missing from the metrics snapshot, or
+# refinement widens a verdict — and leaves BENCH_scan.json in the build
+# directory.
 #   scripts/check.sh --bench-scan -L tier1
 #
 # --chaos (opt-in): after the regular suite, run the seeded chaos

@@ -9,18 +9,21 @@ ChangeClass diffcode::rules::classifyChange(const Rule &R,
                                             const UnitFacts &OldFacts,
                                             const UnitFacts &NewFacts,
                                             const ProjectMetadata &Meta) {
-  bool OldTriggers = ruleMatches(R, {OldFacts}, Meta);
-  bool NewTriggers = ruleMatches(R, {NewFacts}, Meta);
+  const UnitFacts *OldUnit[] = {&OldFacts};
+  const UnitFacts *NewUnit[] = {&NewFacts};
+  RuleEval Old(R, OldUnit), New(R, NewUnit);
+  bool OldTriggers = Old.matches(Meta);
+  bool NewTriggers = New.matches(Meta);
   // A *fix* repairs a usage that still exists: if the trigger vanished
   // only because the usage itself was deleted, the change is a removal,
   // not a fix (and symmetrically for introductions). Without this
   // refinement every crypto-code deletion would count as a security fix.
   if (OldTriggers && !NewTriggers)
-    return ruleApplicable(R, {NewFacts}, Meta) ? ChangeClass::SecurityFix
-                                         : ChangeClass::NonSemantic;
+    return New.applicable(Meta) ? ChangeClass::SecurityFix
+                                : ChangeClass::NonSemantic;
   if (!OldTriggers && NewTriggers)
-    return ruleApplicable(R, {OldFacts}, Meta) ? ChangeClass::BuggyChange
-                                         : ChangeClass::NonSemantic;
+    return Old.applicable(Meta) ? ChangeClass::BuggyChange
+                                : ChangeClass::NonSemantic;
   return ChangeClass::NonSemantic;
 }
 

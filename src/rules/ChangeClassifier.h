@@ -12,6 +12,11 @@
 /// respect to that rule. This is the ground-truthing mechanism behind
 /// Figure 7.
 ///
+/// Both versions are evaluated by RuleEval over their UnitFacts digests,
+/// the same evaluator CryptoChecker and the scanner run. Callers digest
+/// each version once and classify under every rule from the two digests
+/// (core::DiffCode::processChange).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DIFFCODE_RULES_CHANGECLASSIFIER_H

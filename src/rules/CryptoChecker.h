@@ -9,16 +9,18 @@
 /// CryptoChecker evaluates a rule set against whole projects (sets of
 /// analyzed compilation units) and reports, per rule, applicability and
 /// matches plus the concrete violating allocation sites — the data behind
-/// Figure 10.
+/// Figure 10. It is a CompiledRuleSet plus evaluateProject, the same
+/// evaluation scan/Scanner runs per project.
 ///
 /// The report model is interned: Violation and RuleVerdict carry 32-bit
 /// support::LabelId handles into a ScanSymbols table instead of owning
 /// strings, so a corpus-scale scan (scan/Scanner fans the checker's
 /// semantics out over thousands of projects) shares one copy of every
-/// rule id, type name, and site label. The determinism contract mirrors
-/// support::Interner's: no output may depend on id *values* (they are
-/// interleaving-dependent under concurrent interning), only on id
-/// equality and the resolved text.
+/// rule id, type name, and site label. Rule ids are interned once per
+/// rule set, and a violation's type and site when it is emitted. The
+/// determinism contract mirrors support::Interner's: no output may depend
+/// on id *values* (they are interleaving-dependent under concurrent
+/// interning), only on id equality and the resolved text.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,13 +53,7 @@ public:
 
   support::LabelId intern(std::string_view Text);
 
-  /// Lookup without interning: None when \p Text was never interned.
-  /// Useful for matching against a table a pattern may be absent from.
-  support::LabelId find(std::string_view Text) const;
-
   const std::string &text(support::LabelId Id) const;
-
-  std::size_t size() const;
 
 private:
   mutable std::shared_mutex Mutex;
@@ -118,21 +114,67 @@ private:
 /// its first occurrence (order otherwise preserved).
 void dedupeViolations(std::vector<Violation> &Violations);
 
-/// The checker: a rule set applied to analyzed projects. This is the
-/// straightforward clause-by-clause evaluator; scan/Scanner layers
-/// scheduling, caching, and streaming emission on top of the compiled
-/// fast path (rules/RuleCompiler.h) and is differentially locked to
-/// produce byte-identical reports.
+/// One rule of a CompiledRuleSet: its id, interned once.
+struct CompiledRule {
+  support::LabelId Id = ScanSymbols::None;
+};
+
+/// An owned rule set with its rule ids interned into one symbol table;
+/// compiled()[I] belongs to rules()[I].
+class CompiledRuleSet {
+public:
+  static CompiledRuleSet compile(std::vector<Rule> Rules,
+                                 std::shared_ptr<ScanSymbols> Symbols);
+
+  const std::vector<Rule> &rules() const { return Owned; }
+  const std::vector<CompiledRule> &compiled() const { return Rules; }
+  const std::shared_ptr<ScanSymbols> &symbols() const { return Symbols; }
+
+private:
+  CompiledRuleSet() = default;
+
+  std::vector<Rule> Owned;
+  std::vector<CompiledRule> Rules;
+  std::shared_ptr<ScanSymbols> Symbols;
+};
+
+/// Evaluates rules of \p RS against one project (units are borrowed — the
+/// scanner shares cached digests across projects without copying): per
+/// rule, applicability, match and, for a matched rule, the violating
+/// sites of its positive clauses in unit-major, then object order.
+///
+/// \p Refine runs a demand-driven refinement pass on matched rules.
+/// analysis::AnalysisResult::mergedLog unions the usage events of *all*
+/// executions of a unit, so a merged usage set can satisfy a conjunctive
+/// formula that no single execution satisfies (the merge artifact
+/// CryptoGuard's refinement slicing suppresses). Each violation witness is
+/// re-checked against the per-execution event lists (units must have been
+/// digested with KeepExecutions — a witness without execution data is
+/// conservatively kept); witnesses no single execution reproduces are
+/// suppressed (counted in RuleVerdict::Suppressed), and a positive clause
+/// that loses every witness demotes the match. Refinement never adds a
+/// violation.
+///
+/// \p RuleIndices selects a subset of RS.compiled() by index, in the given
+/// order; nullptr evaluates every rule.
+ProjectReport
+evaluateProject(const CompiledRuleSet &RS,
+                const std::vector<const UnitFacts *> &Units,
+                const ProjectMetadata &Meta, bool Refine,
+                const std::vector<std::uint32_t> *RuleIndices = nullptr);
+
+/// The checker: a rule set applied to analyzed projects, one
+/// evaluateProject call (refinement off) per project.
 class CryptoChecker {
 public:
   /// Uses the full elicited rule set R1-R13 by default.
   CryptoChecker();
   explicit CryptoChecker(std::vector<Rule> Rules);
 
-  const std::vector<Rule> &rules() const { return Rules; }
+  const std::vector<Rule> &rules() const { return Set.rules(); }
 
   /// The symbol table reports produced by this checker resolve through.
-  const std::shared_ptr<ScanSymbols> &symbols() const { return Symbols; }
+  const std::shared_ptr<ScanSymbols> &symbols() const { return Set.symbols(); }
 
   /// Checks one project (a set of analyzed units plus metadata).
   ProjectReport checkProject(const std::vector<UnitFacts> &Units,
@@ -140,14 +182,7 @@ public:
                                  ProjectMetadata()) const;
 
 private:
-  /// Collects the violating sites of a matched rule (positive clauses
-  /// only; negated clauses have no site to report), deduped per site.
-  std::vector<Violation>
-  collectViolations(const Rule &R, support::LabelId RuleId,
-                    const std::vector<UnitFacts> &Units) const;
-
-  std::vector<Rule> Rules;
-  std::shared_ptr<ScanSymbols> Symbols;
+  CompiledRuleSet Set;
 };
 
 } // namespace rules

@@ -45,18 +45,10 @@ bool ArgConstraint::matches(const AbstractValue &Value) const {
   return false;
 }
 
-bool CallPattern::matchesEvent(const UsageEvent &Event) const {
-  // Signatures are "Class.name/arity".
-  std::size_t Slash = Event.MethodSig.rfind('/');
-  std::size_t Dot = Event.MethodSig.rfind('.', Slash);
-  if (Slash == std::string::npos || Dot == std::string::npos)
+bool CallPattern::matches(const FactEvent &Event) const {
+  if (!ClassName.empty() && Event.Class != ClassName)
     return false;
-  std::string EventClass = Event.MethodSig.substr(0, Dot);
-  std::string EventName = Event.MethodSig.substr(Dot + 1, Slash - Dot - 1);
-
-  if (!ClassName.empty() && EventClass != ClassName)
-    return false;
-  if (EventName != MethodName)
+  if (Event.Method != MethodName)
     return false;
   if (Arity >= 0 && Event.Args.size() != static_cast<std::size_t>(Arity))
     return false;
@@ -98,16 +90,16 @@ ObjectFormula ObjectFormula::any(std::vector<ObjectFormula> Children) {
   return F;
 }
 
-bool ObjectFormula::eval(const std::vector<UsageEvent> &Usage) const {
+bool ObjectFormula::eval(const std::vector<FactEvent> &Usage) const {
   switch (K) {
   case Kind::Exists:
-    for (const UsageEvent &Event : Usage)
-      if (Pattern.matchesEvent(Event))
+    for (const FactEvent &Event : Usage)
+      if (Pattern.matches(Event))
         return true;
     return false;
   case Kind::NotExists:
-    for (const UsageEvent &Event : Usage)
-      if (Pattern.matchesEvent(Event))
+    for (const FactEvent &Event : Usage)
+      if (Pattern.matches(Event))
         return false;
     return true;
   case Kind::And:
@@ -124,38 +116,77 @@ bool ObjectFormula::eval(const std::vector<UsageEvent> &Usage) const {
   return false;
 }
 
-std::vector<std::string> Rule::applicableTypes() const {
-  std::vector<std::string> Types;
-  for (const Clause &C : Clauses)
-    if (!C.Negated &&
-        std::find(Types.begin(), Types.end(), C.TypeName) == Types.end())
-      Types.push_back(C.TypeName);
-  return Types;
+const std::vector<std::uint32_t> *
+UnitFacts::bucket(std::string_view Type) const {
+  for (const auto &[T, Indices] : Buckets)
+    if (T == Type)
+      return &Indices;
+  return nullptr;
 }
 
-bool diffcode::rules::someObjectSatisfies(const UnitFacts &Facts,
-                                          const std::string &TypeName,
-                                          const ObjectFormula &Formula) {
-  for (const auto &[ObjId, Events] : Facts.Merged) {
-    if (Facts.Objects->get(ObjId).TypeName != TypeName)
-      continue;
-    if (Formula.eval(Events))
-      return true;
+UnitFacts UnitFacts::from(const AnalysisResult &Result, bool KeepExecutions) {
+  // Signatures are "Class.name/arity"; anything else matches no pattern.
+  auto Digest = [](std::vector<UsageEvent> Events) {
+    std::vector<FactEvent> Out;
+    Out.reserve(Events.size());
+    for (UsageEvent &Event : Events) {
+      const std::string &Sig = Event.MethodSig;
+      std::size_t Slash = Sig.rfind('/');
+      std::size_t Dot = Sig.rfind('.', Slash);
+      if (Slash == std::string::npos || Dot == std::string::npos)
+        continue;
+      Out.push_back({Sig.substr(0, Dot), Sig.substr(Dot + 1, Slash - Dot - 1),
+                     std::move(Event.Args)});
+    }
+    return Out;
+  };
+
+  UnitFacts Facts;
+  UsageLog Merged = Result.mergedLog();
+  Facts.Objects.reserve(Merged.size());
+  for (auto &[ObjId, Events] : Merged) {
+    const AbstractObject &Obj = Result.Objects.get(ObjId);
+    FactObject O;
+    O.Type = Obj.TypeName;
+    O.Site = Obj.siteLabel();
+    O.Merged = Digest(std::move(Events));
+    if (KeepExecutions)
+      for (const UsageLog &Exec : Result.Executions) {
+        auto It = Exec.find(ObjId);
+        if (It != Exec.end())
+          O.Executions.push_back(Digest(It->second));
+      }
+    auto Index = static_cast<std::uint32_t>(Facts.Objects.size());
+    auto Bucket =
+        std::find_if(Facts.Buckets.begin(), Facts.Buckets.end(),
+                     [&](const auto &B) { return B.first == O.Type; });
+    if (Bucket == Facts.Buckets.end())
+      Facts.Buckets.push_back({O.Type, {Index}});
+    else
+      Bucket->second.push_back(Index);
+    Facts.Objects.push_back(std::move(O));
   }
-  return false;
+  return Facts;
 }
 
-bool diffcode::rules::hasObjectOfType(const UnitFacts &Facts,
-                                      const std::string &TypeName) {
-  for (const auto &[ObjId, Events] : Facts.Merged)
-    if (Facts.Objects->get(ObjId).TypeName == TypeName)
-      return true;
-  return false;
+bool RuleEval::satisfied(std::size_t ClauseIdx) {
+  signed char &M = Memo[ClauseIdx];
+  if (M < 0) {
+    const Rule::Clause &Clause = R.Clauses[ClauseIdx];
+    M = 0;
+    for (const UnitFacts *Facts : Units)
+      if (const std::vector<std::uint32_t> *Bucket =
+              Facts->bucket(Clause.TypeName))
+        for (std::uint32_t Idx : *Bucket)
+          if (Clause.Formula.eval(Facts->Objects[Idx].Merged)) {
+            M = 1;
+            return true;
+          }
+  }
+  return M == 1;
 }
 
-bool diffcode::rules::ruleApplicable(const Rule &R,
-                                     const std::vector<UnitFacts> &Units,
-                                     const ProjectMetadata &Meta) {
+bool RuleEval::applicable(const ProjectMetadata &Meta) {
   if (R.RequireAndroid && !Meta.IsAndroid)
     return false;
   // Composite rules (R13): applicable only when every positive clause is
@@ -163,53 +194,55 @@ bool diffcode::rules::ruleApplicable(const Rule &R,
   // far fewer than the 211 with any Cipher usage, so presence of the
   // clause *types* alone cannot be the paper's notion.
   if (R.Clauses.size() > 1) {
-    for (const Rule::Clause &Clause : R.Clauses) {
-      if (Clause.Negated)
-        continue;
-      bool Satisfied = false;
-      for (const UnitFacts &Facts : Units)
-        if (someObjectSatisfies(Facts, Clause.TypeName, Clause.Formula)) {
-          Satisfied = true;
-          break;
-        }
-      if (!Satisfied)
+    for (std::size_t I = 0; I < R.Clauses.size(); ++I)
+      if (!R.Clauses[I].Negated && !satisfied(I))
         return false;
-    }
     return true;
   }
-
-  for (const std::string &Type : R.applicableTypes()) {
-    bool Found = false;
-    for (const UnitFacts &Facts : Units)
-      if (hasObjectOfType(Facts, Type)) {
-        Found = true;
-        break;
-      }
-    if (!Found)
+  // Otherwise the positive clauses' types (at least one) are all present.
+  bool AnyType = false;
+  for (const Rule::Clause &Clause : R.Clauses) {
+    if (Clause.Negated)
+      continue;
+    AnyType = true;
+    if (std::none_of(Units.begin(), Units.end(), [&](const UnitFacts *F) {
+          return F->bucket(Clause.TypeName) != nullptr;
+        }))
       return false;
   }
-  return !R.applicableTypes().empty();
+  return AnyType;
 }
 
-bool diffcode::rules::ruleMatches(const Rule &R,
-                                  const std::vector<UnitFacts> &Units,
-                                  const ProjectMetadata &Meta) {
+bool RuleEval::matches(const ProjectMetadata &Meta) {
   if (R.RequireAndroid && !Meta.IsAndroid)
     return false;
   if (R.MinSdkAtLeast >= 0 && Meta.MinSdkVersion < R.MinSdkAtLeast)
     return false;
   if (R.RequireNoLprngFix && Meta.HasLinuxPrngFix)
     return false;
-
-  for (const Rule::Clause &Clause : R.Clauses) {
-    bool Satisfied = false;
-    for (const UnitFacts &Facts : Units)
-      if (someObjectSatisfies(Facts, Clause.TypeName, Clause.Formula)) {
-        Satisfied = true;
-        break;
-      }
-    if (Clause.Negated ? Satisfied : !Satisfied)
+  for (std::size_t I = 0; I < R.Clauses.size(); ++I)
+    if (R.Clauses[I].Negated ? satisfied(I) : !satisfied(I))
       return false;
-  }
   return true;
+}
+
+static std::vector<const UnitFacts *>
+pointersTo(const std::vector<UnitFacts> &Units) {
+  std::vector<const UnitFacts *> Out;
+  Out.reserve(Units.size());
+  for (const UnitFacts &Facts : Units)
+    Out.push_back(&Facts);
+  return Out;
+}
+
+bool diffcode::rules::ruleApplicable(const Rule &R,
+                                     const std::vector<UnitFacts> &Units,
+                                     const ProjectMetadata &Meta) {
+  return RuleEval(R, pointersTo(Units)).applicable(Meta);
+}
+
+bool diffcode::rules::ruleMatches(const Rule &R,
+                                  const std::vector<UnitFacts> &Units,
+                                  const ProjectMetadata &Meta) {
+  return RuleEval(R, pointersTo(Units)).matches(Meta);
 }

@@ -17,17 +17,23 @@
 ///   Rule{ Clauses: [ {TypeName: "MessageDigest",
 ///                     Formula: exists(getInstance, arg(1) in {SHA-1,SHA1})} ] }
 ///
+/// Rules are evaluated in one place: RuleEval, over UnitFacts digests.
+/// Change classification, the checker and the scanner all go through it.
+/// The seed's walk over raw UsageEvents survives only as a test oracle
+/// (tests/ReferenceRules.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DIFFCODE_RULES_RULE_H
 #define DIFFCODE_RULES_RULE_H
 
 #include "analysis/AbstractInterpreter.h"
-#include "analysis/UsageEvent.h"
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace diffcode {
@@ -55,6 +61,14 @@ struct ArgConstraint {
   bool matches(const analysis::AbstractValue &Value) const;
 };
 
+/// One usage event of a digested unit (UnitFacts): its "Class.name/arity"
+/// signature split once into class and method; the arity is Args.size().
+struct FactEvent {
+  std::string Class;
+  std::string Method;
+  std::vector<analysis::AbstractValue> Args;
+};
+
 /// Pattern over a single (method, state) pair.
 struct CallPattern {
   std::string ClassName;  ///< Empty = any declaring class.
@@ -62,7 +76,7 @@ struct CallPattern {
   int Arity = -1;         ///< -1 = any arity.
   std::vector<ArgConstraint> Args;
 
-  bool matchesEvent(const analysis::UsageEvent &Event) const;
+  bool matches(const FactEvent &Event) const;
 };
 
 /// Formula phi over a usage set S.
@@ -76,7 +90,7 @@ public:
   static ObjectFormula any(std::vector<ObjectFormula> Children); // or
 
   /// S |= phi.
-  bool eval(const std::vector<analysis::UsageEvent> &Usage) const;
+  bool eval(const std::vector<FactEvent> &Usage) const;
 
   Kind kind() const { return K; }
   const CallPattern &pattern() const { return Pattern; }
@@ -116,29 +130,63 @@ struct Rule {
   int MinSdkAtLeast = -1;
   bool RequireNoLprngFix = false;
   bool RequireAndroid = false;
-
-  /// The API classes whose presence makes the rule *applicable* (the
-  /// positive clauses' types).
-  std::vector<std::string> applicableTypes() const;
 };
 
-/// The facts CryptoChecker evaluates rules against: one analyzed
-/// compilation unit (its allocation sites and merged usage log).
+/// One abstract object of a digested unit.
+struct FactObject {
+  std::string Type;
+  std::string Site; ///< "l<line>" label.
+  /// Events of the merged (all-executions) usage log, in log order.
+  std::vector<FactEvent> Merged;
+  /// Per-execution event lists for the scanner's refinement pass; only
+  /// populated when the unit was digested with KeepExecutions, and only
+  /// for executions in which this object appears.
+  std::vector<std::vector<FactEvent>> Executions;
+};
+
+/// The facts every rule evaluation reads: one analyzed compilation unit,
+/// digested once and owning everything it holds, so it outlives the
+/// AnalysisResult it was built from.
 struct UnitFacts {
-  const analysis::ObjectTable *Objects = nullptr;
-  analysis::UsageLog Merged;
+  /// The objects in merged-log order (ascending object id), which is the
+  /// order violations are emitted in.
+  std::vector<FactObject> Objects;
 
-  static UnitFacts from(const analysis::AnalysisResult &Result) {
-    return {&Result.Objects, Result.mergedLog()};
-  }
+  /// Per-type buckets of indices into Objects (each bucket ascending), in
+  /// order of first appearance.
+  std::vector<std::pair<std::string, std::vector<std::uint32_t>>> Buckets;
+
+  /// Indices of the objects of \p Type; nullptr when none.
+  const std::vector<std::uint32_t> *bucket(std::string_view Type) const;
+
+  /// Digests \p Result. Events whose signature does not parse as
+  /// "Class.name/arity" match no pattern and are dropped (their object
+  /// stays). \p KeepExecutions additionally retains the per-execution
+  /// event lists the refinement pass needs.
+  static UnitFacts from(const analysis::AnalysisResult &Result,
+                        bool KeepExecutions = false);
 };
 
-/// True when some object of \p TypeName in \p Facts satisfies \p Formula.
-bool someObjectSatisfies(const UnitFacts &Facts, const std::string &TypeName,
-                         const ObjectFormula &Formula);
+/// One rule evaluated over one project's units: the evaluator behind
+/// ruleApplicable, ruleMatches, classifyChange and evaluateProject (so
+/// CryptoChecker and the scanner too). Each clause is scanned at most once
+/// (memoized), so applicability and match share their work. \p R, the
+/// unit list and the units are borrowed and must outlive the evaluator.
+class RuleEval {
+public:
+  RuleEval(const Rule &R, std::span<const UnitFacts *const> Units)
+      : R(R), Units(Units), Memo(R.Clauses.size(), -1) {}
 
-/// True when \p Facts contains at least one object of \p TypeName.
-bool hasObjectOfType(const UnitFacts &Facts, const std::string &TypeName);
+  bool applicable(const ProjectMetadata &Meta);
+  bool matches(const ProjectMetadata &Meta);
+
+private:
+  bool satisfied(std::size_t ClauseIdx);
+
+  const Rule &R;
+  std::span<const UnitFacts *const> Units;
+  std::vector<signed char> Memo; // -1 unknown, 0 false, 1 true
+};
 
 /// Rule applicability over a set of units (a project).
 bool ruleApplicable(const Rule &R, const std::vector<UnitFacts> &Units,

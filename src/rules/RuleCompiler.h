@@ -1,4 +1,4 @@
-//===- rules/RuleCompiler.h - Compiled rule evaluation fast path -----------===//
+//===- rules/RuleCompiler.h - Other spellings of the fact digest -----------===//
 //
 // Part of the DiffCode project, a reproduction of "Inferring Crypto API
 // Rules from Code Changes" (PLDI'18).
@@ -6,36 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The corpus-scale fast path behind scan/Scanner. CryptoChecker's
-/// reference evaluator re-parses every "Class.name/arity" signature and
-/// re-allocates two substrings per (pattern, event) probe, and its
-/// checkProject walks the full unit set three times per rule
-/// (applicability, match, violation collection). At scanner scale that
-/// dominates wall clock, so this layer:
-///
-///  * digests each analyzed unit once into UnitScanFacts — events with
-///    pre-parsed, interned (class, method) symbols plus per-type object
-///    buckets — so pattern probes become integer compares over exactly
-///    the objects that can match;
-///  * compiles the rule set once into CompiledRule mirrors whose
-///    patterns hold interned symbols;
-///  * evaluates each (rule, project) pair in a single early-exiting
-///    pass, collecting violation witnesses only for matched rules.
-///
-/// evaluateProject is semantics-identical to CryptoChecker::checkProject
-/// by construction (the scanner differential tests lock the two down
-/// byte-for-byte), plus an optional demand-driven refinement pass:
-/// because analysis::AnalysisResult::mergedLog unions the usage events
-/// of *all* executions of a unit, a merged usage set can satisfy a
-/// conjunctive formula that no single execution satisfies (the classic
-/// merge artifact CryptoGuard's refinement slicing suppresses). With
-/// Refine on, each violation witness of a matched rule is re-checked
-/// against the per-execution event lists kept in the digest; witnesses
-/// no single execution can reproduce are suppressed (counted in
-/// RuleVerdict::Suppressed), and a positive clause that loses every
-/// witness demotes the match. Refinement is suppression-only: it never
-/// adds a violation, and with Refine off the output is byte-identical
-/// to the reference evaluator.
+/// Other spellings of the fact digest, kept for callers that still use
+/// them: UnitScanFacts is rules::UnitFacts (rules/Rule.h), and digestUnit
+/// is UnitFacts::from. Rule sets and evaluateProject live in
+/// rules/CryptoChecker.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,134 +19,17 @@
 #include "rules/CryptoChecker.h"
 #include "rules/Rule.h"
 
-#include <cstdint>
-#include <memory>
-#include <utility>
-#include <vector>
-
 namespace diffcode {
 namespace rules {
 
-/// One usage event with its signature parsed and interned. Events whose
-/// signature does not parse as "Class.name/arity" are dropped at digest
-/// time — CallPattern::matchesEvent rejects them unconditionally, so
-/// they can never influence any formula.
-struct ScanEvent {
-  support::LabelId Class = ScanSymbols::None;
-  support::LabelId Method = ScanSymbols::None;
-  std::vector<analysis::AbstractValue> Args;
-};
+using UnitScanFacts = UnitFacts;
 
-/// One abstract object of a digested unit.
-struct ScanObject {
-  support::LabelId Type = ScanSymbols::None;
-  support::LabelId Site = ScanSymbols::None; ///< "l<line>" label.
-  /// Events of the merged (all-executions) usage log, in log order.
-  std::vector<ScanEvent> Merged;
-  /// Per-execution event lists for the refinement pass; only populated
-  /// when the unit was digested with KeepExecutions, and only for
-  /// executions in which this object appears.
-  std::vector<std::vector<ScanEvent>> Executions;
-};
-
-/// Digest of one analyzed compilation unit: the scanner-side mirror of
-/// UnitFacts. Objects keep the merged-log iteration order (ascending
-/// object id) so violation emission order matches the reference
-/// evaluator exactly.
-struct UnitScanFacts {
-  std::vector<ScanObject> Objects;
-
-  /// Per-type buckets of indices into Objects (each bucket ascending).
-  /// Sorted by type id for lookup only — bucket *order* depends on
-  /// interning interleaving and must never reach any output.
-  std::vector<std::pair<support::LabelId, std::vector<std::uint32_t>>> Buckets;
-
-  /// Indices of the objects of \p Type; nullptr when none.
-  const std::vector<std::uint32_t> *bucket(support::LabelId Type) const;
-};
-
-/// Digests \p Result for scanning, interning all symbols into
-/// \p Symbols. \p KeepExecutions additionally retains the
-/// per-execution event lists the refinement pass needs.
-UnitScanFacts digestUnit(const analysis::AnalysisResult &Result,
-                         ScanSymbols &Symbols, bool KeepExecutions);
-
-/// CallPattern with interned symbols; Args borrows from the Rule the
-/// pattern was compiled from (owned by the enclosing CompiledRuleSet).
-struct CompiledPattern {
-  support::LabelId Class = ScanSymbols::None; ///< None = any class.
-  support::LabelId Method = ScanSymbols::None;
-  int Arity = -1; ///< -1 = any arity.
-  const std::vector<ArgConstraint> *Args = nullptr;
-
-  bool matches(const ScanEvent &Event) const;
-};
-
-/// ObjectFormula mirror over ScanEvent lists.
-struct CompiledFormula {
-  ObjectFormula::Kind K = ObjectFormula::Kind::Exists;
-  CompiledPattern Pattern;
-  std::vector<CompiledFormula> Children;
-
-  bool eval(const std::vector<ScanEvent> &Events) const;
-};
-
-struct CompiledClause {
-  support::LabelId Type = ScanSymbols::None;
-  CompiledFormula Formula;
-  bool Negated = false;
-};
-
-struct CompiledRule {
-  const Rule *Source = nullptr;
-  support::LabelId Id = ScanSymbols::None;
-  std::vector<CompiledClause> Clauses;
-  /// Interned Rule::applicableTypes(), preserving its order.
-  std::vector<support::LabelId> ApplicableTypes;
-  // Metadata guards, copied for locality.
-  int MinSdkAtLeast = -1;
-  bool RequireNoLprngFix = false;
-  bool RequireAndroid = false;
-};
-
-/// An owned rule set compiled against one symbol table. Move-only:
-/// compiled patterns point into the owned rules' constraint vectors
-/// (stable under move of the outer vector, not under copy).
-class CompiledRuleSet {
-public:
-  static CompiledRuleSet compile(std::vector<Rule> Rules,
-                                 std::shared_ptr<ScanSymbols> Symbols);
-
-  CompiledRuleSet(CompiledRuleSet &&) = default;
-  CompiledRuleSet &operator=(CompiledRuleSet &&) = default;
-  CompiledRuleSet(const CompiledRuleSet &) = delete;
-  CompiledRuleSet &operator=(const CompiledRuleSet &) = delete;
-
-  const std::vector<Rule> &rules() const { return Owned; }
-  const std::vector<CompiledRule> &compiled() const { return Rules; }
-  const std::shared_ptr<ScanSymbols> &symbols() const { return Symbols; }
-
-private:
-  CompiledRuleSet() = default;
-
-  std::vector<Rule> Owned;
-  std::vector<CompiledRule> Rules;
-  std::shared_ptr<ScanSymbols> Symbols;
-};
-
-/// Evaluates rules of \p RS against one digested project (units are
-/// borrowed — the scanner shares cached digests across projects without
-/// copying). Semantics-identical to CryptoChecker::checkProject when
-/// \p Refine is false; with \p Refine true the demand-driven refinement
-/// pass runs on matched rules (units must have been digested with
-/// KeepExecutions — a witness without execution data is conservatively
-/// kept). \p RuleIndices selects a subset of RS.compiled() by index, in
-/// the given order; nullptr evaluates every rule.
-ProjectReport
-evaluateProject(const CompiledRuleSet &RS,
-                const std::vector<const UnitScanFacts *> &Units,
-                const ProjectMetadata &Meta, bool Refine,
-                const std::vector<std::uint32_t> *RuleIndices = nullptr);
+/// UnitFacts::from(Result, KeepExecutions); the digest interns nothing,
+/// so the symbol table goes unused.
+inline UnitFacts digestUnit(const analysis::AnalysisResult &Result,
+                            ScanSymbols &, bool KeepExecutions) {
+  return UnitFacts::from(Result, KeepExecutions);
+}
 
 } // namespace rules
 } // namespace diffcode

@@ -73,7 +73,7 @@ Scanner::digest(std::string_view Code, bool Refine, bool UseCache,
   ++Misses;
   auto Entry = std::make_shared<UnitEntry>();
   core::DiffCode::SourceAnalysis SA = System.analyzeSourceChecked(Code, Ctx);
-  Entry->Facts = rules::digestUnit(SA.Result, *Rules.symbols(), Refine);
+  Entry->Facts = rules::UnitFacts::from(SA.Result, Refine);
   Entry->Status = SA.Status;
   Entry->Detail = std::move(SA.Detail);
   if (UseCache) {
@@ -92,14 +92,14 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
   Report.Symbols = Rules.symbols();
   Report.Projects.resize(N);
 
-  // Resolve the rule filter against the compiled set, preserving the
+  // Resolve the rule filter against the rule set, preserving the
   // set's order (so verdict order never depends on the filter's).
   const std::vector<rules::CompiledRule> &Compiled = Rules.compiled();
   std::vector<std::uint32_t> Selected;
   const std::vector<std::uint32_t> *Filter = nullptr;
   if (!Request.RuleFilter.empty()) {
     for (std::uint32_t I = 0; I < Compiled.size(); ++I) {
-      const std::string &Id = Compiled[I].Source->Id;
+      const std::string &Id = Rules.rules()[I].Id;
       for (const std::string &Want : Request.RuleFilter)
         if (Want == Id) {
           Selected.push_back(I);
@@ -150,7 +150,7 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
         Entries.push_back(digest(P.Files[U].Code, Request.Refine, UseCache,
                                  Ctx, Hits, Misses));
       }
-      std::vector<const rules::UnitScanFacts *> Units;
+      std::vector<const rules::UnitFacts *> Units;
       Units.reserve(Entries.size());
       for (const std::shared_ptr<const UnitEntry> &Entry : Entries) {
         Units.push_back(&Entry->Facts);

@@ -7,16 +7,16 @@
 ///
 /// \file
 /// The demand-driven scanner pipeline behind `diffcode_cli scan` and the
-/// service's Scan request: CryptoChecker's semantics (Section 6.4) scaled
-/// to whole corpora. One Scanner instance owns a compiled rule set
-/// (rules/RuleCompiler.h), an analysis facade, and a warm content-hash
-/// cache of digested units; scan() fans projects out over a
-/// support::ThreadPool with per-project fault containment (the PR 2
-/// ChangeStatus taxonomy: one poisoned project degrades its own record,
-/// never the scan), and completed projects stream to an optional
-/// ScanSink in deterministic project order through a sequenced reorder
-/// buffer — the streamed bytes are byte-identical to serializing the
-/// final ScanReport, at any thread count.
+/// service's Scan request: CryptoChecker's evaluation (Section 6.4,
+/// rules::evaluateProject) scaled to whole corpora. One Scanner instance
+/// owns a rule set (rules::CompiledRuleSet), an analysis facade, and a
+/// warm content-hash cache of digested units (rules::UnitFacts); scan()
+/// fans projects out over a support::ThreadPool with per-project fault
+/// containment (the core::ChangeStatus taxonomy: one poisoned project
+/// degrades its own record, never the scan), and completed projects
+/// stream to an optional ScanSink in deterministic project order through
+/// a sequenced reorder buffer — the streamed bytes are byte-identical to
+/// serializing the final ScanReport, at any thread count.
 ///
 /// Determinism contract: the report (and the streamed record sequence)
 /// is a pure function of (projects, rule set, Refine, Limits, fault
@@ -33,7 +33,7 @@
 
 #include "core/DiffCode.h"
 #include "corpus/RepoModel.h"
-#include "rules/RuleCompiler.h"
+#include "rules/CryptoChecker.h"
 
 #include <array>
 #include <cstdint>
@@ -88,7 +88,7 @@ struct ScanRequest {
   /// filter's.
   std::vector<std::string> RuleFilter;
 
-  /// Run the demand-driven refinement pass (rules/RuleCompiler.h) on
+  /// Run the demand-driven refinement pass (rules::evaluateProject) on
   /// matched rules. Off by default: refine-off output is byte-identical
   /// to the batch CryptoChecker path.
   bool Refine = false;
@@ -144,7 +144,7 @@ public:
   virtual void onProject(std::size_t Index, const ProjectScanRecord &Record) = 0;
 };
 
-/// The scanner. Construction compiles the rule set and configures the
+/// The scanner. Construction interns the rule ids and configures the
 /// analysis facade; instances are immutable apart from the internal unit
 /// cache (thread-safe), so a warm scanner can serve many scan() calls —
 /// the service holds one per session.
@@ -168,7 +168,7 @@ public:
 
 private:
   struct UnitEntry {
-    rules::UnitScanFacts Facts;
+    rules::UnitFacts Facts;
     core::ChangeStatus Status = core::ChangeStatus::Ok;
     std::string Detail;
   };

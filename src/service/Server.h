@@ -67,8 +67,8 @@ public:
   obs::Observer *observer() { return Obs; }
 
   /// The warm rule scanner, created on the first ScanReq (thread/limit
-  /// knobs inherited from the session's PipelineConfig). Its compiled
-  /// rules and unit-digest cache persist across requests and
+  /// knobs inherited from the session's PipelineConfig). Its rule set
+  /// and unit-digest cache persist across requests and
   /// connections, which is the point of scanning through a session.
   scan::Scanner &scanner();
 

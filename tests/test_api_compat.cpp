@@ -17,19 +17,27 @@
 /// one home: settings that no caller set (the config-level execution
 /// policy, observer and cut, the request's interner, the scanner's cache
 /// switch) and entry points that only duplicated others must not resolve
-/// again.
+/// again. Rules have one evaluator, so the symbol-table lookups only the
+/// compiled mirror used and the raw-event CallPattern match must not
+/// resolve again either; and the spellings the benchmark (perfbench/src)
+/// calls must keep resolving, so drift on either side breaks this build
+/// before the benchmark is ever built.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/DiffCode.h"
 
 #include "core/ReportWriter.h"
+#include "rules/RuleCompiler.h"
 #include "scan/Scanner.h"
 
 #include <gtest/gtest.h>
 
+#include <concepts>
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -83,6 +91,71 @@ concept HasLabelsField = requires(const Request &R) { R.Labels; };
 template <typename Config>
 concept HasCacheUnitsField = requires(const Config &C) { C.CacheUnits; };
 
+// Rule-evaluator removal probes.
+template <typename Symbols>
+concept HasSymbolFind =
+    requires(const Symbols &S, std::string_view Text) { S.find(Text); };
+
+template <typename Symbols>
+concept HasSymbolSize = requires(const Symbols &S) { S.size(); };
+
+template <typename Pattern>
+concept HasRawEventMatch =
+    requires(const Pattern &P, const analysis::UsageEvent &Event) {
+      P.matchesEvent(Event);
+    };
+
+// The spellings the benchmark calls, one concept per surface.
+template <typename Facts>
+concept BenchFactsSurface =
+    std::is_default_constructible_v<Facts> &&
+    std::is_move_assignable_v<Facts> &&
+    requires(const analysis::AnalysisResult &Result,
+             rules::ScanSymbols &Symbols, const rules::Rule &R,
+             const Facts &F) {
+      { Facts::from(Result) } -> std::same_as<Facts>;
+      { rules::digestUnit(Result, Symbols, false) } -> std::same_as<Facts>;
+      { rules::classifyChange(R, F, F) } -> std::same_as<rules::ChangeClass>;
+    };
+
+template <typename Checker>
+concept BenchCheckerSurface =
+    std::is_default_constructible_v<Checker> &&
+    requires(const Checker &C, const std::vector<rules::UnitFacts> &Units,
+             const rules::ProjectMetadata &Meta) {
+      { C.rules() } -> std::same_as<const std::vector<rules::Rule> &>;
+      { C.symbols()->intern("R1") } -> std::same_as<support::LabelId>;
+      { C.checkProject(Units, Meta) } -> std::same_as<rules::ProjectReport>;
+    };
+
+template <typename Set>
+concept BenchRuleSetSurface =
+    requires(std::vector<rules::Rule> Rules,
+             std::shared_ptr<rules::ScanSymbols> Symbols, const Set &S,
+             const std::vector<const rules::UnitScanFacts *> &Units,
+             const rules::ProjectMetadata &Meta) {
+      { Set::compile(std::move(Rules), Symbols) } -> std::same_as<Set>;
+      { S.symbols()->intern("R1") } -> std::same_as<support::LabelId>;
+      {
+        S.compiled()
+      } -> std::same_as<const std::vector<rules::CompiledRule> &>;
+      { S.compiled()[0].Id } -> std::convertible_to<support::LabelId>;
+      {
+        rules::evaluateProject(S, Units, Meta, false)
+      } -> std::same_as<rules::ProjectReport>;
+    };
+
+template <typename System>
+concept BenchProcessChange =
+    requires(const System &S, const corpus::CodeChange &C,
+             const std::vector<std::string> &Targets,
+             const std::vector<const rules::Rule *> &Rules,
+             support::Interner &Table) {
+      {
+        S.processChange(C, Targets, Rules, Table)
+      } -> std::same_as<ChangeRecord>;
+    };
+
 } // namespace
 
 // Removal probe for the struct itself: a sentinel is using-declared into
@@ -126,11 +199,25 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   static_assert(!HasThreeArgProcessChange<DiffCode>,
                 "processChange takes the interner explicitly: pass "
                 "*System.labels()");
+  // Rules have one evaluator.
+  static_assert(!HasSymbolFind<rules::ScanSymbols>,
+                "ScanSymbols::find had no caller; the digest interns nothing");
+  static_assert(!HasSymbolSize<rules::ScanSymbols>,
+                "ScanSymbols::size had no caller");
+  static_assert(!HasRawEventMatch<rules::CallPattern>,
+                "patterns match digested events (CallPattern::matches); the "
+                "raw-event walk is the test oracle in tests/ReferenceRules.h");
   // The surviving homes still resolve, so the probes above cannot pass
   // vacuously.
   static_assert(HasExecField<PipelineRequest>);
   static_assert(HasMetricsField<PipelineRequest>);
   static_assert(HasMetricsField<scan::ScanConfig>);
+  // What the benchmark calls still resolves.
+  static_assert(std::same_as<rules::UnitScanFacts, rules::UnitFacts>);
+  static_assert(BenchFactsSurface<rules::UnitFacts>);
+  static_assert(BenchCheckerSurface<rules::CryptoChecker>);
+  static_assert(BenchRuleSetSurface<rules::CompiledRuleSet>);
+  static_assert(BenchProcessChange<DiffCode>);
   SUCCEED();
 }
 

@@ -4,11 +4,19 @@
 #include "rules/RuleSuggestion.h"
 
 #include "analysis/AbstractInterpreter.h"
+#include "core/DiffCode.h"
+#include "corpus/CorpusGenerator.h"
+#include "corpus/Miner.h"
 #include "javaast/Parser.h"
 #include "rules/BuiltinRules.h"
+#include "rules/CryptoChecker.h"
 #include "usage/UsageChange.h"
 
+#include "ReferenceRules.h"
+
 #include <gtest/gtest.h>
+
+#include <optional>
 
 using namespace diffcode;
 using namespace diffcode::analysis;
@@ -85,6 +93,78 @@ TEST(ChangeClassifier, IntroductionsAndDeletionsAreNotFixesOrBugs) {
             ChangeClass::NonSemantic);
   EXPECT_EQ(classify("CL1", EcbVersion, "class A { }"),
             ChangeClass::NonSemantic);
+}
+
+TEST(ChangeClassifier, FactsOutliveTheAnalysisResult) {
+  // UnitFacts own their digest: checking and classifying after the
+  // AnalysisResults are gone reads no freed memory.
+  std::optional<AnalysisResult> OldR(analyze(EcbVersion));
+  std::optional<AnalysisResult> NewR(analyze(CbcVersion));
+  UnitFacts OldFacts = UnitFacts::from(*OldR);
+  UnitFacts NewFacts = UnitFacts::from(*NewR);
+  OldR.reset();
+  NewR.reset();
+
+  CryptoChecker Checker(cryptoLintRules());
+  ProjectReport Report = Checker.checkProject({OldFacts});
+  ASSERT_TRUE(Report.anyMatch());
+  const RuleVerdict &CL1 = Report.verdicts()[0];
+  EXPECT_EQ(Report.text(CL1.Rule), "CL1");
+  ASSERT_EQ(CL1.Violations.size(), 1u);
+  EXPECT_EQ(Report.text(CL1.Violations[0].Type), "Cipher");
+  EXPECT_EQ(Report.text(CL1.Violations[0].Site), "l1");
+  EXPECT_EQ(classifyChange(*findRule("CL1"), OldFacts, NewFacts),
+            ChangeClass::SecurityFix);
+}
+
+TEST(ChangeClassifier, AgreesWithTheRawEventOracleOnAGeneratedCorpus) {
+  // Every mined change of a generated corpus, under R1-R13 and CL1-CL5,
+  // with the project's metadata: classification, applicability and match
+  // of each version equal the seed evaluator's.
+  corpus::CorpusOptions Opts;
+  Opts.NumProjects = 60;
+  Opts.Seed = 42;
+  corpus::Corpus C = corpus::CorpusGenerator(Opts).generate();
+  const apimodel::CryptoApiModel &Api =
+      apimodel::CryptoApiModel::javaCryptoApi();
+  core::DiffCode System(Api);
+  corpus::Miner M(Api);
+  std::vector<const Rule *> Rules;
+  for (const std::vector<Rule> *Set : {&elicitedRules(), &cryptoLintRules()})
+    for (const Rule &R : *Set)
+      Rules.push_back(&R);
+
+  unsigned Changes = 0, Semantic = 0;
+  for (const corpus::Project &P : C.Projects)
+    for (const corpus::CodeChange *Change : M.mineProject(P)) {
+      AnalysisResult OldR = System.analyzeSourceChecked(Change->OldCode).Result;
+      AnalysisResult NewR = System.analyzeSourceChecked(Change->NewCode).Result;
+      UnitFacts OldFacts = UnitFacts::from(OldR);
+      UnitFacts NewFacts = UnitFacts::from(NewR);
+      reference::Facts OldRaw = reference::Facts::from(OldR);
+      reference::Facts NewRaw = reference::Facts::from(NewR);
+      for (const Rule *R : Rules) {
+        ChangeClass Got = classifyChange(*R, OldFacts, NewFacts, P.Meta);
+        EXPECT_EQ(Got, reference::classify(*R, OldRaw, NewRaw, P.Meta))
+            << Change->origin() << " " << R->Id;
+        Semantic += Got != ChangeClass::NonSemantic;
+        EXPECT_EQ(ruleApplicable(*R, {OldFacts}, P.Meta),
+                  reference::applicable(*R, {OldRaw}, P.Meta))
+            << Change->origin() << " old " << R->Id;
+        EXPECT_EQ(ruleApplicable(*R, {NewFacts}, P.Meta),
+                  reference::applicable(*R, {NewRaw}, P.Meta))
+            << Change->origin() << " new " << R->Id;
+        EXPECT_EQ(ruleMatches(*R, {OldFacts}, P.Meta),
+                  reference::matches(*R, {OldRaw}, P.Meta))
+            << Change->origin() << " old " << R->Id;
+        EXPECT_EQ(ruleMatches(*R, {NewFacts}, P.Meta),
+                  reference::matches(*R, {NewRaw}, P.Meta))
+            << Change->origin() << " new " << R->Id;
+      }
+      ++Changes;
+    }
+  EXPECT_GT(Changes, 500u);
+  EXPECT_GT(Semantic, 20u);
 }
 
 TEST(ChangeClassifier, Names) {

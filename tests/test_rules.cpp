@@ -3,6 +3,8 @@
 #include "rules/BuiltinRules.h"
 #include "rules/CryptoChecker.h"
 
+#include "ReferenceRules.h"
+
 #include "analysis/AbstractInterpreter.h"
 #include "javaast/Parser.h"
 
@@ -34,6 +36,45 @@ bool matchesRule(const char *RuleId, std::string_view Source,
   UnitFacts Facts = UnitFacts::from(Result);
   return ruleMatches(*R, {Facts}, Meta);
 }
+
+/// A unit holding one \p Type object whose only execution logs \p Events.
+AnalysisResult oneObject(std::vector<UsageEvent> Events,
+                         const std::string &Type = "Cipher") {
+  AnalysisResult Result;
+  java::SourceLocation Site;
+  Site.Line = 1;
+  Site.Column = 1;
+  UsageLog Log;
+  Log[Result.Objects.getOrCreate(Site, Type)] = std::move(Events);
+  Result.Executions.push_back(std::move(Log));
+  return Result;
+}
+
+/// \p Events as UnitFacts::from digests them (unparsable ones dropped).
+std::vector<FactEvent> digested(std::vector<UsageEvent> Events) {
+  if (Events.empty())
+    return {};
+  UnitFacts Facts = UnitFacts::from(oneObject(std::move(Events)));
+  return Facts.Objects.at(0).Merged;
+}
+
+/// P matches \p Event after digestion; the raw-event oracle must agree.
+bool matches(const CallPattern &P, const UsageEvent &Event) {
+  std::vector<FactEvent> Facts = digested({Event});
+  bool Production = !Facts.empty() && P.matches(Facts[0]);
+  EXPECT_EQ(Production, reference::matchesEvent(P, Event)) << Event.MethodSig;
+  return Production;
+}
+
+/// \p Usage |= F after digestion; the raw-event oracle must agree.
+bool holds(const ObjectFormula &F, const std::vector<UsageEvent> &Usage) {
+  bool Production = F.eval(digested(Usage));
+  EXPECT_EQ(Production, reference::eval(F, Usage));
+  return Production;
+}
+
+/// A signature with no '.' and no '/': it matches no pattern.
+const UsageEvent Unparsable{"getInstance", {}};
 
 } // namespace
 
@@ -110,9 +151,11 @@ TEST(CallPattern, MatchesSignatureParts) {
   UsageEvent WrongClass{"Mac.getInstance/1",
                         {AbstractValue::strConst("AES")}};
   UsageEvent WrongName{"Cipher.init/1", {AbstractValue::strConst("AES")}};
-  EXPECT_TRUE(P.matchesEvent(Match));
-  EXPECT_FALSE(P.matchesEvent(WrongClass));
-  EXPECT_FALSE(P.matchesEvent(WrongName));
+  EXPECT_TRUE(matches(P, Match));
+  EXPECT_FALSE(matches(P, WrongClass));
+  EXPECT_FALSE(matches(P, WrongName));
+  EXPECT_FALSE(matches(P, Unparsable));
+  EXPECT_FALSE(matches(CallPattern(), Unparsable)); // empty method, any class
 }
 
 TEST(CallPattern, ArityFilter) {
@@ -123,8 +166,8 @@ TEST(CallPattern, ArityFilter) {
   UsageEvent Two{"Cipher.getInstance/2",
                  {AbstractValue::strConst("AES"),
                   AbstractValue::strConst("BC")}};
-  EXPECT_FALSE(P.matchesEvent(One));
-  EXPECT_TRUE(P.matchesEvent(Two));
+  EXPECT_FALSE(matches(P, One));
+  EXPECT_TRUE(matches(P, Two));
 }
 
 TEST(CallPattern, MissingArgumentFailsConstraint) {
@@ -136,7 +179,7 @@ TEST(CallPattern, MissingArgumentFailsConstraint) {
   P.Args = {C};
   UsageEvent TwoArgs{"Cipher.init/2",
                      {AbstractValue::intConst(1), AbstractValue::unknown()}};
-  EXPECT_FALSE(P.matchesEvent(TwoArgs));
+  EXPECT_FALSE(matches(P, TwoArgs));
 }
 
 //===----------------------------------------------------------------------===//
@@ -150,10 +193,15 @@ TEST(ObjectFormula, ExistsAndNotExists) {
       {"SecureRandom.setSeed/1", {AbstractValue::byteArrayConst()}}};
   std::vector<UsageEvent> WithoutSeed = {
       {"SecureRandom.nextBytes/1", {AbstractValue::byteArrayTop()}}};
-  EXPECT_TRUE(ObjectFormula::exists(P).eval(WithSeed));
-  EXPECT_FALSE(ObjectFormula::exists(P).eval(WithoutSeed));
-  EXPECT_FALSE(ObjectFormula::notExists(P).eval(WithSeed));
-  EXPECT_TRUE(ObjectFormula::notExists(P).eval(WithoutSeed));
+  EXPECT_TRUE(holds(ObjectFormula::exists(P), WithSeed));
+  EXPECT_FALSE(holds(ObjectFormula::exists(P), WithoutSeed));
+  EXPECT_FALSE(holds(ObjectFormula::notExists(P), WithSeed));
+  EXPECT_TRUE(holds(ObjectFormula::notExists(P), WithoutSeed));
+
+  CallPattern Named;
+  Named.MethodName = Unparsable.MethodSig;
+  EXPECT_FALSE(holds(ObjectFormula::exists(Named), {Unparsable}));
+  EXPECT_TRUE(holds(ObjectFormula::notExists(Named), {Unparsable}));
 }
 
 TEST(ObjectFormula, AndOrComposition) {
@@ -168,10 +216,10 @@ TEST(ObjectFormula, AndOrComposition) {
       {ObjectFormula::exists(GetInstance), ObjectFormula::exists(Init)});
   ObjectFormula OrF = ObjectFormula::any(
       {ObjectFormula::exists(GetInstance), ObjectFormula::exists(Init)});
-  EXPECT_TRUE(AndF.eval(Both));
-  EXPECT_FALSE(AndF.eval(OnlyGet));
-  EXPECT_TRUE(OrF.eval(OnlyGet));
-  EXPECT_FALSE(OrF.eval({}));
+  EXPECT_TRUE(holds(AndF, Both));
+  EXPECT_FALSE(holds(AndF, OnlyGet));
+  EXPECT_TRUE(holds(OrF, OnlyGet));
+  EXPECT_FALSE(holds(OrF, {}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -366,11 +414,22 @@ TEST(Rules, ApplicabilityRequiresTypePresence) {
   UnitFacts Facts = UnitFacts::from(NoDigest);
   EXPECT_FALSE(ruleApplicable(*R1, {Facts}));
   EXPECT_FALSE(ruleMatches(*R1, {Facts}));
+
+  // An object whose only event matches no pattern is still present.
+  AnalysisResult Unmatched = oneObject({Unparsable}, "MessageDigest");
+  UnitFacts Present = UnitFacts::from(Unmatched);
+  ASSERT_EQ(Present.Objects.size(), 1u);
+  EXPECT_TRUE(Present.Objects[0].Merged.empty());
+  EXPECT_TRUE(ruleApplicable(*R1, {Present}));
+  EXPECT_FALSE(ruleMatches(*R1, {Present}));
+  reference::Facts Raw = reference::Facts::from(Unmatched);
+  EXPECT_TRUE(reference::applicable(*R1, {Raw}));
+  EXPECT_FALSE(reference::matches(*R1, {Raw}));
 }
 
 TEST(Rules, CompositeApplicabilityNeedsPositiveClauses) {
   const Rule *R13 = findRule("R13");
-  std::vector<std::string> Types = R13->applicableTypes();
+  std::vector<std::string> Types = reference::applicableTypes(*R13);
   ASSERT_EQ(Types.size(), 1u); // Cipher twice dedupes; Mac is negated
   EXPECT_EQ(Types[0], "Cipher");
 }

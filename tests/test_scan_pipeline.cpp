@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scan/ pipeline against its ground truth, the retained serial
-/// CryptoChecker: whole-corpus byte-identity at 1/2/8 threads (streamed
-/// and batch-serialized), edge cases (empty project, empty request,
+/// The scan/ pipeline against its ground truth, the seed's raw-event rule
+/// evaluator (tests/ReferenceRules.h) run serially over every project:
+/// whole-corpus byte-identity at 1/2/8 threads (streamed and
+/// batch-serialized), edge cases (empty project, empty request,
 /// applicable-but-unmatched, hostile project names and garbage units),
 /// fault-campaign determinism across thread counts, the unit cache's
 /// transparency, rule filtering, and the demand-driven refinement
@@ -23,7 +24,8 @@
 #include "corpus/CorpusGenerator.h"
 #include "rules/BuiltinRules.h"
 #include "rules/CryptoChecker.h"
-#include "rules/RuleCompiler.h"
+
+#include "ReferenceRules.h"
 
 #include <gtest/gtest.h>
 
@@ -53,34 +55,33 @@ ScanRequest requestOver(const corpus::Corpus &C, bool Refine = false) {
   return Request;
 }
 
-/// The ground truth: the serial CryptoChecker loop composed into a
-/// ScanReport (the shape bench/micro_scan.cpp gates on).
+/// The ground truth: the oracle's project check, run serially and
+/// composed into a ScanReport.
 ScanReport serialReference(const std::vector<const corpus::Project *> &Projects) {
   core::DiffCode System(api());
-  rules::CryptoChecker Checker;
+  const std::vector<rules::Rule> &Rules = rules::elicitedRules();
+  auto Symbols = std::make_shared<rules::ScanSymbols>();
   ScanReport Report;
-  Report.Symbols = Checker.symbols();
+  Report.Symbols = Symbols;
   for (const corpus::Project *P : Projects) {
     ProjectScanRecord Rec;
     Rec.Project = P->Name;
     Rec.Units = static_cast<unsigned>(P->Files.size());
-    std::vector<analysis::AnalysisResult> Results;
+    std::vector<rules::reference::Facts> Units;
     for (const corpus::ProjectFile &File : P->Files) {
       core::DiffCode::SourceAnalysis SA = System.analyzeSourceChecked(File.Code);
       if (SA.Status > Rec.Status) {
         Rec.Status = SA.Status;
         Rec.Detail = std::move(SA.Detail);
       }
-      Results.push_back(std::move(SA.Result));
+      Units.push_back(rules::reference::Facts::from(SA.Result));
     }
-    std::vector<rules::UnitFacts> Units;
-    for (const analysis::AnalysisResult &Result : Results)
-      Units.push_back(rules::UnitFacts::from(Result));
-    Rec.Report = Checker.checkProject(Units, P->Meta);
+    Rec.Report =
+        rules::reference::checkProject(Rules, Symbols, Units, P->Meta);
     Report.Projects.push_back(std::move(Rec));
   }
-  for (const rules::Rule &R : Checker.rules())
-    Report.Rules.push_back({Checker.symbols()->intern(R.Id), 0, 0, 0, 0});
+  for (const rules::Rule &R : Rules)
+    Report.Rules.push_back({Symbols->intern(R.Id), 0, 0, 0, 0});
   for (const ProjectScanRecord &Rec : Report.Projects) {
     ++Report.StatusCounts[static_cast<unsigned>(Rec.Status)];
     if (Rec.Report.anyMatch())
@@ -425,8 +426,8 @@ TEST(ScanRefinement, MergedLogArtifactIsDemotedWithRefinementOn) {
   auto Symbols = std::make_shared<rules::ScanSymbols>();
   rules::CompiledRuleSet Set =
       rules::CompiledRuleSet::compile({bothCallsRule()}, Symbols);
-  rules::UnitScanFacts Facts =
-      rules::digestUnit(Result, *Symbols, /*KeepExecutions=*/true);
+  rules::UnitFacts Facts =
+      rules::UnitFacts::from(Result, /*KeepExecutions=*/true);
 
   rules::ProjectReport Plain =
       rules::evaluateProject(Set, {&Facts}, {}, /*Refine=*/false);
@@ -450,7 +451,7 @@ TEST(ScanRefinement, ReproducibleWitnessSurvivesNextToSuppressedOne) {
   auto Symbols = std::make_shared<rules::ScanSymbols>();
   rules::CompiledRuleSet Set =
       rules::CompiledRuleSet::compile({bothCallsRule()}, Symbols);
-  rules::UnitScanFacts Facts = rules::digestUnit(Result, *Symbols, true);
+  rules::UnitFacts Facts = rules::UnitFacts::from(Result, true);
 
   rules::ProjectReport Plain =
       rules::evaluateProject(Set, {&Facts}, {}, false);
@@ -472,8 +473,8 @@ TEST(ScanRefinement, ObjectsWithoutExecutionDataAreConservativelyKept) {
   auto Symbols = std::make_shared<rules::ScanSymbols>();
   rules::CompiledRuleSet Set =
       rules::CompiledRuleSet::compile({bothCallsRule()}, Symbols);
-  rules::UnitScanFacts Facts =
-      rules::digestUnit(Result, *Symbols, /*KeepExecutions=*/false);
+  rules::UnitFacts Facts =
+      rules::UnitFacts::from(Result, /*KeepExecutions=*/false);
   rules::ProjectReport Refined =
       rules::evaluateProject(Set, {&Facts}, {}, /*Refine=*/true);
   const rules::RuleVerdict &V = Refined.verdicts()[0];

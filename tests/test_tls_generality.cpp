@@ -27,10 +27,8 @@ const char *Tls12Source =
     "ctx.init(k, t, r); "
     "return ctx.getSocketFactory(); } }";
 
-rules::UnitFacts factsFor(core::DiffCode &System, const char *Source,
-                          analysis::AnalysisResult &Storage) {
-  Storage = System.analyzeSourceChecked(Source).Result;
-  return rules::UnitFacts::from(Storage);
+rules::UnitFacts factsFor(core::DiffCode &System, const char *Source) {
+  return rules::UnitFacts::from(System.analyzeSourceChecked(Source).Result);
 }
 
 } // namespace
@@ -79,9 +77,8 @@ TEST(TlsGenerality, UsageChangeFromHardeningCommit) {
 TEST(TlsRules, T1FlagsDeprecatedProtocols) {
   core::DiffCode System(apimodel::javaTlsApi());
   rules::CryptoChecker Checker(rules::tlsRules());
-  analysis::AnalysisResult OldStore, NewStore;
-  rules::UnitFacts OldFacts = factsFor(System, Sslv3Source, OldStore);
-  rules::UnitFacts NewFacts = factsFor(System, Tls12Source, NewStore);
+  rules::UnitFacts OldFacts = factsFor(System, Sslv3Source);
+  rules::UnitFacts NewFacts = factsFor(System, Tls12Source);
 
   rules::ProjectReport OldReport = Checker.checkProject({OldFacts});
   rules::ProjectReport NewReport = Checker.checkProject({NewFacts});
@@ -93,13 +90,11 @@ TEST(TlsRules, T1FlagsDeprecatedProtocols) {
 
 TEST(TlsRules, T3FlagsDefaultFactory) {
   core::DiffCode System(apimodel::javaTlsApi());
-  analysis::AnalysisResult Store;
   rules::UnitFacts Facts = factsFor(
       System,
       "class C { Socket open(String host) throws Exception { "
       "SSLSocketFactory f = SSLSocketFactory.getDefault(); "
-      "return f.createSocket(host, 443); } }",
-      Store);
+      "return f.createSocket(host, 443); } }");
   rules::CryptoChecker Checker(rules::tlsRules());
   rules::ProjectReport Report = Checker.checkProject({Facts});
   bool T3 = false;
@@ -111,9 +106,8 @@ TEST(TlsRules, T3FlagsDefaultFactory) {
 
 TEST(TlsRules, ClassifierWorksAcrossApis) {
   core::DiffCode System(apimodel::javaTlsApi());
-  analysis::AnalysisResult OldStore, NewStore;
-  rules::UnitFacts OldFacts = factsFor(System, Sslv3Source, OldStore);
-  rules::UnitFacts NewFacts = factsFor(System, Tls12Source, NewStore);
+  rules::UnitFacts OldFacts = factsFor(System, Sslv3Source);
+  rules::UnitFacts NewFacts = factsFor(System, Tls12Source);
   EXPECT_EQ(rules::classifyChange(rules::tlsRules()[0], OldFacts, NewFacts),
             rules::ChangeClass::SecurityFix);
   EXPECT_EQ(rules::classifyChange(rules::tlsRules()[0], NewFacts, OldFacts),
