@@ -30,7 +30,6 @@
 #include "exec/Supervisor.h"
 #include "corpus/Miner.h"
 #include "corpus/Scenario.h"
-#include "javaast/AstPrinter.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
 #include "obs/Observer.h"
@@ -91,18 +90,6 @@ void BM_ParserArenaReuse(benchmark::State &State) {
   State.SetBytesProcessed(State.iterations() * Source.size());
 }
 BENCHMARK(BM_ParserArenaReuse);
-
-void BM_PrettyPrinter(benchmark::State &State) {
-  std::string Source = sampleSource(true);
-  java::AstContext Ctx;
-  java::DiagnosticsEngine Diags;
-  java::CompilationUnit *Unit = java::parseJava(Source, Ctx, Diags);
-  for (auto _ : State) {
-    java::AstPrinter Printer;
-    benchmark::DoNotOptimize(Printer.print(Unit));
-  }
-}
-BENCHMARK(BM_PrettyPrinter);
 
 void BM_AbstractInterpreter(benchmark::State &State) {
   std::string Source = sampleSource(true);

@@ -70,7 +70,7 @@
 //       talk to a running service (examples/diffcoded.cpp, the daemon);
 //       operations execute in flag order.
 //       --ingest mines a corpus directory client-side and ships the
-//       changes, printing the session's cache/repair stats; --query asks
+//       changes, printing the session's repair stats; --query asks
 //       "health", "stats", "class:<Name>", or "metrics" (the daemon's
 //       live observability summary — counters plus stage table — which
 //       needs the daemon started with --metrics); --snapshot prints the full
@@ -640,11 +640,9 @@ int runConnect(int argc, char **argv) {
         break;
       }
       std::printf("ingested %zu changes (session total %llu): "
-                  "%zu cache hits, %zu misses, %zu classes repaired, "
-                  "%llu pair distances reused\n",
+                  "%zu classes repaired, %llu pair distances reused\n",
                   Reply.Stats.Ingested,
                   static_cast<unsigned long long>(Reply.TotalChanges),
-                  Reply.Stats.CacheHits, Reply.Stats.CacheMisses,
                   Reply.Stats.ClassesRepaired,
                   static_cast<unsigned long long>(Reply.Stats.PairsReused));
     } else if (std::strcmp(argv[I], "--query") == 0 && I + 1 < argc) {

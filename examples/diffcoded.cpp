@@ -8,23 +8,23 @@
 // The long-lived service front end (DESIGN.md "Service mode and the
 // session API"):
 //
-//   diffcoded <socket-path> [--threads <n>] [--max-cached <n>]
-//             [--metrics] [--trace-out=<file>]
+//   diffcoded <socket-path> [--threads <n>] [--metrics] [--trace-out=<file>]
 //
 // binds a UNIX socket, keeps one AnalysisSession alive, and answers
 // framed Ingest/Query/Snapshot/Shutdown requests until a client asks it
 // to stop. Clients are `diffcode_cli connect <socket-path> ...` or
 // anything speaking service/Protocol.h over the socket. Connections are
-// served sequentially — the session's incremental caches are the point,
-// not concurrency — so a corpus streamed in commit-sized ingests
-// re-analyzes only what each commit touched.
+// served sequentially — the session's incremental class repair is the
+// point, not concurrency — so a corpus streamed in commit-sized ingests
+// analyzes each change once and re-clusters only the classes each
+// commit touched.
 //
 // --metrics runs the daemon observed: session counters accumulate and
 // `diffcode_cli connect <socket> --query metrics` introspects the live
 // snapshot without disturbing the session. --trace-out=<file> (implies
 // --metrics) flushes the span trace as Chrome trace_event JSON when the
-// daemon shuts down. --threads and --max-cached take a non-negative
-// number written in full; anything else prints usage and exits 2.
+// daemon shuts down. --threads takes a non-negative number written in
+// full; anything else prints usage and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +41,7 @@ using namespace diffcode;
 
 static int printUsage() {
   std::fprintf(stderr, "usage: diffcoded <socket-path> [--threads <n>] "
-                       "[--max-cached <n>]\n"
-                       "                 [--metrics] [--trace-out=<file>]\n");
+                       "[--metrics] [--trace-out=<file>]\n");
   return 2;
 }
 
@@ -57,9 +56,6 @@ int main(int argc, char **argv) {
   for (int I = 2; I < argc; ++I) {
     if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
       if (!parseNonNegative(argv[++I], Opts.Config.Threads))
-        return printUsage();
-    } else if (std::strcmp(argv[I], "--max-cached") == 0 && I + 1 < argc) {
-      if (!parseNonNegative(argv[++I], Opts.MaxCachedChanges))
         return printUsage();
     } else if (std::strcmp(argv[I], "--metrics") == 0) {
       Metrics = true;

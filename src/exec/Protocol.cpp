@@ -267,16 +267,17 @@ bool IdRemap::applyPathDef(std::string_view Payload,
   WireReader R(Payload);
   std::uint32_t WorkerId = R.u32();
   std::uint32_t Count = R.u32();
+  // No reserve from the wire-supplied count (see decodeTelemetry):
+  // storage grows only with ids that decoded in full.
   std::vector<support::LabelId> Remapped;
-  Remapped.reserve(Count);
-  for (std::uint32_t I = 0; I < Count && R.ok(); ++I) {
+  for (std::uint32_t I = 0; I < Count; ++I) {
+    std::uint32_t Id = R.u32();
     support::LabelId Parent = 0;
-    if (!mapLabel(R.u32(), Parent))
+    if (!R.ok() || !mapLabel(Id, Parent))
       return false;
     Remapped.push_back(Parent);
   }
-  if (!R.atEnd() || Remapped.size() != Count ||
-      WorkerId != BasePaths + Paths.size())
+  if (!R.atEnd() || WorkerId != BasePaths + Paths.size())
     return false;
   Paths.push_back(Table.path(std::move(Remapped)));
   return true;
@@ -332,14 +333,14 @@ static bool decodePathIds(WireReader &R, const IdRemap &Remap,
                           std::vector<support::PathId> &Out) {
   std::uint32_t Count = R.u32();
   Out.clear();
-  Out.reserve(Count);
-  for (std::uint32_t I = 0; I < Count && R.ok(); ++I) {
+  for (std::uint32_t I = 0; I < Count; ++I) {
+    std::uint32_t Id = R.u32();
     support::PathId Parent = 0;
-    if (!Remap.mapPath(R.u32(), Parent))
+    if (!R.ok() || !Remap.mapPath(Id, Parent))
       return false;
     Out.push_back(Parent);
   }
-  return R.ok() && Out.size() == Count;
+  return R.ok();
 }
 
 bool diffcode::exec::decodeResult(std::string_view Payload,
@@ -363,7 +364,6 @@ bool diffcode::exec::decodeResult(std::string_view Payload,
     std::string Target(R.str());
     std::uint32_t NumChanges = R.u32();
     std::vector<usage::UsageChange> Changes;
-    Changes.reserve(NumChanges);
     for (std::uint32_t I = 0; I < NumChanges && R.ok(); ++I) {
       usage::UsageChange Change;
       Change.TypeName.assign(R.str());

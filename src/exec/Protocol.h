@@ -42,8 +42,10 @@
 /// supervised reports byte-identical.
 ///
 /// Every decoder is defensive: unknown ids, out-of-order defs, trailing
-/// payload bytes, or truncation all return false and the supervisor
-/// treats the worker as poisoned (kill, restart, retry the unit).
+/// payload bytes, truncation, or an element count the payload cannot
+/// back all return false and the supervisor treats the worker as
+/// poisoned (kill, restart, retry the unit). No decoder reserves storage
+/// from a count read off the wire.
 ///
 //===----------------------------------------------------------------------===//
 

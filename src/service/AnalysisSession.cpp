@@ -7,6 +7,8 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <map>
+#include <unordered_map>
 #include <utility>
 
 using namespace diffcode;
@@ -47,48 +49,10 @@ struct AnalysisSession::ClassState {
 
 namespace {
 
-/// Strips everything a cache hit must re-stamp: provenance and the
-/// ground-truth label are properties of the *occurrence*, not the
-/// content.
-void neutralizeRecord(core::ChangeRecord &Record) {
-  Record.Origin.clear();
-  Record.GroundTruthKind.clear();
-  for (auto &[Class, Changes] : Record.PerClass)
-    for (usage::UsageChange &C : Changes)
-      C.Origin.clear();
-}
-
-void stampRecord(core::ChangeRecord &Record, const corpus::CodeChange &Change) {
-  Record.Origin = Change.origin();
-  Record.GroundTruthKind = Change.Kind;
-  for (auto &[Class, Changes] : Record.PerClass)
-    for (usage::UsageChange &C : Changes)
-      C.Origin = Record.Origin;
-}
-
-/// Folds the knobs that change what analysis produces for given source
-/// bytes. Seeding the content hashes with this keeps records from one
-/// limit configuration from ever aliasing another's.
-std::uint64_t configFingerprint(const core::PipelineConfig &Config) {
-  std::uint64_t F = 0x6469666663646531ull; // "diffcde1"
-  auto Fold = [&F](std::uint64_t V) { F = support::faultMix(F ^ V); };
-  Fold(Config.Limits.Parse.MaxTokens);
-  Fold(Config.Limits.Parse.MaxNestingDepth);
-  Fold(static_cast<std::uint64_t>(Config.Limits.Analysis.Abstraction));
-  Fold(Config.Limits.Analysis.MaxStatesPerEntry);
-  Fold(Config.Limits.Analysis.MaxInlineDepth);
-  Fold(Config.Limits.Analysis.Fuel);
-  Fold(Config.Limits.Analysis.MaxObjects);
-  Fold(Config.Limits.DagDepth);
-  return F;
-}
-
-/// True when an armed campaign could fire inside per-change analysis or
-/// clustering. Serving such work from a cache would skip fault points a
-/// cold run evaluates, so the session must run cold inside to stay
-/// byte-identical. ServiceHash itself is exempt by design (it fires *at*
-/// the cache, to attack key selectivity), and the Proc* sites only exist
-/// inside exec workers the session never spawns.
+/// True when no armed campaign could fire inside per-change analysis or
+/// clustering (see AnalysisSession::CachingSafe). The Proc* and
+/// scan-project sites only exist in exec workers and the scanner, which
+/// the session never runs.
 bool cachingSafeUnder(const support::FaultPlan &Plan) {
   const std::uint32_t UnsafeSites =
       support::faultSiteBit(support::FaultSite::Parser) |
@@ -100,19 +64,10 @@ bool cachingSafeUnder(const support::FaultPlan &Plan) {
 
 } // namespace
 
-std::size_t
-AnalysisSession::CacheKeyHash::operator()(const CacheKey &K) const {
-  std::uint64_t H = support::faultMix(K.H1 ^ support::faultMix(K.H2));
-  H = support::faultMix(H ^ K.OldLen ^ (K.NewLen << 20));
-  return static_cast<std::size_t>(H);
-}
-
 AnalysisSession::AnalysisSession(const apimodel::CryptoApiModel &Api,
                                  SessionOptions Options)
     : Opts(std::move(Options)), System(Api, Opts.Config),
-      TargetClasses(Opts.TargetClasses.empty() ? Api.targetClasses()
-                                               : Opts.TargetClasses),
-      ConfigFingerprint(configFingerprint(Opts.Config)),
+      TargetClasses(Api.targetClasses()),
       CachingSafe(cachingSafeUnder(Opts.Config.Faults)) {
   Report.Labels = System.labels();
   // Start from the empty-corpus report a cold run over zero changes
@@ -127,45 +82,6 @@ AnalysisSession::AnalysisSession(const apimodel::CryptoApiModel &Api,
 
 AnalysisSession::~AnalysisSession() = default;
 
-AnalysisSession::CacheKey
-AnalysisSession::keyFor(const corpus::CodeChange &Change) const {
-  CacheKey K;
-  K.OldLen = Change.OldCode.size();
-  K.NewLen = Change.NewCode.size();
-  // Two byte-wise hashes from different families (FNV-1a and a
-  // golden-ratio multiply) over the same framed input. FNV variants that
-  // differ only in seed collide together, so the second hash must mix
-  // differently, not just start differently.
-  std::uint64_t H1 = 0xcbf29ce484222325ull ^ support::faultMix(ConfigFingerprint);
-  std::uint64_t H2 =
-      0x9e3779b97f4a7c15ull ^ support::faultMix(ConfigFingerprint + 1);
-  auto Feed = [&H1, &H2](std::uint64_t Word) {
-    for (unsigned I = 0; I < 8; ++I) {
-      std::uint8_t Byte = (Word >> (I * 8)) & 0xff;
-      H1 = (H1 ^ Byte) * 0x100000001b3ull;
-      H2 = (H2 ^ Byte) * 0x9e3779b97f4a7c15ull + 0x7f4a7c15ull;
-    }
-  };
-  auto FeedBytes = [&H1, &H2](const std::string &S) {
-    for (unsigned char Byte : S) {
-      H1 = (H1 ^ Byte) * 0x100000001b3ull;
-      H2 = (H2 ^ Byte) * 0x9e3779b97f4a7c15ull + 0x7f4a7c15ull;
-    }
-  };
-  Feed(K.OldLen);
-  FeedBytes(Change.OldCode);
-  Feed(K.NewLen);
-  FeedBytes(Change.NewCode);
-  // The collision campaign: under an armed ServiceHash site the primary
-  // hash collapses to a constant and every entry lands in one H1 bucket —
-  // the full key must still discriminate via H2 + lengths.
-  if (support::faultPoint(support::FaultSite::ServiceHash, H1))
-    H1 = 0;
-  K.H1 = H1;
-  K.H2 = H2;
-  return K;
-}
-
 IngestStats
 AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
   obs::Span IngestSpan(Opts.Metrics ? &Opts.Metrics->Trace : nullptr,
@@ -175,55 +91,19 @@ AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
   const std::size_t FirstNewRecord = Report.Changes.size();
   const support::FaultPlan &Faults = Opts.Config.Faults;
 
-  // Phase 1 — key every change serially in global-index order and decide
-  // how its record materializes. Serial keying keeps hit/miss (and
-  // therefore FIFO insertion order) a pure function of the ingest
-  // sequence, independent of thread count.
-  enum class Kind { Miss, Hit, DupOfMiss };
-  struct Pending {
-    CacheKey Key;
-    Kind How = Kind::Miss;
-    std::size_t FirstIndex = 0; ///< Batch index of the miss a dup copies.
-  };
-  std::vector<Pending> Batch(Changes.size());
-  std::unordered_map<CacheKey, std::size_t, CacheKeyHash> FirstInBatch;
-  for (std::size_t I = 0; I < Changes.size(); ++I) {
-    support::FaultScope Scope(&Faults, FirstNewRecord + I);
-    Pending &P = Batch[I];
-    P.Key = keyFor(Changes[I]);
-    if (!CachingSafe)
-      continue; // analyze everything cold; never touch the memo table
-    if (Cache.count(P.Key)) {
-      P.How = Kind::Hit;
-    } else if (auto It = FirstInBatch.find(P.Key); It != FirstInBatch.end()) {
-      // Same content twice in one batch: the first occurrence is being
-      // analyzed right now, so copy its record instead of re-analyzing.
-      P.How = Kind::DupOfMiss;
-      P.FirstIndex = It->second;
-    } else {
-      FirstInBatch.emplace(P.Key, I);
-    }
-  }
-
-  // Phase 2 — analyze the misses in parallel, each under the fault scope
-  // of its *global* corpus index: a cold run over the whole accumulated
-  // change list scopes change G with key G, so the session must too for
-  // armed campaigns to land identically.
+  // Analyze every change in parallel, each under the fault scope of its
+  // *global* corpus index: a cold run over the whole accumulated change
+  // list scopes change G with key G, so the session must too for armed
+  // campaigns to land identically.
   Report.Changes.resize(FirstNewRecord + Changes.size());
-  std::vector<std::size_t> Misses;
-  for (std::size_t I = 0; I < Changes.size(); ++I)
-    if (Batch[I].How == Kind::Miss)
-      Misses.push_back(I);
-  if (!Misses.empty()) {
-    unsigned Threads =
-        std::min<unsigned>(support::resolveThreads(Opts.Config.Threads),
-                           std::max<std::size_t>(Misses.size(), 1));
+  if (!Changes.empty()) {
+    unsigned Threads = std::min<unsigned>(
+        support::resolveThreads(Opts.Config.Threads), Changes.size());
     support::Interner &Table = *System.labels();
     support::ThreadPool Pool(Threads);
     Pool.parallelForChunked(
-        Misses.size(), 1, [&](std::size_t Begin, std::size_t Stop) {
-          for (std::size_t M = Begin; M < Stop; ++M) {
-            std::size_t I = Misses[M];
+        Changes.size(), 1, [&](std::size_t Begin, std::size_t Stop) {
+          for (std::size_t I = Begin; I < Stop; ++I) {
             support::FaultScope Scope(&Faults, FirstNewRecord + I);
             Report.Changes[FirstNewRecord + I] = System.processChange(
                 Changes[I], TargetClasses, Opts.ClassifyWith, Table);
@@ -231,42 +111,9 @@ AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
         });
   }
 
-  // Phase 3 — serially fill hits and populate the memo table in batch
-  // order (deterministic eviction order falls out of insertion order).
-  for (std::size_t I = 0; I < Changes.size(); ++I) {
-    core::ChangeRecord &Slot = Report.Changes[FirstNewRecord + I];
-    switch (Batch[I].How) {
-    case Kind::Miss:
-      ++Stats.CacheMisses;
-      if (CachingSafe) {
-        core::ChangeRecord Neutral = Slot;
-        neutralizeRecord(Neutral);
-        Cache.emplace(Batch[I].Key, std::move(Neutral));
-        CacheOrder.push_back(Batch[I].Key);
-      }
-      break;
-    case Kind::Hit:
-      ++Stats.CacheHits;
-      Slot = Cache.find(Batch[I].Key)->second;
-      stampRecord(Slot, Changes[I]);
-      break;
-    case Kind::DupOfMiss:
-      ++Stats.CacheHits;
-      Slot = Report.Changes[FirstNewRecord + Batch[I].FirstIndex];
-      stampRecord(Slot, Changes[I]);
-      break;
-    }
-  }
-  if (Opts.MaxCachedChanges > 0)
-    while (Cache.size() > Opts.MaxCachedChanges) {
-      Cache.erase(CacheOrder.front());
-      CacheOrder.pop_front();
-      ++Stats.Evictions;
-    }
-
-  // Phase 4 — repair exactly the classes the new records contribute to;
-  // every other ClassReport is already byte-for-byte what a cold run
-  // would rebuild (its inputs did not change).
+  // Repair exactly the classes the new records contribute to; every
+  // other ClassReport is already byte-for-byte what a cold run would
+  // rebuild (its inputs did not change).
   for (std::size_t C = 0; C < TargetClasses.size(); ++C) {
     bool Touched = false;
     for (std::size_t R = FirstNewRecord; R < Report.Changes.size() && !Touched;
@@ -284,9 +131,6 @@ AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
 
   ++Ingests;
   Lifetime.Ingested += Stats.Ingested;
-  Lifetime.CacheHits += Stats.CacheHits;
-  Lifetime.CacheMisses += Stats.CacheMisses;
-  Lifetime.Evictions += Stats.Evictions;
   Lifetime.ClassesRepaired += Stats.ClassesRepaired;
   Lifetime.ClassesReused += Stats.ClassesReused;
   Lifetime.PairsComputed += Stats.PairsComputed;
@@ -313,9 +157,6 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
   // Filter: a full linear re-run. Incrementalizing fdup's seen-set is
   // possible but the filters are a rounding error next to clustering.
   Class.Filtered = core::applyFilters(Class.AllChanges);
-
-  if (!Opts.BuildDendrograms)
-    return;
 
   // Cold fallback: armed analysis campaigns must evaluate every fault
   // point a cold run would.
@@ -365,7 +206,6 @@ SessionStats AnalysisSession::stats() const {
   SessionStats Out;
   Out.TotalChanges = Report.Changes.size();
   Out.Ingests = Ingests;
-  Out.CachedRecords = Cache.size();
   Out.Lifetime = Lifetime;
   return Out;
 }
@@ -376,12 +216,8 @@ void AnalysisSession::recordMetrics(const IngestStats &Stats) const {
   obs::Registry &R = Opts.Metrics->Metrics;
   R.counter("service.ingests").add(1);
   R.counter("service.changes").add(Stats.Ingested);
-  R.counter("service.cache.hits").add(Stats.CacheHits);
-  R.counter("service.cache.misses").add(Stats.CacheMisses);
-  R.counter("service.cache.evictions").add(Stats.Evictions);
   R.counter("service.classes.repaired").add(Stats.ClassesRepaired);
   R.counter("service.classes.reused").add(Stats.ClassesReused);
   R.counter("service.pairs.computed").add(Stats.PairsComputed);
   R.counter("service.pairs.reused").add(Stats.PairsReused);
-  R.gauge("service.cache.size").set(std::int64_t(Cache.size()));
 }

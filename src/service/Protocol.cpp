@@ -65,9 +65,6 @@ std::string service::encodeIngestReply(const IngestReply &Reply) {
   exec::WireWriter W;
   W.u64(Reply.TotalChanges);
   W.u64(Reply.Stats.Ingested);
-  W.u64(Reply.Stats.CacheHits);
-  W.u64(Reply.Stats.CacheMisses);
-  W.u64(Reply.Stats.Evictions);
   W.u64(Reply.Stats.ClassesRepaired);
   W.u64(Reply.Stats.ClassesReused);
   W.u64(Reply.Stats.PairsComputed);
@@ -79,9 +76,6 @@ bool service::decodeIngestReply(std::string_view Payload, IngestReply &Out) {
   exec::WireReader R(Payload);
   Out.TotalChanges = R.u64();
   Out.Stats.Ingested = R.u64();
-  Out.Stats.CacheHits = R.u64();
-  Out.Stats.CacheMisses = R.u64();
-  Out.Stats.Evictions = R.u64();
   Out.Stats.ClassesRepaired = R.u64();
   Out.Stats.ClassesReused = R.u64();
   Out.Stats.PairsComputed = R.u64();

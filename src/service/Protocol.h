@@ -66,10 +66,11 @@ enum class ServiceFrame : std::uint32_t {
 
 /// Bumped whenever any payload layout changes; IngestReq carries it and
 /// the server refuses a mismatched client with ReplyErr.
-inline constexpr std::uint32_t ServiceProtocolVersion = 1;
+inline constexpr std::uint32_t ServiceProtocolVersion = 2;
 
 /// What an acknowledged ingest reports back: the session high-water mark
-/// plus that ingest's IngestStats.
+/// plus that ingest's IngestStats (its always-zero CacheHits is not
+/// carried).
 struct IngestReply {
   std::uint64_t TotalChanges = 0;
   IngestStats Stats;
@@ -83,7 +84,8 @@ bool decodeIngestRequest(std::string_view Payload,
                          std::vector<corpus::CodeChange> &Out,
                          std::string *Error = nullptr);
 
-/// ReplyOk payload for IngestReq: nine u64s.
+/// ReplyOk payload for IngestReq: six u64s (total changes, ingested,
+/// classes repaired, classes reused, pairs computed, pairs reused).
 std::string encodeIngestReply(const IngestReply &Reply);
 bool decodeIngestReply(std::string_view Payload, IngestReply &Out);
 

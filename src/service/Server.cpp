@@ -100,10 +100,6 @@ std::string Server::handleQuery(const std::string &What, bool &Known) const {
     W.beginObject();
     W.key("changes").value(std::uint64_t(S.TotalChanges));
     W.key("ingests").value(std::uint64_t(S.Ingests));
-    W.key("cached_records").value(std::uint64_t(S.CachedRecords));
-    W.key("cache_hits").value(std::uint64_t(S.Lifetime.CacheHits));
-    W.key("cache_misses").value(std::uint64_t(S.Lifetime.CacheMisses));
-    W.key("evictions").value(std::uint64_t(S.Lifetime.Evictions));
     W.key("classes_repaired").value(std::uint64_t(S.Lifetime.ClassesRepaired));
     W.key("classes_reused").value(std::uint64_t(S.Lifetime.ClassesReused));
     W.key("pairs_computed").value(std::uint64_t(S.Lifetime.PairsComputed));
@@ -303,7 +299,7 @@ int service::serveUnix(Server &S, int ListenFd) {
     if (Outcome == ServeOutcome::Shutdown)
       return 0;
     // Disconnected / ProtocolError only end this connection; the session
-    // (and its caches) lives on for the next client.
+    // (and its pair tables) lives on for the next client.
   }
 }
 

@@ -10,8 +10,8 @@
 /// AnalysisSession and answers framed requests (service/Protocol.h) over
 /// any byte-stream fd pair — a UNIX socket connection, a socketpair to a
 /// forked child, or plain pipes in tests. Requests are served strictly
-/// in order on one thread; the session's incremental caches, not
-/// concurrency, are what make repeated ingests cheap.
+/// in order on one thread; the session's incremental class repair, not
+/// concurrency, is what makes an appended commit cheap.
 ///
 /// Two transports:
 ///   * serveUnix: bind + listen on a filesystem socket, accept

@@ -19,8 +19,6 @@ const char *diffcode::support::faultSiteName(FaultSite Site) {
     return "hungarian";
   case FaultSite::Clustering:
     return "clustering";
-  case FaultSite::ServiceHash:
-    return "service-hash";
   case FaultSite::ScanProject:
     return "scan-project";
   case FaultSite::ProcKill:

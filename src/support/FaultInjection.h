@@ -44,16 +44,16 @@ namespace support {
 /// subprocesses, where firing means the *process itself* misbehaves —
 /// dies, hangs, starts slowly, or corrupts its result stream — and the
 /// supervisor's watchdog/retry machinery is what gets exercised.
+///
+/// A site's ordinal is part of every fault decision (faultPoint mixes it
+/// into the draw), so adding or removing a site moves the campaigns of
+/// every site after it. The pipeline's own sites come first; the
+/// scanner and process-level sites follow.
 enum class FaultSite : unsigned {
   Parser,          ///< javaast::Parser expression recursion.
   Interpreter,     ///< analysis::Engine statement execution.
   Hungarian,       ///< support::solveAssignment entry.
   Clustering,      ///< cluster agglomeration merge step.
-  ServiceHash,     ///< service cache keying: collapses the primary content
-                   ///< hash to a constant so every entry collides; the
-                   ///< session must still discriminate via its secondary
-                   ///< hash + length key (an in-process site: firing
-                   ///< degrades cache selectivity, never correctness).
   ScanProject,     ///< rule scanner per-unit digest inside one project
                    ///< scan task (scan/Scanner); firing exercises the
                    ///< scanner's per-project containment boundary.
@@ -65,7 +65,7 @@ enum class FaultSite : unsigned {
 };
 
 /// Number of FaultSite enumerators (for mask building / iteration).
-inline constexpr unsigned NumFaultSites = 11;
+inline constexpr unsigned NumFaultSites = 10;
 
 /// First process-level site (sites >= this only fire inside exec
 /// workers; in-process pipeline runs never evaluate them).

@@ -1,6 +1,6 @@
-//===- javaast/AstPrinter.cpp ----------------------------------------------===//
+//===- tests/AstPrinter.cpp ------------------------------------------------===//
 
-#include "javaast/AstPrinter.h"
+#include "AstPrinter.h"
 
 #include "support/Casting.h"
 

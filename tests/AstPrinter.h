@@ -1,4 +1,4 @@
-//===- javaast/AstPrinter.h - Java source re-emission ----------------------===//
+//===- tests/AstPrinter.h - Java source re-emission ------------------------===//
 //
 // Part of the DiffCode project, a reproduction of "Inferring Crypto API
 // Rules from Code Changes" (PLDI'18).
@@ -7,13 +7,15 @@
 ///
 /// \file
 /// Pretty printer that renders the AST back to compilable Java-subset
-/// source. Used by the corpus generator (to materialize program versions)
-/// and by round-trip property tests: print(parse(print(T))) == print(T).
+/// source, for round-trip property tests: print(parse(print(T))) ==
+/// print(T). No product stage prints an AST, so it is built only into the
+/// tests (library diffcode_ast_printer), never into the shipping
+/// libraries.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DIFFCODE_JAVAAST_ASTPRINTER_H
-#define DIFFCODE_JAVAAST_ASTPRINTER_H
+#ifndef DIFFCODE_TESTS_ASTPRINTER_H
+#define DIFFCODE_TESTS_ASTPRINTER_H
 
 #include "javaast/Ast.h"
 
@@ -52,4 +54,4 @@ private:
 } // namespace java
 } // namespace diffcode
 
-#endif // DIFFCODE_JAVAAST_ASTPRINTER_H
+#endif // DIFFCODE_TESTS_ASTPRINTER_H

@@ -19,9 +19,11 @@
 /// switch) and entry points that only duplicated others must not resolve
 /// again. Rules have one evaluator, so the symbol-table lookups only the
 /// compiled mirror used and the raw-event CallPattern match must not
-/// resolve again either; and the spellings the benchmark (perfbench/src)
-/// calls must keep resolving, so drift on either side breaks this build
-/// before the benchmark is ever built.
+/// resolve again either. The session keeps no per-change record memo,
+/// so its bound, its counters and the session settings nobody set must
+/// not resolve again. The spellings the benchmark (perfbench/src) calls
+/// must keep resolving, so drift on either side breaks this build before
+/// the benchmark is ever built.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +32,7 @@
 #include "core/ReportWriter.h"
 #include "rules/RuleCompiler.h"
 #include "scan/Scanner.h"
+#include "service/AnalysisSession.h"
 
 #include <gtest/gtest.h>
 
@@ -105,6 +108,26 @@ concept HasRawEventMatch =
       P.matchesEvent(Event);
     };
 
+// Session removal probes: the record memo's bound and counters, and the
+// session settings no caller set.
+template <typename Options>
+concept HasMaxCachedChanges = requires(const Options &O) { O.MaxCachedChanges; };
+
+template <typename Options>
+concept HasSessionTargetClasses = requires(const Options &O) { O.TargetClasses; };
+
+template <typename Options>
+concept HasBuildDendrograms = requires(const Options &O) { O.BuildDendrograms; };
+
+template <typename Stats>
+concept HasCacheMisses = requires(const Stats &S) { S.CacheMisses; };
+
+template <typename Stats>
+concept HasEvictions = requires(const Stats &S) { S.Evictions; };
+
+template <typename Stats>
+concept HasCachedRecords = requires(const Stats &S) { S.CachedRecords; };
+
 // The spellings the benchmark calls, one concept per surface.
 template <typename Facts>
 concept BenchFactsSurface =
@@ -144,6 +167,36 @@ concept BenchRuleSetSurface =
         rules::evaluateProject(S, Units, Meta, false)
       } -> std::same_as<rules::ProjectReport>;
     };
+
+template <typename Session>
+concept BenchSessionSurface =
+    requires(const apimodel::CryptoApiModel &Api,
+             service::SessionOptions Opts, Session &S, const Session &CS,
+             const std::vector<corpus::CodeChange> &Commit) {
+      { Opts.Config } -> std::same_as<PipelineConfig &>;
+      {
+        Opts.ClassifyWith
+      } -> std::same_as<std::vector<const rules::Rule *> &>;
+      Session(Api, Opts);
+      { S.ingest(Commit) } -> std::same_as<service::IngestStats>;
+      { CS.size() } -> std::convertible_to<std::size_t>;
+      { CS.report() } -> std::same_as<const CorpusReport &>;
+      { CS.reportJson() } -> std::same_as<std::string>;
+    };
+
+template <typename Stats>
+concept BenchIngestStatsSurface = requires(const Stats &S) {
+  { S.Ingested } -> std::convertible_to<std::uint64_t>;
+  { S.CacheHits } -> std::convertible_to<std::uint64_t>;
+  { S.ClassesRepaired } -> std::convertible_to<std::uint64_t>;
+  { S.PairsComputed } -> std::convertible_to<std::uint64_t>;
+  { S.PairsReused } -> std::convertible_to<std::uint64_t>;
+};
+
+template <typename ScannerT>
+concept BenchScannerSurface = requires(const ScannerT &S) {
+  { S.cachedUnits() } -> std::convertible_to<std::size_t>;
+};
 
 template <typename System>
 concept BenchProcessChange =
@@ -207,6 +260,19 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   static_assert(!HasRawEventMatch<rules::CallPattern>,
                 "patterns match digested events (CallPattern::matches); the "
                 "raw-event walk is the test oracle in tests/ReferenceRules.h");
+  // The session keeps no record memo and no settings nobody sets.
+  static_assert(!HasMaxCachedChanges<service::SessionOptions>,
+                "the session keeps no per-change record memo to bound");
+  static_assert(!HasSessionTargetClasses<service::SessionOptions>,
+                "the session always covers the API model's target classes");
+  static_assert(!HasBuildDendrograms<service::SessionOptions>,
+                "the session always builds dendrograms");
+  static_assert(!HasCacheMisses<service::IngestStats>,
+                "every appended change is analyzed; there are no misses");
+  static_assert(!HasEvictions<service::IngestStats>,
+                "the session keeps no per-change record memo to evict from");
+  static_assert(!HasCachedRecords<service::SessionStats>,
+                "the session keeps no per-change record memo");
   // The surviving homes still resolve, so the probes above cannot pass
   // vacuously.
   static_assert(HasExecField<PipelineRequest>);
@@ -218,6 +284,9 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   static_assert(BenchCheckerSurface<rules::CryptoChecker>);
   static_assert(BenchRuleSetSurface<rules::CompiledRuleSet>);
   static_assert(BenchProcessChange<DiffCode>);
+  static_assert(BenchSessionSurface<service::AnalysisSession>);
+  static_assert(BenchIngestStatsSurface<service::IngestStats>);
+  static_assert(BenchScannerSurface<scan::Scanner>);
   SUCCEED();
 }
 

@@ -490,6 +490,14 @@ TEST(Protocol, RemapRejectsProtocolViolations) {
   // Truncated payloads.
   EXPECT_FALSE(Remap.applyLabelDef("ab", Table));
   EXPECT_FALSE(Remap.applyPathDef("", Table));
+  // A label count the payload cannot back fails without first reserving
+  // storage for 2^32 - 1 ids.
+  WireWriter Bomb;
+  Bomb.u32(0);           // worker path id 0 (dense: ok)
+  Bomb.u32(0xFFFFFFFFu); // label count, and no body
+  bool Applied = true;
+  EXPECT_NO_THROW(Applied = Remap.applyPathDef(Bomb.bytes(), Table));
+  EXPECT_FALSE(Applied);
 }
 
 TEST(Protocol, ResultRoundTripAcrossInterners) {
@@ -553,6 +561,35 @@ TEST(Protocol, ResultRoundTripAcrossInterners) {
   core::ChangeRecord Dummy;
   EXPECT_FALSE(decodeResult(Payload.substr(0, Payload.size() / 2), Remap,
                             ParentTable, Index, Dummy));
+
+  // Element counts the payload cannot back fail without first reserving
+  // storage for them: 2^32 - 1 usage changes in a class, then 2^32 - 1
+  // removed paths in a usage change, each with no body.
+  auto ClassHeader = [](WireWriter &W) {
+    W.u64(17);
+    W.str("projX@c3");
+    W.str("fix:R1");
+    W.u8(static_cast<std::uint8_t>(core::ChangeStatus::Ok));
+    W.str("");
+    W.u64(0);
+    W.u32(1); // one class
+    W.str("javax.crypto.Cipher");
+  };
+  WireWriter ChangeBomb;
+  ClassHeader(ChangeBomb);
+  ChangeBomb.u32(0xFFFFFFFFu); // usage changes
+  WireWriter PathBomb;
+  ClassHeader(PathBomb);
+  PathBomb.u32(1); // one usage change
+  PathBomb.str("javax.crypto.Cipher");
+  PathBomb.str("projX@c3");
+  PathBomb.u32(0xFFFFFFFFu); // removed paths
+  for (const WireWriter *Bomb : {&ChangeBomb, &PathBomb}) {
+    bool Decoded = true;
+    EXPECT_NO_THROW(Decoded = decodeResult(Bomb->bytes(), Remap, ParentTable,
+                                           Index, Dummy));
+    EXPECT_FALSE(Decoded);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,7 +14,7 @@
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
-#include "javaast/AstPrinter.h"
+#include "AstPrinter.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
 #include "support/Rng.h"

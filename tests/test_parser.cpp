@@ -1,6 +1,6 @@
 //===- tests/test_parser.cpp - Java parser unit tests ----------------------===//
 
-#include "javaast/AstPrinter.h"
+#include "AstPrinter.h"
 #include "javaast/Parser.h"
 
 #include "support/Casting.h"

@@ -1,6 +1,6 @@
 //===- tests/test_printer.cpp - AstPrinter round-trip tests ----------------===//
 
-#include "javaast/AstPrinter.h"
+#include "AstPrinter.h"
 #include "javaast/Parser.h"
 
 #include "corpus/Scenario.h"

@@ -1,6 +1,6 @@
 //===- tests/test_printer_statements.cpp - AstPrinter detail tests ---------===//
 
-#include "javaast/AstPrinter.h"
+#include "AstPrinter.h"
 #include "javaast/Parser.h"
 
 #include <gtest/gtest.h>

@@ -9,12 +9,10 @@
 /// The AnalysisSession contract (DESIGN.md "Service mode and the
 /// session API"): after any sequence of ingests, the session's report
 /// is byte-identical to a cold DiffCode::run over the same changes in
-/// the same order — at any thread count, under any cache bound (the
-/// bound changes cost, never bytes), with the ServiceHash fault site
-/// collapsing the primary content hash, and with an armed in-process
-/// fault plan (where the session bypasses its caches entirely rather
-/// than memoize nondeterministic outcomes). The JSON leaves the
-/// dendrograms out, so repaired trees are also compared node for node.
+/// the same order — at any thread count, and with an armed in-process
+/// fault plan (where the session bypasses its pair-distance tables and
+/// re-clusters touched classes cold). The JSON leaves the dendrograms
+/// out, so repaired trees are also compared node for node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,47 +123,16 @@ TEST(ServiceSession, BatchedIngestMatchesColdBatchAtAnyThreadCount) {
   }
 }
 
-TEST(ServiceSession, CacheBoundNeverChangesBytesAndEvictsDeterministically) {
-  std::vector<corpus::CodeChange> Changes = minedChanges();
-  std::string Oracle = coldJson(Changes);
-
-  SessionStats Reference;
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    SessionOptions Opts;
-    Opts.Config.Threads = Threads;
-    Opts.MaxCachedChanges = 7; // far below the stream size
-    SessionStats Stats;
-    EXPECT_EQ(sessionJson(splitBatches(Changes, 4), Opts, &Stats), Oracle)
-        << Threads;
-    EXPECT_GT(Stats.Lifetime.Evictions, 0u);
-    EXPECT_LE(Stats.CachedRecords, 7u);
-    // FIFO eviction is keyed in batch order on one thread, so the
-    // eviction trace is a function of the stream, not the pool width.
-    if (Threads == 1u)
-      Reference = Stats;
-    else {
-      EXPECT_EQ(Stats.Lifetime.Evictions, Reference.Lifetime.Evictions);
-      EXPECT_EQ(Stats.Lifetime.CacheHits, Reference.Lifetime.CacheHits);
-      EXPECT_EQ(Stats.CachedRecords, Reference.CachedRecords);
-    }
-  }
-}
-
-TEST(ServiceSession, ReplayedBatchIsServedFromCache) {
+TEST(ServiceSession, ReplayedBatchMatchesColdDoubledStream) {
   std::vector<corpus::CodeChange> Changes = minedChanges(6, 7);
   ASSERT_FALSE(Changes.empty());
 
+  // The same content arriving again (a re-landed commit) is appended
+  // like any other change and must produce exactly the bytes of a cold
+  // run over the doubled stream.
   AnalysisSession Session(api(), SessionOptions());
-  IngestStats First = Session.ingest(Changes);
-  EXPECT_EQ(First.CacheHits, 0u);
-  EXPECT_EQ(First.CacheMisses, Changes.size());
-
-  // The same content arriving again (a re-landed commit) must be served
-  // entirely from the memo table — and still produce exactly the bytes
-  // of a cold run over the doubled stream.
-  IngestStats Second = Session.ingest(Changes);
-  EXPECT_EQ(Second.CacheHits, Changes.size());
-  EXPECT_EQ(Second.CacheMisses, 0u);
+  Session.ingest(Changes);
+  Session.ingest(Changes);
 
   std::vector<corpus::CodeChange> Doubled = Changes;
   Doubled.insert(Doubled.end(), Changes.begin(), Changes.end());
@@ -174,8 +141,6 @@ TEST(ServiceSession, ReplayedBatchIsServedFromCache) {
   SessionStats Stats = Session.stats();
   EXPECT_EQ(Stats.TotalChanges, Doubled.size());
   EXPECT_EQ(Stats.Ingests, 2u);
-  EXPECT_EQ(Stats.Lifetime.CacheHits + Stats.Lifetime.CacheMisses,
-            Doubled.size());
 }
 
 TEST(ServiceSession, IncrementalRepairReusesPairDistances) {
@@ -200,40 +165,14 @@ TEST(ServiceSession, IncrementalRepairReusesPairDistances) {
   EXPECT_EQ(Session.reportJson(), coldJson(Changes));
 }
 
-TEST(ServiceSession, ServiceHashCollisionsDegradeSelectivityNotCorrectness) {
-  std::vector<corpus::CodeChange> Changes = minedChanges();
-
-  // Every keyFor evaluation fires: the primary content hash collapses
-  // to a constant and all memo entries collide into one bucket chain.
-  // The secondary hash + length pair must still discriminate.
-  PipelineConfig Armed;
-  Armed.Faults.Rate = 1.0;
-  Armed.Faults.Seed = 99;
-  Armed.Faults.SiteMask = support::faultSiteBit(support::FaultSite::ServiceHash);
-
-  SessionOptions Opts;
-  Opts.Config = Armed;
-  AnalysisSession Session(api(), Opts);
-  Session.ingest(Changes);
-  IngestStats Replay = Session.ingest(Changes);
-  // A collided cache must still *hit* (H2 + lengths discriminate), not
-  // fall back to re-analysis.
-  EXPECT_EQ(Replay.CacheHits, Changes.size());
-
-  std::vector<corpus::CodeChange> Doubled = Changes;
-  Doubled.insert(Doubled.end(), Changes.begin(), Changes.end());
-  // ServiceHash is never evaluated on the cold path, so the oracle with
-  // the same plan is exactly the unfaulted batch report.
-  EXPECT_EQ(Session.reportJson(), coldJson(Doubled, Armed));
-}
-
 TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
   std::vector<corpus::CodeChange> Changes = minedChanges();
 
-  // In-process analysis faults make per-change outcomes a function of
-  // the fault campaign, so memoizing them would be wrong; the session
-  // must fall back to straight re-analysis under the same global-index
-  // FaultScope a cold run would use — and land on its exact bytes.
+  // In-process faults make outcomes a function of the fault campaign:
+  // each change is analyzed under the same global-index FaultScope a
+  // cold run would use, and a pair-table lookup would skip Hungarian
+  // fault points the cold matrix evaluates, so touched classes must
+  // re-cluster cold — and land on the cold run's exact bytes.
   PipelineConfig Armed;
   Armed.Faults.Rate = 0.35;
   Armed.Faults.Seed = 4242;
@@ -241,17 +180,27 @@ TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
       support::faultSiteBit(support::FaultSite::Parser) |
       support::faultSiteBit(support::FaultSite::Interpreter) |
       support::faultSiteBit(support::FaultSite::Clustering);
-  std::string Oracle = coldJson(Changes, Armed);
+  // A clustering-only campaign leaves every record intact, so touched
+  // classes do get repaired: the zero pair counts below then show the
+  // tables were bypassed, not merely never reached.
+  PipelineConfig ClusteringOnly = Armed;
+  ClusteringOnly.Faults.SiteMask =
+      support::faultSiteBit(support::FaultSite::Clustering);
 
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    SessionOptions Opts;
-    Opts.Config = Armed;
-    Opts.Config.Threads = Threads;
-    SessionStats Stats;
-    EXPECT_EQ(sessionJson(splitBatches(Changes, 3), Opts, &Stats), Oracle)
-        << Threads;
-    EXPECT_EQ(Stats.Lifetime.CacheHits, 0u);
-    EXPECT_EQ(Stats.CachedRecords, 0u);
+  for (const PipelineConfig *Plan : {&Armed, &ClusteringOnly}) {
+    std::string Oracle = coldJson(Changes, *Plan);
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      SessionOptions Opts;
+      Opts.Config = *Plan;
+      Opts.Config.Threads = Threads;
+      SessionStats Stats;
+      EXPECT_EQ(sessionJson(splitBatches(Changes, 3), Opts, &Stats), Oracle)
+          << Threads;
+      EXPECT_EQ(Stats.Lifetime.PairsComputed, 0u);
+      EXPECT_EQ(Stats.Lifetime.PairsReused, 0u);
+      if (Plan == &ClusteringOnly)
+        EXPECT_GT(Stats.Lifetime.ClassesRepaired, 0u);
+    }
   }
 }
 
@@ -320,8 +269,8 @@ TEST(ServiceSession, MetricsFlowThroughObserver) {
   SessionOptions Opts;
   Opts.Metrics = &Obs;
   AnalysisSession Session(api(), std::move(Opts));
-  Session.ingest(Changes);
-  Session.ingest(Changes);
+  IngestStats First = Session.ingest(Changes);
+  IngestStats Second = Session.ingest(Changes);
 
   obs::Snapshot Snap = Obs.Metrics.snapshot();
   auto Counter = [&](const std::string &Name) -> std::uint64_t {
@@ -332,6 +281,18 @@ TEST(ServiceSession, MetricsFlowThroughObserver) {
   };
   EXPECT_EQ(Counter("service.ingests"), 2u);
   EXPECT_EQ(Counter("service.changes"), 2 * Changes.size());
-  EXPECT_EQ(Counter("service.cache.hits"), Changes.size());
-  EXPECT_EQ(Counter("service.cache.misses"), Changes.size());
+  // The repair counters are the two ingests' IngestStats, summed.
+  EXPECT_GT(First.ClassesRepaired, 0u);
+  EXPECT_GT(Second.PairsReused, 0u);
+  EXPECT_EQ(Counter("service.classes.repaired"),
+            First.ClassesRepaired + Second.ClassesRepaired);
+  EXPECT_EQ(Counter("service.classes.reused"),
+            First.ClassesReused + Second.ClassesReused);
+  EXPECT_EQ(Counter("service.pairs.computed"),
+            First.PairsComputed + Second.PairsComputed);
+  EXPECT_EQ(Counter("service.pairs.reused"),
+            First.PairsReused + Second.PairsReused);
+  // The session keeps no record memo, so no service.cache.* metric.
+  for (const obs::MetricValue &V : Snap.Values)
+    EXPECT_NE(V.Name.rfind("service.cache.", 0), 0u) << V.Name;
 }
