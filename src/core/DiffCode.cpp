@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <set>
+#include <unordered_map>
 
 using namespace diffcode;
 using namespace diffcode::core;
@@ -63,18 +63,30 @@ void core::computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders) {
     if (!Class.ClusteringError.empty())
       ++Health.ClusteringFailures;
 
-  for (const ChangeRecord &Record : Report.Changes)
-    if (Record.StepsUsed > 0)
-      Health.WorstOffenders.push_back(WorstOffender{
-          Record.Origin, Record.StepsUsed, Record.Status, Record.WallNanos});
-  std::sort(Health.WorstOffenders.begin(), Health.WorstOffenders.end(),
-            [](const WorstOffender &A, const WorstOffender &B) {
-              if (A.Steps != B.Steps)
-                return A.Steps > B.Steps;
-              return A.Origin < B.Origin;
-            });
-  if (Health.WorstOffenders.size() > MaxOffenders)
-    Health.WorstOffenders.resize(MaxOffenders);
+  // Order: steps descending, then origin, then record index. Every file
+  // of a commit shares its origin, so the index is what makes the order
+  // total; without it, tied records of one commit would come out in an
+  // order set by the sort's internals.
+  const std::vector<ChangeRecord> &Records = Report.Changes;
+  std::vector<std::size_t> Order;
+  for (std::size_t I = 0; I < Records.size(); ++I)
+    if (Records[I].StepsUsed > 0)
+      Order.push_back(I);
+  std::size_t Top = std::min(MaxOffenders, Order.size());
+  std::partial_sort(Order.begin(), Order.begin() + Top, Order.end(),
+                    [&Records](std::size_t A, std::size_t B) {
+                      const ChangeRecord &RA = Records[A], &RB = Records[B];
+                      if (RA.StepsUsed != RB.StepsUsed)
+                        return RA.StepsUsed > RB.StepsUsed;
+                      if (RA.Origin != RB.Origin)
+                        return RA.Origin < RB.Origin;
+                      return A < B;
+                    });
+  for (std::size_t I = 0; I < Top; ++I) {
+    const ChangeRecord &Record = Records[Order[I]];
+    Health.WorstOffenders.push_back(WorstOffender{
+        Record.Origin, Record.StepsUsed, Record.Status, Record.WallNanos});
+  }
   Report.Health = Health;
 }
 
@@ -129,7 +141,9 @@ std::vector<usage::UsageDag>
 DiffCode::dagsForClass(const analysis::AnalysisResult &Result,
                        const std::string &TargetClass) const {
   std::vector<usage::UsageDag> Dags;
-  std::set<std::string> Seen;
+  // Kept DAGs by identity hash; a hash match counts as a duplicate only
+  // when the canonical strings agree too.
+  std::unordered_multimap<std::uint64_t, std::size_t> Kept;
   for (const analysis::UsageLog &Log : Result.Executions) {
     for (const auto &[ObjId, Events] : Log) {
       if (Events.empty())
@@ -138,8 +152,13 @@ DiffCode::dagsForClass(const analysis::AnalysisResult &Result,
         continue;
       usage::UsageDag Dag =
           usage::UsageDag::build(Result.Objects, Log, ObjId, Config.Limits.DagDepth);
-      if (Seen.insert(Dag.canonicalString()).second)
-        Dags.push_back(std::move(Dag));
+      auto [First, Last] = Kept.equal_range(Dag.canonicalHash());
+      if (std::any_of(First, Last, [&](const auto &Entry) {
+            return Dags[Entry.second].sameIdentity(Dag);
+          }))
+        continue;
+      Kept.emplace(Dag.canonicalHash(), Dags.size());
+      Dags.push_back(std::move(Dag));
     }
   }
   return Dags;

@@ -192,7 +192,7 @@ struct CorpusHealth {
   /// Classes whose clustering step failed (ClusteringError non-empty).
   std::size_t ClusteringFailures = 0;
   /// Top changes by interpreter steps consumed, descending; ties broken
-  /// by origin for determinism.
+  /// by origin, then by record order, so the order is total.
   std::vector<WorstOffender> WorstOffenders;
 
   std::size_t count(ChangeStatus Status) const {
@@ -282,7 +282,9 @@ public:
   SourceAnalysis analyzeSourceChecked(std::string_view Source,
                                       java::AstContext &Ctx) const;
 
-  /// Deduplicated usage DAGs of \p TargetClass across all executions.
+  /// Usage DAGs of \p TargetClass across all executions, deduplicated by
+  /// canonical identity (UsageDag::sameIdentity), in first-occurrence
+  /// order.
   std::vector<usage::UsageDag>
   dagsForClass(const analysis::AnalysisResult &Result,
                const std::string &TargetClass) const;

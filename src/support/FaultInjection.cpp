@@ -52,6 +52,10 @@ FaultScope::FaultScope(const FaultPlan *Plan, std::uint64_t ScopeKey)
 
 FaultScope::~FaultScope() { Current = Saved; }
 
+bool diffcode::support::faultSiteArmed(FaultSite Site) {
+  return Current.Plan && Current.Plan->armed(Site);
+}
+
 bool diffcode::support::faultPoint(FaultSite Site, std::uint64_t Key) {
   const FaultPlan *Plan = Current.Plan;
   if (!Plan || !Plan->armed(Site))

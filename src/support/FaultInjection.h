@@ -169,6 +169,12 @@ private:
 /// installed.
 bool faultPoint(FaultSite Site, std::uint64_t Key);
 
+/// True when the current thread context arms \p Site, i.e. when a
+/// faultPoint(Site, ...) here would be evaluated. A fast path that skips
+/// an injection point takes the full path while this holds, so every
+/// campaign evaluates the same points with or without the fast path.
+bool faultSiteArmed(FaultSite Site);
+
 /// Convenience: throws FaultInjected when faultPoint fires.
 inline void throwIfFault(FaultSite Site, std::uint64_t Key) {
   if (faultPoint(Site, Key))

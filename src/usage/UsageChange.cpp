@@ -2,6 +2,7 @@
 
 #include "usage/UsageChange.h"
 
+#include "support/FaultInjection.h"
 #include "support/Hungarian.h"
 
 #include <algorithm>
@@ -183,12 +184,40 @@ diffcode::usage::pairDags(const std::vector<UsageDag> &Old,
   return Pairs;
 }
 
+/// True when \p Old and \p New hold the same multiset of DAGs. Each
+/// comparison checks the identity hashes and confirms a match on the
+/// canonical strings. The sides usually list their DAGs in the same
+/// order, and then this is one pass with no allocation.
+static bool sameDagMultiset(const std::vector<UsageDag> &Old,
+                            const std::vector<UsageDag> &New) {
+  return Old.size() == New.size() &&
+         std::is_permutation(Old.begin(), Old.end(), New.begin(),
+                             [](const UsageDag &A, const UsageDag &B) {
+                               return A.sameIdentity(B);
+                             });
+}
+
 std::vector<UsageChange>
 diffcode::usage::deriveUsageChanges(const std::vector<UsageDag> &Old,
                                     const std::vector<UsageDag> &New,
                                     const std::string &TypeName,
                                     Interner &Table) {
   std::vector<UsageChange> Changes;
+  // A change that left the usages alone: pairing each DAG with its
+  // identical twin costs 0, so it is a min-cost matching and every diff
+  // is empty. Emit those changes without the solver, the path walks or
+  // the interner. While the Hungarian site is armed, take the full path,
+  // so a campaign evaluates the same fault points as without this one.
+  if (!support::faultSiteArmed(support::FaultSite::Hungarian) &&
+      sameDagMultiset(Old, New)) {
+    Changes.resize(Old.size());
+    for (std::size_t I = 0; I < Old.size(); ++I) {
+      Changes[I].TypeName = Old[I].typeName();
+      Changes[I].Table = &Table;
+    }
+    return Changes;
+  }
+
   UsageDag Padding = UsageDag::emptyFor(TypeName);
   for (auto [OldIdx, NewIdx] : pairDags(Old, New)) {
     const UsageDag &G1 =

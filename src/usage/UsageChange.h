@@ -97,7 +97,10 @@ pairDags(const std::vector<UsageDag> &Old, const std::vector<UsageDag> &New);
 
 /// End-to-end Section 3.5: pair the two versions' DAGs of one target type
 /// and diff every pair. Empty diffs are kept (the fsame filter counts
-/// them).
+/// them). When both sides hold the same multiset of DAGs (by canonical
+/// identity), every pair is an identical twin: this emits one empty
+/// change per DAG, in Old's order, and skips pairing, diffing and
+/// interning, unless the thread's fault plan arms the Hungarian site.
 std::vector<UsageChange> deriveUsageChanges(const std::vector<UsageDag> &Old,
                                             const std::vector<UsageDag> &New,
                                             const std::string &TypeName,

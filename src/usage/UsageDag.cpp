@@ -11,6 +11,57 @@ using namespace diffcode;
 using namespace diffcode::usage;
 using namespace diffcode::analysis;
 
+namespace {
+
+/// Appends an encoding of \p L that no other label shares: a kind tag
+/// (R, M, or S/A for string/other arguments, then the argument index),
+/// followed by the length-prefixed text. So "1" and 1, or "null" and
+/// null, stay distinct, and text holding '(', ',' or ')' cannot pose as
+/// tree structure in a canonical string.
+void appendLabelKey(std::string &Out, const NodeLabel &L) {
+  switch (L.K) {
+  case NodeLabel::Kind::Root:
+    Out += 'R';
+    break;
+  case NodeLabel::Kind::Method:
+    Out += 'M';
+    break;
+  case NodeLabel::Kind::Arg:
+    Out += L.ValueIsString ? 'S' : 'A';
+    Out += std::to_string(L.ArgIndex);
+    Out += '.';
+    break;
+  }
+  Out += std::to_string(L.Text.size());
+  Out += ':';
+  Out += L.Text;
+}
+
+/// The subtree at \p Index as "label(child,child,...)", children sorted.
+std::string canonicalForm(const std::vector<UsageDag::Node> &Nodes,
+                          unsigned Index) {
+  std::string Out;
+  appendLabelKey(Out, Nodes[Index].Label);
+  const std::vector<unsigned> &Children = Nodes[Index].Children;
+  if (Children.empty())
+    return Out;
+  std::vector<std::string> Kids;
+  Kids.reserve(Children.size());
+  for (unsigned Child : Children)
+    Kids.push_back(canonicalForm(Nodes, Child));
+  std::sort(Kids.begin(), Kids.end());
+  Out += '(';
+  for (std::size_t I = 0; I < Kids.size(); ++I) {
+    if (I != 0)
+      Out += ',';
+    Out += Kids[I];
+  }
+  Out += ')';
+  return Out;
+}
+
+} // namespace
+
 NodeLabel NodeLabel::root(std::string TypeName) {
   NodeLabel L;
   L.K = Kind::Root;
@@ -40,9 +91,17 @@ NodeLabel NodeLabel::arg(unsigned Index, const AbstractValue &Value) {
   return L;
 }
 
+void UsageDag::computeIdentity() {
+  Canonical = canonicalForm(Nodes, 0);
+  Hash = 0xcbf29ce484222325ull;
+  for (char C : Canonical)
+    Hash = (Hash ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
+}
+
 UsageDag UsageDag::emptyFor(std::string TypeName) {
   UsageDag Dag;
   Dag.Nodes.push_back({NodeLabel::root(std::move(TypeName)), {}});
+  Dag.computeIdentity();
   return Dag;
 }
 
@@ -105,22 +164,28 @@ UsageDag UsageDag::build(const ObjectTable &Objects, const UsageLog &Log,
       };
 
   ExpandObject(0, RootObj, 0, {});
+  Dag.computeIdentity();
   return Dag;
 }
 
 std::vector<FeaturePath> UsageDag::paths() const {
   std::vector<FeaturePath> Out;
+  // Dedup on label keys, not display strings: two labels that render
+  // alike are still different path elements (see appendLabelKey).
   std::set<std::string> Seen;
   FeaturePath Current;
+  std::string Key; // label keys of Current, concatenated
 
   std::function<void(unsigned)> Walk = [&](unsigned Index) {
+    std::size_t Mark = Key.size();
+    appendLabelKey(Key, Nodes[Index].Label);
     Current.push_back(Nodes[Index].Label);
-    std::string Key = pathToString(Current);
     if (Seen.insert(Key).second)
       Out.push_back(Current);
     for (unsigned Child : Nodes[Index].Children)
       Walk(Child);
     Current.pop_back();
+    Key.resize(Mark);
   };
   Walk(0);
   return Out;
@@ -134,27 +199,6 @@ std::vector<NodeLabel> UsageDag::labelSet() const {
   std::sort(Labels.begin(), Labels.end());
   Labels.erase(std::unique(Labels.begin(), Labels.end()), Labels.end());
   return Labels;
-}
-
-std::string UsageDag::canonicalString() const {
-  std::function<std::string(unsigned)> Print = [&](unsigned Index) {
-    std::string Out = Nodes[Index].Label.str();
-    if (Nodes[Index].Children.empty())
-      return Out;
-    std::vector<std::string> Kids;
-    for (unsigned Child : Nodes[Index].Children)
-      Kids.push_back(Print(Child));
-    std::sort(Kids.begin(), Kids.end());
-    Out += '(';
-    for (std::size_t I = 0; I < Kids.size(); ++I) {
-      if (I != 0)
-        Out += ',';
-      Out += Kids[I];
-    }
-    Out += ')';
-    return Out;
-  };
-  return Print(0);
 }
 
 std::string UsageDag::str() const {

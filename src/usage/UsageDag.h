@@ -24,6 +24,7 @@
 #include "analysis/AbstractObject.h"
 #include "analysis/UsageEvent.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -125,17 +126,35 @@ public:
   /// intersection-over-union distance.
   std::vector<NodeLabel> labelSet() const;
 
-  /// Canonical serialization (children sorted); equal strings iff the
-  /// DAGs are isomorphic under label ordering. Used to dedupe DAGs across
-  /// executions.
-  std::string canonicalString() const;
+  /// Canonical serialization: children sorted, and every label written
+  /// with its kind, argument index, string flag and length-prefixed
+  /// text, so labels that render alike ("1" and 1) stay apart. Equal
+  /// strings iff the DAGs are isomorphic with equal labels. Computed once
+  /// at construction, so a built DAG is immutable and safe to share
+  /// across threads.
+  const std::string &canonicalString() const { return Canonical; }
+
+  /// 64-bit FNV-1a hash of canonicalString(), computed with it.
+  std::uint64_t canonicalHash() const { return Hash; }
+
+  /// Same canonical identity: compares the hashes, then confirms on the
+  /// strings, so a hash collision cannot make two DAGs equal.
+  bool sameIdentity(const UsageDag &Other) const {
+    return Hash == Other.Hash && Canonical == Other.Canonical;
+  }
 
   /// Human-readable indented rendering (one node per line), as shown in
   /// the paper's Figure 2(b)/(c).
   std::string str() const;
 
 private:
+  /// Fills Canonical and Hash from Nodes; the last step of build and
+  /// emptyFor.
+  void computeIdentity();
+
   std::vector<Node> Nodes;
+  std::string Canonical;
+  std::uint64_t Hash = 0;
 };
 
 /// Intersection-over-union distance between two DAGs (Section 3.5):

@@ -199,6 +199,19 @@ concept BenchScannerSurface = requires(const ScannerT &S) {
 };
 
 template <typename System>
+concept BenchUsageSurface =
+    requires(const System &S, const analysis::AnalysisResult &Result,
+             const std::string &Class, std::vector<usage::UsageDag> &Old,
+             std::vector<usage::UsageDag> &New, support::Interner &Table) {
+      {
+        S.dagsForClass(Result, Class)
+      } -> std::same_as<std::vector<usage::UsageDag>>;
+      {
+        usage::deriveUsageChanges(Old, New, Class, Table)
+      } -> std::same_as<std::vector<usage::UsageChange>>;
+    };
+
+template <typename System>
 concept BenchProcessChange =
     requires(const System &S, const corpus::CodeChange &C,
              const std::vector<std::string> &Targets,
@@ -284,6 +297,7 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   static_assert(BenchCheckerSurface<rules::CryptoChecker>);
   static_assert(BenchRuleSetSurface<rules::CompiledRuleSet>);
   static_assert(BenchProcessChange<DiffCode>);
+  static_assert(BenchUsageSurface<DiffCode>);
   static_assert(BenchSessionSurface<service::AnalysisSession>);
   static_assert(BenchIngestStatsSurface<service::IngestStats>);
   static_assert(BenchScannerSurface<scan::Scanner>);

@@ -17,6 +17,7 @@
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
 #include "support/FaultInjection.h"
+#include "usage/UsageChange.h"
 
 #include <gtest/gtest.h>
 
@@ -232,4 +233,50 @@ TEST(FaultHarness, HungarianSiteCountsOnlySolverPairs) {
   EXPECT_EQ(Class.Tree.leafCount(), 3u);
   EXPECT_EQ(Stats.evaluated(support::FaultSite::Hungarian), 3u);
   EXPECT_EQ(Stats.fired(support::FaultSite::Hungarian), 0u);
+}
+
+namespace {
+
+/// Derives over one identical multiset of two Cipher DAGs under \p Plan
+/// and returns how often the Hungarian point was evaluated.
+std::uint64_t hungarianEvaluationsOfIdenticalDerive(support::FaultPlan Plan) {
+  support::FaultStats Stats;
+  Plan.Seed = 3;
+  Plan.Rate = 1e-12; // armed, never fires
+  Plan.Stats = &Stats;
+  analysis::ObjectTable Objects;
+  unsigned Enc = Objects.getOrCreate({1, 1, 0}, "Cipher");
+  std::vector<usage::UsageDag> Dags;
+  for (const char *Algo : {"AES", "DES"}) {
+    analysis::UsageLog Log;
+    Log[Enc] = {{"Cipher.getInstance/1",
+                 {analysis::AbstractValue::strConst(Algo)}}};
+    Dags.push_back(usage::UsageDag::build(Objects, Log, Enc));
+  }
+  support::Interner Table;
+  support::FaultScope Scope(&Plan, 0);
+  std::vector<usage::UsageChange> Changes =
+      usage::deriveUsageChanges(Dags, Dags, "Cipher", Table);
+  EXPECT_EQ(Changes.size(), 2u);
+  for (const usage::UsageChange &C : Changes)
+    EXPECT_TRUE(C.isEmpty());
+  EXPECT_EQ(Stats.fired(support::FaultSite::Hungarian), 0u);
+  return Stats.evaluated(support::FaultSite::Hungarian);
+}
+
+} // namespace
+
+TEST(FaultHarness, ArmedHungarianSiteBypassesIdenticalDeriveShortCircuit) {
+  // Identical multisets need no solver, but while the Hungarian site is
+  // armed the derive takes the full path: the point is evaluated once,
+  // as it was before the short-circuit existed.
+  support::FaultPlan Plan;
+  Plan.SiteMask = support::faultSiteBit(support::FaultSite::Hungarian);
+  EXPECT_EQ(hungarianEvaluationsOfIdenticalDerive(Plan), 1u);
+}
+
+TEST(FaultHarness, UnarmedHungarianSiteLetsIdenticalDeriveSkipTheSolver) {
+  support::FaultPlan Plan;
+  Plan.SiteMask = support::faultSiteBit(support::FaultSite::Parser);
+  EXPECT_EQ(hungarianEvaluationsOfIdenticalDerive(Plan), 0u);
 }

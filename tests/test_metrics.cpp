@@ -630,6 +630,35 @@ TEST(CorpusHealth, WorstOffenderTieBreaking) {
   }
 }
 
+TEST(CorpusHealth, WorstOffenderTiesKeepRecordOrder) {
+  // Every file of a commit shares its origin, so records of one commit
+  // can tie on (steps, origin) while their statuses differ. Ties must
+  // come out in record order. 40 records is past libstdc++'s 16-element
+  // insertion-sort cutoff, where an unstable sort moves equal elements.
+  core::CorpusReport Report;
+  for (std::uint64_t I = 0; I < 40; ++I) {
+    core::ChangeRecord R;
+    R.Origin = "proj-a@c7";
+    R.StepsUsed = 100;
+    R.Status = static_cast<core::ChangeStatus>(I % 3);
+    R.WallNanos = I; // tags the record
+    Report.Changes.push_back(std::move(R));
+  }
+  core::computeCorpusHealth(Report, Report.Changes.size());
+  ASSERT_EQ(Report.Health.WorstOffenders.size(), 40u);
+  for (std::uint64_t I = 0; I < 40; ++I) {
+    EXPECT_EQ(Report.Health.WorstOffenders[I].WallNanos, I);
+    EXPECT_EQ(Report.Health.WorstOffenders[I].Status,
+              Report.Changes[I].Status);
+  }
+
+  // The default five-row table is the first five records.
+  core::computeCorpusHealth(Report);
+  ASSERT_EQ(Report.Health.WorstOffenders.size(), 5u);
+  for (std::uint64_t I = 0; I < 5; ++I)
+    EXPECT_EQ(Report.Health.WorstOffenders[I].WallNanos, I);
+}
+
 //===----------------------------------------------------------------------===//
 // CLI --trace-out smoke test (tier1)
 //===----------------------------------------------------------------------===//

@@ -2,9 +2,14 @@
 
 #include "usage/UsageChange.h"
 
+#include "core/DiffCode.h"
+#include "corpus/CorpusGenerator.h"
+#include "corpus/Miner.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 
 using namespace diffcode;
@@ -41,6 +46,30 @@ UsageDag cipherDag(const char *Algo, bool WithIv = false) {
   Log[Enc].push_back(
       {"Cipher.init/" + std::to_string(InitArgs.size()), InitArgs});
   return UsageDag::build(Objects, Log, Enc);
+}
+
+/// A Cipher DAG over \p Events, in log order.
+UsageDag cipherEvents(std::vector<UsageEvent> Events) {
+  ObjectTable Objects;
+  UsageLog Log;
+  unsigned Enc = Objects.getOrCreate({13, 1, 0}, "Cipher");
+  Log[Enc] = std::move(Events);
+  return UsageDag::build(Objects, Log, Enc);
+}
+
+/// Section 3.5 spelled out: the solver pairs, diffDags diffs every pair.
+/// The oracle for deriveUsageChanges, which short-circuits identical
+/// DAG multisets.
+std::vector<UsageChange> pairAndDiff(const std::vector<UsageDag> &Old,
+                                     const std::vector<UsageDag> &New,
+                                     const std::string &TypeName,
+                                     support::Interner &Table) {
+  std::vector<UsageChange> Out;
+  UsageDag Padding = UsageDag::emptyFor(TypeName);
+  for (auto [O, N] : pairDags(Old, New))
+    Out.push_back(diffDags(O == SIZE_MAX ? Padding : Old[O],
+                           N == SIZE_MAX ? Padding : New[N], Table));
+  return Out;
 }
 
 std::vector<std::string> strs(const std::vector<FeaturePath> &Paths) {
@@ -336,4 +365,141 @@ TEST(DeriveUsageChanges, RemovalDetected) {
   ASSERT_EQ(Changes.size(), 1u);
   EXPECT_FALSE(Changes[0].Removed.empty());
   EXPECT_TRUE(Changes[0].Added.empty());
+}
+
+TEST(DeriveUsageChanges, IdenticalMultisetYieldsEmptyChangesWithoutInterning) {
+  std::vector<UsageDag> Old, New;
+  Old.push_back(cipherDag("AES"));
+  Old.push_back(cipherDag("DES"));
+  Old.push_back(cipherDag("AES/GCM", true));
+  New.push_back(cipherDag("AES/GCM", true));
+  New.push_back(cipherDag("AES"));
+  New.push_back(cipherDag("DES"));
+  support::Interner Fresh;
+  std::vector<UsageChange> Changes =
+      deriveUsageChanges(Old, New, "Cipher", Fresh);
+  ASSERT_EQ(Changes.size(), 3u);
+  for (const UsageChange &C : Changes) {
+    EXPECT_TRUE(C.isEmpty()) << C.str();
+    EXPECT_EQ(C.TypeName, "Cipher");
+    EXPECT_EQ(C.Table, &Fresh);
+  }
+  EXPECT_EQ(Fresh.pathCount(), 0u); // nothing was diffed, so nothing interned
+}
+
+TEST(DeriveUsageChanges, EqualSizesWithDifferentMultisetsStillPair) {
+  std::vector<UsageDag> Old, New;
+  Old.push_back(cipherDag("AES"));
+  Old.push_back(cipherDag("DES"));
+  New.push_back(cipherDag("DES"));
+  New.push_back(cipherDag("AES/GCM", true)); // the fix
+  std::vector<UsageChange> Changes =
+      deriveUsageChanges(Old, New, "Cipher", table());
+  ASSERT_EQ(Changes.size(), 2u);
+  EXPECT_FALSE(Changes[0].isEmpty());
+  EXPECT_EQ(strs(Changes[0].removedPaths()),
+            std::vector<std::string>{"Cipher Cipher.getInstance arg1:AES"});
+  EXPECT_EQ(strs(Changes[0].addedPaths()),
+            (std::vector<std::string>{
+                "Cipher Cipher.getInstance arg1:AES/GCM",
+                "Cipher Cipher.init arg3:IvParameterSpec"}));
+  EXPECT_TRUE(Changes[1].isEmpty()); // DES paired with its twin
+}
+
+TEST(DeriveUsageChanges, ReorderedLabelTwinsStayEmpty) {
+  // A and B share one label set, so dagDistance cannot tell them apart
+  // and every matching of {A, B} to {B, A} costs 0. The solver alone
+  // may pair A with B and report two spurious changes for code that did
+  // not change; the identical multisets must yield two empty changes.
+  UsageDag A = cipherEvents(
+      {{"Cipher.getInstance/1", {AbstractValue::strConst("AES")}},
+       {"Cipher.update/1", {AbstractValue::strConst("X")}}});
+  UsageDag B = cipherEvents(
+      {{"Cipher.getInstance/1", {AbstractValue::strConst("X")}},
+       {"Cipher.update/1", {AbstractValue::strConst("AES")}}});
+  ASSERT_DOUBLE_EQ(dagDistance(A, B), 0.0);
+  ASSERT_FALSE(A.sameIdentity(B));
+  std::vector<UsageChange> Changes =
+      deriveUsageChanges({A, B}, {B, A}, "Cipher", table());
+  ASSERT_EQ(Changes.size(), 2u);
+  for (const UsageChange &C : Changes) {
+    EXPECT_TRUE(C.isEmpty()) << C.str();
+    EXPECT_EQ(C.TypeName, "Cipher");
+  }
+}
+
+TEST(DeriveUsageChanges, LabelsThatRenderAlikeKeepTheirDiff) {
+  // "1" and 1 both render as arg1:1, but they are different labels: a
+  // change between them is a change.
+  UsageEvent Str{"Cipher.getInstance/1", {AbstractValue::strConst("1")}};
+  UsageEvent Int{"Cipher.getInstance/1", {AbstractValue::intConst(1)}};
+  std::vector<UsageDag> Old = {cipherEvents({Str})};
+  std::vector<UsageDag> New = {cipherEvents({Int})};
+  std::vector<UsageChange> Changes =
+      deriveUsageChanges(Old, New, "Cipher", table());
+  ASSERT_EQ(Changes.size(), 1u);
+  EXPECT_FALSE(Changes[0].isEmpty());
+
+  // Both events in either order are the same DAG, and the path diff
+  // agrees: it keeps both arg1:1 paths on each side.
+  Old = {cipherEvents({Str, Int})};
+  New = {cipherEvents({Int, Str})};
+  Changes = deriveUsageChanges(Old, New, "Cipher", table());
+  ASSERT_EQ(Changes.size(), 1u);
+  EXPECT_TRUE(Changes[0].isEmpty()) << Changes[0].str();
+  EXPECT_TRUE(diffDags(Old[0], New[0], table()).isEmpty());
+}
+
+TEST(DeriveUsageChanges, CorpusMatchesPairAndDiffOracle) {
+  // Every (change, class) of a generated corpus: the derive must equal
+  // the explicit pairDags + diffDags composition, change for change.
+  const apimodel::CryptoApiModel &Api =
+      apimodel::CryptoApiModel::javaCryptoApi();
+  corpus::CorpusOptions Opts;
+  Opts.Seed = 42;
+  Opts.NumProjects = 60;
+  corpus::Corpus C = corpus::CorpusGenerator(Opts).generate();
+  std::vector<const corpus::CodeChange *> Mined = corpus::Miner(Api).mine(C);
+  ASSERT_FALSE(Mined.empty());
+
+  core::DiffCode System(Api);
+  support::Interner Derived, Oracle;
+  std::size_t Identical = 0, Different = 0;
+  for (const corpus::CodeChange *Change : Mined) {
+    java::AstContext Ctx;
+    AnalysisResult OldResult =
+        System.analyzeSourceChecked(Change->OldCode, Ctx).Result;
+    AnalysisResult NewResult =
+        System.analyzeSourceChecked(Change->NewCode, Ctx).Result;
+    for (const std::string &Class : Api.targetClasses()) {
+      std::vector<UsageDag> Old = System.dagsForClass(OldResult, Class);
+      std::vector<UsageDag> New = System.dagsForClass(NewResult, Class);
+      if (Old.empty() && New.empty())
+        continue;
+      bool Same = std::is_permutation(
+          Old.begin(), Old.end(), New.begin(), New.end(),
+          [](const UsageDag &A, const UsageDag &B) {
+            return A.sameIdentity(B);
+          });
+      if (Same)
+        ++Identical;
+      else
+        ++Different;
+
+      std::vector<UsageChange> Got =
+          deriveUsageChanges(Old, New, Class, Derived);
+      std::vector<UsageChange> Want = pairAndDiff(Old, New, Class, Oracle);
+      ASSERT_EQ(Got.size(), Want.size()) << Change->origin() << " " << Class;
+      for (std::size_t I = 0; I < Got.size(); ++I) {
+        EXPECT_EQ(Got[I].TypeName, Want[I].TypeName);
+        EXPECT_TRUE(Got[I].sameFeatures(Want[I]))
+            << Change->origin() << " " << Class << " change " << I << "\n"
+            << Got[I].str() << "vs\n"
+            << Want[I].str();
+      }
+    }
+  }
+  // Both branches ran, so the test cannot pass vacuously.
+  EXPECT_GT(Identical, 0u);
+  EXPECT_GT(Different, 0u);
 }

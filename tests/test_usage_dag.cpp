@@ -135,6 +135,8 @@ TEST(UsageDag, EmptyForIsRootOnly) {
   EXPECT_TRUE(Empty.isRootOnly());
   EXPECT_EQ(Empty.typeName(), "Cipher");
   EXPECT_EQ(Empty.paths().size(), 1u);
+  EXPECT_TRUE(Empty.sameIdentity(UsageDag::emptyFor("Cipher")));
+  EXPECT_FALSE(Empty.sameIdentity(UsageDag::emptyFor("Mac")));
 }
 
 TEST(UsageDag, DistanceToEmpty) {
@@ -215,8 +217,36 @@ TEST(UsageDag, CanonicalStringIgnoresChildOrder) {
   UsageEvent E1{"Cipher.a/0", {}}, E2{"Cipher.b/0", {}};
   LogAB[Obj] = {E1, E2};
   LogBA[Obj] = {E2, E1};
-  EXPECT_EQ(UsageDag::build(Objects, LogAB, Obj).canonicalString(),
-            UsageDag::build(Objects, LogBA, Obj).canonicalString());
+  UsageDag A = UsageDag::build(Objects, LogAB, Obj);
+  UsageDag B = UsageDag::build(Objects, LogBA, Obj);
+  EXPECT_EQ(A.canonicalString(), B.canonicalString());
+  EXPECT_EQ(A.canonicalHash(), B.canonicalHash());
+  EXPECT_TRUE(A.sameIdentity(B));
+}
+
+TEST(UsageDag, CanonicalIdentitySeparatesLabelsThatRenderAlike) {
+  // "1" and 1 both display as arg1:1; the canonical form keeps the
+  // string flag, so the two DAGs are not the same usage.
+  ObjectTable Objects;
+  unsigned Obj = Objects.getOrCreate({1, 1, 0}, "Cipher");
+  UsageLog Str, Int;
+  Str[Obj] = {{"Cipher.getInstance/1", {AbstractValue::strConst("1")}}};
+  Int[Obj] = {{"Cipher.getInstance/1", {AbstractValue::intConst(1)}}};
+  UsageDag A = UsageDag::build(Objects, Str, Obj);
+  UsageDag B = UsageDag::build(Objects, Int, Obj);
+  EXPECT_EQ(A.str(), B.str());
+  EXPECT_NE(A.canonicalString(), B.canonicalString());
+  EXPECT_FALSE(A.sameIdentity(B));
+}
+
+TEST(UsageDag, PathsKeepLabelsThatRenderAlike) {
+  ObjectTable Objects;
+  unsigned Obj = Objects.getOrCreate({1, 1, 0}, "Cipher");
+  UsageLog Log;
+  Log[Obj] = {{"Cipher.getInstance/1", {AbstractValue::strConst("1")}},
+              {"Cipher.getInstance/1", {AbstractValue::intConst(1)}}};
+  // Root, the shared method path, and one arg1:1 path per value kind.
+  EXPECT_EQ(UsageDag::build(Objects, Log, Obj).paths().size(), 4u);
 }
 
 TEST(UsageDag, PathsAreDeduplicated) {
