@@ -8,7 +8,7 @@
 /// \file
 /// The cost of crash/hang/OOM containment: the per-change analysis stage
 /// run through exec/Supervisor's forked worker pool versus the in-process
-/// thread pool, at matched parallelism. Interleaved min-of-N timing (the
+/// parallel loop, at matched parallelism. Interleaved min-of-N timing (the
 /// standard noise filter for a shared machine), like micro_pipeline's
 /// observability guard.
 ///
@@ -69,7 +69,7 @@
 #include "corpus/Miner.h"
 #include "exec/Supervisor.h"
 #include "support/JsonWriter.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <chrono>

@@ -56,7 +56,7 @@
 //       re-checks matched rules against per-execution abstract state
 //       (suppressed witness counts appear in the report; off by default,
 //       and off is byte-identical to the batch CryptoChecker).
-//       --threads fans projects out over a thread pool (0 = one per
+//       --threads fans projects out over that many threads (0 = one per
 //       hardware thread; report bytes never depend on it). --json
 //       streams the report as projects complete; --metrics adds per-rule
 //       counters and latency histograms; --trace-out=<file> (implies

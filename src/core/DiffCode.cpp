@@ -5,7 +5,8 @@
 #include "exec/Supervisor.h"
 #include "javaast/Parser.h"
 #include "obs/Observer.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <chrono>
@@ -263,61 +264,39 @@ std::vector<ChangeRecord>
 DiffCode::analyzeChanges(const PipelineRequest &Request) const {
   std::vector<ChangeRecord> Records(Request.Changes.size());
 
-  // Each change is independent; workers claim indices from the pool's
-  // shared cursor and write into their own slot, so the result order
+  // Each change is independent; threads claim indices from one shared
+  // cursor and write into their own slot, so the result order
   // (and therefore every downstream number) is identical to the serial
   // run for any thread count.
-  unsigned Threads =
-      std::min<unsigned>(support::resolveThreads(Config.Threads),
-                         std::max<std::size_t>(Request.Changes.size(), 1));
+  //
   // Workers intern into one shared table concurrently; id *values* are
   // therefore scheduling dependent, which is fine — everything downstream
   // is id-value independent (support/Interner.h, determinism contract).
   support::Interner &Table = *Labels;
   obs::Observer *Obs = Request.Metrics;
   obs::Registry *Reg = Obs ? &Obs->Metrics : nullptr;
-  support::ThreadPool Pool(Threads, /*CollectStats=*/Obs != nullptr);
-  Pool.parallelForChunked(
-      Request.Changes.size(), 1, [&](std::size_t Begin, std::size_t Stop) {
-        for (std::size_t I = Begin; I < Stop; ++I) {
-          // Scope key = change index, so an armed fault plan hits the
-          // same changes whether one thread or sixteen claim the work.
-          support::FaultScope Scope(&Config.Faults, I);
-          if (!Obs) {
-            Records[I] = processChange(*Request.Changes[I],
-                                       Request.TargetClasses,
-                                       Request.ClassifyWith, Table);
-            continue;
-          }
-          obs::Span S(&Obs->Trace, "processChange");
-          auto T0 = std::chrono::steady_clock::now();
-          Records[I] = processChange(*Request.Changes[I],
-                                     Request.TargetClasses,
-                                     Request.ClassifyWith, Table, Reg);
+  support::LoopStats Loop;
+  support::parallelFor(
+      Config.Threads, Request.Changes.size(),
+      [&](std::size_t I) {
+        // Scope key = change index, so an armed fault plan hits the
+        // same changes whether one thread or sixteen claim the work.
+        support::FaultScope Scope(&Config.Faults, I);
+        obs::Span S(Obs ? &Obs->Trace : nullptr, "processChange");
+        std::chrono::steady_clock::time_point T0;
+        if (Obs)
+          T0 = std::chrono::steady_clock::now();
+        Records[I] = processChange(*Request.Changes[I], Request.TargetClasses,
+                                   Request.ClassifyWith, Table, Reg);
+        if (Obs)
           Records[I].WallNanos = std::uint64_t(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - T0)
                   .count());
-        }
-      });
-  if (Obs) {
-    // Pool utilization. Everything except the batch count depends on
-    // scheduling (chunk claims, wall time), hence PerRun.
-    support::ThreadPool::Stats PS = Pool.statsSnapshot();
-    auto &R = *Reg;
-    R.counter("threadpool.batches").add(PS.Batches);
-    R.counter("threadpool.chunks", obs::Unit::None, obs::Stability::PerRun)
-        .add(PS.Chunks);
-    R.counter("threadpool.queue_wait_ns", obs::Unit::Nanoseconds,
-              obs::Stability::PerRun)
-        .add(PS.QueueWaitNs);
-    R.gauge("threadpool.threads", obs::Unit::None, obs::Stability::PerRun)
-        .set(Pool.threadCount());
-    auto &Busy = R.histogram("threadpool.worker_busy_ns",
-                             obs::Unit::Nanoseconds, obs::Stability::PerRun);
-    for (std::uint64_t Ns : PS.WorkerBusyNs)
-      Busy.record(Ns);
-  }
+      },
+      Obs ? &Loop : nullptr);
+  if (Reg)
+    obs::recordLoopStats(*Reg, Loop);
   return Records;
 }
 
@@ -349,12 +328,10 @@ void DiffCode::clusterClass(
   Class.ClusteringError.clear();
   if (Class.Filtered.Kept.empty())
     return;
-  // Scope key = class-name hash (FNV-1a), distinct from any change
-  // index scope so campaigns can target clustering alone.
-  std::uint64_t ClassKey = 0xcbf29ce484222325ull;
-  for (char C : Class.TargetClass)
-    ClassKey = (ClassKey ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
-  support::FaultScope Scope(&Config.Faults, ClassKey);
+  // Scope key = class-name hash, distinct from any change index scope so
+  // campaigns can target clustering alone.
+  support::FaultScope Scope(&Config.Faults,
+                            support::fnv1a64(Class.TargetClass));
   try {
     Class.Tree = cluster::agglomerateDistanceMatrix(Class.Filtered.Kept.size(),
                                                     Distances());

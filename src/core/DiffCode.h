@@ -41,7 +41,7 @@ namespace core {
 
 /// How the per-change analysis stage executes.
 enum class ExecutionMode {
-  InProcess,  ///< analyzeChanges on a thread pool in this process.
+  InProcess,  ///< analyzeChanges on a parallelFor loop in this process.
   Supervised, ///< exec/Supervisor worker subprocesses with containment.
 };
 

@@ -160,6 +160,13 @@ std::string
 diffcode::core::projectReportToJson(const rules::ProjectReport &Report) {
   JsonWriter W;
   W.beginObject();
+  writeProjectVerdicts(W, Report);
+  W.endObject();
+  return W.take();
+}
+
+void diffcode::core::writeProjectVerdicts(JsonWriter &W,
+                                          const rules::ProjectReport &Report) {
   W.key("rules").beginArray();
   for (const rules::RuleVerdict &Verdict : Report.verdicts()) {
     W.beginObject();
@@ -183,6 +190,4 @@ diffcode::core::projectReportToJson(const rules::ProjectReport &Report) {
   }
   W.endArray();
   W.key("anyMatch").value(Report.anyMatch());
-  W.endObject();
-  return W.take();
 }

@@ -24,6 +24,8 @@
 #include <string>
 
 namespace diffcode {
+class JsonWriter;
+
 namespace core {
 
 /// One usage change as a JSON object
@@ -47,6 +49,12 @@ std::string corpusReportToJson(const CorpusReport &Report);
 /// {"rules":[{"id":..,"applicable":..,"matched":..,"violations":[..]}],
 ///  "anyMatch":..}.
 std::string projectReportToJson(const rules::ProjectReport &Report);
+
+/// Writes \p Report's "rules" array and "anyMatch" key into the object
+/// \p W has open. projectReportToJson and the scanner's per-project
+/// records both emit their verdicts through it, so the two shapes cannot
+/// drift apart.
+void writeProjectVerdicts(JsonWriter &W, const rules::ProjectReport &Report);
 
 } // namespace core
 } // namespace diffcode

@@ -24,8 +24,8 @@
 #include "exec/Wire.h"
 #include "obs/Observer.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/Process.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cerrno>

@@ -209,8 +209,7 @@ std::string_view Lexer::internDecoded(std::string_view Decoded) {
 namespace {
 
 /// One past the last identifier-continuation byte of the run starting at
-/// \p P (whose first byte is already classified IdentStart). Shared by
-/// the token-at-a-time path and the fully inlined lexAll loop.
+/// \p P (whose first byte is already classified IdentStart).
 inline std::size_t scanIdentEnd(const char *Data, std::size_t N,
                                 std::size_t P) {
   ++P; // first byte already classified IdentStart
@@ -234,15 +233,6 @@ inline std::size_t scanIdentEnd(const char *Data, std::size_t N,
 }
 
 } // namespace
-
-void Lexer::lexIdentifierOrKeyword(Token &T) {
-  std::size_t Start = Pos;
-  std::size_t P = scanIdentEnd(Buffer.data(), Buffer.size(), Start);
-  Pos = P;
-  std::string_view Text = Buffer.substr(Start, P - Start);
-  T.Kind = lookupKeyword(Text);
-  T.Text = Text;
-}
 
 Token Lexer::lexNumber(SourceLocation Loc) {
   const char *Data = Buffer.data();
@@ -482,87 +472,12 @@ void Lexer::skipComment() {
     Diags.error(Start, "unterminated block comment");
 }
 
-void Lexer::nextInto(Token &T) {
-  const char *Data = Buffer.data();
-  const std::size_t N = Buffer.size();
-  std::size_t P = Pos;
-  unsigned char C = 0;
-  Act A = Act::Bad;
-  // Fused trivia + dispatch loop: one table load classifies each byte
-  // both as trivia and as a token opener, so the token's first byte is
-  // never classified twice.
-  for (;;) {
-    if (P >= N) {
-      Pos = P;
-      T.Loc = locAt(P);
-      T.Kind = TokenKind::EndOfFile;
-      T.Text = {};
-      return;
-    }
-    C = static_cast<unsigned char>(Data[P]);
-    A = Dispatch.Action[C];
-    if (A == Act::Ws) {
-      ++P;
-      continue;
-    }
-    if (A == Act::Slash && P + 1 < N &&
-        (Data[P + 1] == '/' || Data[P + 1] == '*')) {
-      Pos = P;
-      skipComment();
-      P = Pos;
-      continue;
-    }
-    break;
-  }
-
-  Pos = P;
-  T.Loc = locAt(P);
-  switch (A) {
-  case Act::Ident:
-    lexIdentifierOrKeyword(T);
-    return;
-  case Act::Simple:
-    // Every one-char punctuator funnels through this single case; the
-    // spelling views into the buffer (same bytes as the literal).
-    T.Kind = Dispatch.Simple[C];
-    T.Text = Buffer.substr(P, 1);
-    Pos = P + 1;
-    return;
-  case Act::Compound:
-  case Act::Slash:
-    T = lexCompound(T.Loc);
-    return;
-  case Act::Number:
-    T = lexNumber(T.Loc);
-    return;
-  case Act::Str:
-    T = lexString(T.Loc);
-    return;
-  case Act::Chr:
-    T = lexChar(T.Loc);
-    return;
-  default:
-    break;
-  }
-  Pos = P + 1;
-  Diags.error(T.Loc, std::string("unexpected character '") +
-                         static_cast<char>(C) + "'");
-  T.Kind = TokenKind::Unknown;
-  T.Text = Buffer.substr(P, 1);
-}
-
-Token Lexer::next() {
-  Token T;
-  nextInto(T);
-  return T;
-}
-
 TokenStream Lexer::lexAll() {
   // The whole-buffer scan keeps its state (cursor, line bounds) in locals
-  // so it stays in registers across tokens; nextInto pays a full call's
-  // worth of member reloads per token, which dominates at corpus scale.
-  // Cold token kinds (literals, operators, errors) sync the locals
-  // through the members and reuse the token-at-a-time helpers.
+  // so it stays in registers across tokens; reloading it from members on
+  // every token dominates at corpus scale. Cold token kinds (literals,
+  // operators, errors) sync the locals through the members and call the
+  // out-of-line lex* helpers.
   std::vector<Token> &Toks = Stream.Tokens;
   Toks.reserve(Buffer.size() / 4 + 8);
   const char *Data = Buffer.data();
@@ -578,7 +493,9 @@ TokenStream Lexer::lexAll() {
     unsigned char C = 0;
     Act A = Act::Bad;
     bool AtEof = false;
-    // Fused trivia + dispatch loop (same shape as nextInto).
+    // Fused trivia + dispatch loop: one table load classifies each byte
+    // both as trivia and as a token opener, so the token's first byte is
+    // never classified twice.
     for (;;) {
       if (P >= N) {
         AtEof = true;

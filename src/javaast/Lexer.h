@@ -78,11 +78,6 @@ class Lexer {
 public:
   Lexer(std::string_view Buffer, DiagnosticsEngine &Diags);
 
-  /// Lexes and returns the next token; returns EndOfFile forever once the
-  /// buffer is exhausted. Decoded spellings live in the lexer until
-  /// lexAll() moves them into the returned stream.
-  Token next();
-
   /// Lexes the entire buffer. The trailing EndOfFile token is included.
   TokenStream lexAll();
 
@@ -104,15 +99,10 @@ private:
   /// nondecreasing offset order (token starts).
   SourceLocation locAt(std::size_t Offset);
 
-  /// Writes the next token directly into \p T (the lexAll hot path: the
-  /// token is built in its final vector slot, never copied). Trivia
-  /// skipping is fused into its dispatch loop.
-  void nextInto(Token &T);
   /// Skips the comment starting at Pos (Buffer[Pos] == '/', Buffer[Pos+1]
   /// is '/' or '*'), diagnosing an unterminated block comment. Out of
   /// line so the scan loops stay spill-free.
   void skipComment();
-  void lexIdentifierOrKeyword(Token &T);
   Token lexCompound(SourceLocation Loc);
   Token lexNumber(SourceLocation Loc);
   Token lexString(SourceLocation Loc);

@@ -8,6 +8,7 @@
 #include "obs/Metrics.h"
 
 #include "support/JsonWriter.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <bit>
@@ -379,6 +380,20 @@ bool Snapshot::merge(const Snapshot &Other, std::string_view Prefix) {
 void Snapshot::markAllPerRun() {
   for (MetricValue &V : Values)
     V.S = Stability::PerRun;
+}
+
+void recordLoopStats(Registry &R, const support::LoopStats &Loop) {
+  R.counter("threadpool.batches").add(Loop.Threads != 0 ? 1 : 0);
+  R.counter("threadpool.chunks", Unit::None, Stability::PerRun)
+      .add(Loop.Claims);
+  R.counter("threadpool.queue_wait_ns", Unit::Nanoseconds, Stability::PerRun)
+      .add(Loop.QueueWaitNs);
+  R.gauge("threadpool.threads", Unit::None, Stability::PerRun)
+      .set(Loop.Threads);
+  Histogram &Busy = R.histogram("threadpool.worker_busy_ns",
+                                Unit::Nanoseconds, Stability::PerRun);
+  for (std::uint64_t Ns : Loop.WorkerBusyNs)
+    Busy.record(Ns);
 }
 
 } // namespace obs

@@ -46,6 +46,10 @@
 #include <vector>
 
 namespace diffcode {
+namespace support {
+struct LoopStats;
+} // namespace support
+
 namespace obs {
 
 /// What a registered metric is.
@@ -226,6 +230,12 @@ private:
   /// determinism for free).
   std::map<std::string, Entry, std::less<>> Entries;
 };
+
+/// Records one support::parallelFor loop under `threadpool.*`: the batch
+/// count (deterministic: 1 for a loop over at least one index, else 0),
+/// and the claims (`threadpool.chunks`), summed queue wait, thread count
+/// and per-thread busy time, which depend on scheduling (PerRun).
+void recordLoopStats(Registry &R, const support::LoopStats &Loop);
 
 } // namespace obs
 } // namespace diffcode

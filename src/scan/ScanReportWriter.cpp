@@ -2,6 +2,7 @@
 
 #include "scan/ScanReportWriter.h"
 
+#include "core/ReportWriter.h"
 #include "support/JsonWriter.h"
 
 #include <ostream>
@@ -12,9 +13,9 @@ using namespace diffcode::scan;
 
 namespace {
 
-/// One project record. Per-rule objects share the exact shape of
-/// core::projectReportToJson so a record reads the same whether it came
-/// from the scanner or the batch checker.
+/// One project record. Its verdicts come from core::writeProjectVerdicts,
+/// so a record reads the same whether it came from the scanner or the
+/// batch checker.
 std::string recordJson(const ProjectScanRecord &Rec) {
   JsonWriter W;
   W.beginObject();
@@ -23,27 +24,7 @@ std::string recordJson(const ProjectScanRecord &Rec) {
   if (Rec.Status != core::ChangeStatus::Ok && !Rec.Detail.empty())
     W.key("detail").value(Rec.Detail);
   W.key("units").value(static_cast<std::uint64_t>(Rec.Units));
-  W.key("rules").beginArray();
-  for (const rules::RuleVerdict &Verdict : Rec.Report.verdicts()) {
-    W.beginObject();
-    W.key("id").value(Rec.Report.text(Verdict.Rule));
-    W.key("applicable").value(Verdict.Applicable);
-    W.key("matched").value(Verdict.Matched);
-    if (Verdict.Suppressed > 0)
-      W.key("suppressed").value(static_cast<std::uint64_t>(Verdict.Suppressed));
-    W.key("violations").beginArray();
-    for (const rules::Violation &V : Verdict.Violations) {
-      W.beginObject();
-      W.key("type").value(Rec.Report.text(V.Type));
-      W.key("site").value(Rec.Report.text(V.Site));
-      W.key("unit").value(static_cast<std::uint64_t>(V.UnitIndex));
-      W.endObject();
-    }
-    W.endArray();
-    W.endObject();
-  }
-  W.endArray();
-  W.key("anyMatch").value(Rec.Report.anyMatch());
+  core::writeProjectVerdicts(W, Rec.Report);
   W.endObject();
   return W.take();
 }

@@ -3,7 +3,8 @@
 #include "scan/Scanner.h"
 
 #include "rules/BuiltinRules.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
+#include "support/StringUtils.h"
 
 #include <atomic>
 #include <chrono>
@@ -22,14 +23,6 @@ core::PipelineConfig pipelineConfigFrom(const ScanConfig &Config) {
   Out.Limits.Parse = Config.Limits.Parse;
   Out.Limits.Analysis = Config.Limits.Analysis;
   return Out;
-}
-
-std::uint64_t fnv1a(std::string_view S, std::uint64_t H) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
 }
 
 } // namespace
@@ -59,8 +52,8 @@ Scanner::digest(std::string_view Code, bool Refine, bool UseCache,
                 std::uint64_t &Misses) const {
   UnitKey Key;
   if (UseCache) {
-    Key.H1 = fnv1a(Code, 0xcbf29ce484222325ull);
-    Key.H2 = fnv1a(Code, 0x84222325cbf29ce4ull);
+    Key.H1 = support::fnv1a64(Code);
+    Key.H2 = support::fnv1a64(Code, 0x84222325cbf29ce4ull);
     Key.Len = Code.size();
     Key.Refine = Refine;
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -174,29 +167,26 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
     return Rec;
   };
 
-  unsigned Threads =
-      std::min<unsigned>(support::resolveThreads(Config.Threads),
-                         std::max<std::size_t>(N, 1));
-  support::ThreadPool Pool(Threads, /*CollectStats=*/Obs != nullptr);
-  Pool.parallelForChunked(N, 1, [&](std::size_t Begin, std::size_t Stop) {
-    for (std::size_t I = Begin; I < Stop; ++I) {
-      // Scope key = project index: an armed plan hits the same projects
-      // at any thread count.
-      support::FaultScope Scope(&Config.Faults, I);
-      if (!Obs) {
+  support::LoopStats Loop;
+  support::parallelFor(
+      Config.Threads, N,
+      [&](std::size_t I) {
+        // Scope key = project index: an armed plan hits the same projects
+        // at any thread count.
+        support::FaultScope Scope(&Config.Faults, I);
+        obs::Span S(Obs ? &Obs->Trace : nullptr, "scanProject");
+        std::chrono::steady_clock::time_point T0;
+        if (Obs)
+          T0 = std::chrono::steady_clock::now();
         Report.Projects[I] = ScanOne(I);
-      } else {
-        obs::Span S(&Obs->Trace, "scanProject");
-        auto T0 = std::chrono::steady_clock::now();
-        Report.Projects[I] = ScanOne(I);
-        Report.Projects[I].WallNanos = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - T0)
-                .count());
-      }
-      Complete(I);
-    }
-  });
+        if (Obs)
+          Report.Projects[I].WallNanos = static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - T0)
+                  .count());
+        Complete(I);
+      },
+      Obs ? &Loop : nullptr);
 
   // Serial fold of the per-project records into corpus totals.
   if (Filter)
@@ -250,19 +240,7 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
                              obs::Stability::PerRun);
     for (const ProjectScanRecord &Rec : Report.Projects)
       Wall.record(Rec.WallNanos);
-    support::ThreadPool::Stats PS = Pool.statsSnapshot();
-    R.counter("threadpool.batches").add(PS.Batches);
-    R.counter("threadpool.chunks", obs::Unit::None, obs::Stability::PerRun)
-        .add(PS.Chunks);
-    R.counter("threadpool.queue_wait_ns", obs::Unit::Nanoseconds,
-              obs::Stability::PerRun)
-        .add(PS.QueueWaitNs);
-    R.gauge("threadpool.threads", obs::Unit::None, obs::Stability::PerRun)
-        .set(Pool.threadCount());
-    auto &Busy = R.histogram("threadpool.worker_busy_ns",
-                             obs::Unit::Nanoseconds, obs::Stability::PerRun);
-    for (std::uint64_t Ns : PS.WorkerBusyNs)
-      Busy.record(Ns);
+    obs::recordLoopStats(R, Loop);
     Report.Metrics = Obs->summarize();
   }
   return Report;

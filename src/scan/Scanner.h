@@ -11,9 +11,9 @@
 /// rules::evaluateProject) scaled to whole corpora. One Scanner instance
 /// owns a rule set (rules::CompiledRuleSet), an analysis facade, and a
 /// warm content-hash cache of digested units (rules::UnitFacts); scan()
-/// fans projects out over a support::ThreadPool with per-project fault
-/// containment (the core::ChangeStatus taxonomy: one poisoned project
-/// degrades its own record, never the scan), and completed projects
+/// fans projects out over one support::parallelFor loop with per-project
+/// fault containment (the core::ChangeStatus taxonomy: one poisoned
+/// project degrades its own record, never the scan), and completed projects
 /// stream to an optional ScanSink in deterministic project order through
 /// a sequenced reorder buffer — the streamed bytes are byte-identical to
 /// serializing the final ScanReport, at any thread count.

@@ -4,9 +4,8 @@
 
 #include "cluster/Distance.h"
 #include "core/ReportWriter.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
-#include <algorithm>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -96,20 +95,12 @@ AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
   // list scopes change G with key G, so the session must too for armed
   // campaigns to land identically.
   Report.Changes.resize(FirstNewRecord + Changes.size());
-  if (!Changes.empty()) {
-    unsigned Threads = std::min<unsigned>(
-        support::resolveThreads(Opts.Config.Threads), Changes.size());
-    support::Interner &Table = *System.labels();
-    support::ThreadPool Pool(Threads);
-    Pool.parallelForChunked(
-        Changes.size(), 1, [&](std::size_t Begin, std::size_t Stop) {
-          for (std::size_t I = Begin; I < Stop; ++I) {
-            support::FaultScope Scope(&Faults, FirstNewRecord + I);
-            Report.Changes[FirstNewRecord + I] = System.processChange(
-                Changes[I], TargetClasses, Opts.ClassifyWith, Table);
-          }
-        });
-  }
+  support::Interner &Table = *System.labels();
+  support::parallelFor(Opts.Config.Threads, Changes.size(), [&](std::size_t I) {
+    support::FaultScope Scope(&Faults, FirstNewRecord + I);
+    Report.Changes[FirstNewRecord + I] = System.processChange(
+        Changes[I], TargetClasses, Opts.ClassifyWith, Table);
+  });
 
   // Repair exactly the classes the new records contribute to; every
   // other ClassReport is already byte-for-byte what a cold run would

@@ -136,8 +136,8 @@ struct FaultInjected : std::runtime_error {
 };
 
 /// The thread's active campaign: plan + the scope key of the unit of work
-/// being processed. Copyable so ThreadPool can forward the caller's
-/// context into its workers (parallel sections inside a scoped unit then
+/// being processed. Copyable so parallelFor can run the threads it starts
+/// under the caller's context (parallel sections inside a scoped unit then
 /// fault identically to the serial run).
 struct FaultContext {
   const FaultPlan *Plan = nullptr;

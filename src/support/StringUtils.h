@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// String helpers shared across the project: split/join/trim and a generic
-/// Levenshtein edit distance. The clustering metric (Section 4.3 of the
-/// paper) needs Levenshtein both over characters (string labels) and over
-/// opaque single-unit tokens (method names, integers, abstract bytes); the
-/// generic template covers both.
+/// String helpers shared across the project: split/join/trim, a generic
+/// Levenshtein edit distance, and the 64-bit FNV-1a string hash. The
+/// clustering metric (Section 4.3 of the paper) needs Levenshtein both over
+/// characters (string labels) and over opaque single-unit tokens (method
+/// names, integers, abstract bytes); the generic template covers both.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,6 +72,22 @@ template <typename Seq> double levenshteinRatio(const Seq &A, const Seq &B) {
                    static_cast<double>(MaxLen);
 }
 
+namespace support {
+
+/// 64-bit FNV-1a over \p Bytes, starting from \p Basis (the standard
+/// offset basis by default). The one implementation behind usage-DAG
+/// identity, the scanner's unit-cache key and the clustering fault scope.
+inline std::uint64_t fnv1a64(std::string_view Bytes,
+                             std::uint64_t Basis = 0xcbf29ce484222325ull) {
+  std::uint64_t H = Basis;
+  for (unsigned char C : Bytes) {
+    H ^= C;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+} // namespace support
 } // namespace diffcode
 
 #endif // DIFFCODE_SUPPORT_STRINGUTILS_H

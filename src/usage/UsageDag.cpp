@@ -2,6 +2,8 @@
 
 #include "usage/UsageDag.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cassert>
 #include <functional>
@@ -93,9 +95,7 @@ NodeLabel NodeLabel::arg(unsigned Index, const AbstractValue &Value) {
 
 void UsageDag::computeIdentity() {
   Canonical = canonicalForm(Nodes, 0);
-  Hash = 0xcbf29ce484222325ull;
-  for (char C : Canonical)
-    Hash = (Hash ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
+  Hash = support::fnv1a64(Canonical);
 }
 
 UsageDag UsageDag::emptyFor(std::string TypeName) {

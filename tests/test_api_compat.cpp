@@ -21,7 +21,10 @@
 /// compiled mirror used and the raw-event CallPattern match must not
 /// resolve again either. The session keeps no per-change record memo,
 /// so its bound, its counters and the session settings nobody set must
-/// not resolve again. The spellings the benchmark (perfbench/src) calls
+/// not resolve again. support::parallelFor is the one parallel loop, so
+/// the reusable ThreadPool's header must not come back, and lexAll() is
+/// the lexer's one entry point, so Lexer::next() must not resolve again.
+/// The spellings the benchmark (perfbench/src) calls
 /// must keep resolving, so drift on either side breaks this build before
 /// the benchmark is ever built.
 ///
@@ -30,6 +33,7 @@
 #include "core/DiffCode.h"
 
 #include "core/ReportWriter.h"
+#include "javaast/Lexer.h"
 #include "rules/RuleCompiler.h"
 #include "scan/Scanner.h"
 #include "service/AnalysisSession.h"
@@ -127,6 +131,25 @@ concept HasEvictions = requires(const Stats &S) { S.Evictions; };
 
 template <typename Stats>
 concept HasCachedRecords = requires(const Stats &S) { S.CachedRecords; };
+
+// One parallel loop and one lexer loop. GCC accepts __has_include only in
+// preprocessor conditions, so the header probes become constants here.
+#if __has_include("support/ThreadPool.h")
+constexpr bool HasThreadPoolHeader = true;
+#else
+constexpr bool HasThreadPoolHeader = false;
+#endif
+#if __has_include("support/Parallel.h")
+constexpr bool HasParallelHeader = true;
+#else
+constexpr bool HasParallelHeader = false;
+#endif
+
+template <typename LexerT>
+concept HasTokenAtATimeNext = requires(LexerT &L) { L.next(); };
+
+template <typename LexerT>
+concept HasLexAll = requires(LexerT &L) { L.lexAll(); };
 
 // The spellings the benchmark calls, one concept per surface.
 template <typename Facts>
@@ -286,11 +309,19 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
                 "the session keeps no per-change record memo to evict from");
   static_assert(!HasCachedRecords<service::SessionStats>,
                 "the session keeps no per-change record memo");
+  // One parallel loop, one lexer loop.
+  static_assert(!HasThreadPoolHeader,
+                "support::ThreadPool was replaced by support::parallelFor "
+                "(support/Parallel.h)");
+  static_assert(!HasTokenAtATimeNext<java::Lexer>,
+                "the lexer's one entry point is lexAll()");
   // The surviving homes still resolve, so the probes above cannot pass
   // vacuously.
   static_assert(HasExecField<PipelineRequest>);
   static_assert(HasMetricsField<PipelineRequest>);
   static_assert(HasMetricsField<scan::ScanConfig>);
+  static_assert(HasParallelHeader);
+  static_assert(HasLexAll<java::Lexer>);
   // What the benchmark calls still resolves.
   static_assert(std::same_as<rules::UnitScanFacts, rules::UnitFacts>);
   static_assert(BenchFactsSurface<rules::UnitFacts>);

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -129,6 +131,41 @@ TEST(MetricsDifferential, StageSpanCountsAreThreadCountInvariant) {
           << Baseline.Metrics.Stages[I].Name << " at " << Threads
           << " threads";
     }
+  }
+}
+
+TEST(MetricsDifferential, ObservedRunCarriesLoopMetrics) {
+  // The per-change loop reports all five threadpool.* metrics. Only the
+  // batch count is deterministic, and it must not move with the thread
+  // count.
+  const std::size_t N = env().Mined.size();
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    obs::Observer Obs;
+    CorpusReport Report = runObserved(Threads, Obs);
+    std::map<std::string, obs::MetricValue> Loop;
+    std::vector<std::string> Names;
+    for (const obs::MetricValue &V : Report.Metrics.Metrics.Values)
+      if (V.Name.rfind("threadpool.", 0) == 0) {
+        Loop[V.Name] = V;
+        Names.push_back(V.Name);
+      }
+    ASSERT_EQ(Names, (std::vector<std::string>{
+                         "threadpool.batches", "threadpool.chunks",
+                         "threadpool.queue_wait_ns", "threadpool.threads",
+                         "threadpool.worker_busy_ns"}))
+        << Threads << " threads";
+    const unsigned Ran =
+        static_cast<unsigned>(std::min<std::size_t>(Threads, N));
+    EXPECT_EQ(Loop["threadpool.batches"].Count, 1u) << Threads << " threads";
+    EXPECT_EQ(Loop["threadpool.batches"].S, obs::Stability::Deterministic);
+    EXPECT_EQ(Loop["threadpool.chunks"].Count, N) << Threads << " threads";
+    EXPECT_EQ(Loop["threadpool.threads"].Value, Ran) << Threads << " threads";
+    EXPECT_EQ(Loop["threadpool.worker_busy_ns"].Count, Ran)
+        << Threads << " threads";
+    for (const char *Name :
+         {"threadpool.chunks", "threadpool.queue_wait_ns",
+          "threadpool.threads", "threadpool.worker_busy_ns"})
+      EXPECT_EQ(Loop[Name].S, obs::Stability::PerRun) << Name;
   }
 }
 

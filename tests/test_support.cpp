@@ -63,6 +63,15 @@ TEST(StringUtils, ReplaceAll) {
   EXPECT_EQ(replaceAll("abc", "d", "x"), "abc");
 }
 
+TEST(StringUtils, Fnv1a64StandardVectors) {
+  EXPECT_EQ(support::fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(support::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(support::fnv1a64("foobar"), 0x85944171f73967e8ull);
+  // A caller-chosen basis replaces the standard one.
+  EXPECT_EQ(support::fnv1a64("", 0x84222325cbf29ce4ull),
+            0x84222325cbf29ce4ull);
+}
+
 TEST(Levenshtein, KnownDistances) {
   EXPECT_EQ(levenshtein(std::string("kitten"), std::string("sitting")), 3u);
   EXPECT_EQ(levenshtein(std::string(""), std::string("abc")), 3u);
@@ -309,77 +318,78 @@ TEST(SourceLocation, ValidityAndString) {
 }
 
 //===----------------------------------------------------------------------===//
-// ThreadPool error containment
+// parallelFor
 //===----------------------------------------------------------------------===//
 
 #include "support/FaultInjection.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 
-TEST(ThreadPool, ExceptionRethrownOnCaller) {
-  support::ThreadPool Pool(4);
-  EXPECT_THROW(
-      Pool.parallelForChunked(256, 1,
-                              [&](std::size_t Begin, std::size_t Stop) {
-                                for (std::size_t I = Begin; I < Stop; ++I)
-                                  if (I == 100)
-                                    throw std::runtime_error("boom");
-                              }),
-      std::runtime_error);
+TEST(ParallelFor, ExceptionRethrownOnCaller) {
+  EXPECT_THROW(support::parallelFor(4, 256,
+                                    [](std::size_t I) {
+                                      if (I == 100)
+                                        throw std::runtime_error("boom");
+                                    }),
+               std::runtime_error);
 }
 
-TEST(ThreadPool, ExceptionMessageSurvives) {
-  support::ThreadPool Pool(4);
+TEST(ParallelFor, ExceptionMessageSurvives) {
   try {
-    Pool.parallelForChunked(64, 1, [&](std::size_t, std::size_t) {
+    support::parallelFor(4, 64, [](std::size_t) {
       throw std::runtime_error("worker died at change 7");
     });
-    FAIL() << "expected parallelForChunked to rethrow";
+    FAIL() << "expected parallelFor to rethrow";
   } catch (const std::runtime_error &E) {
     EXPECT_STREQ(E.what(), "worker died at change 7");
   }
 }
 
-TEST(ThreadPool, SerialPathPropagatesException) {
-  support::ThreadPool Pool(1);
-  EXPECT_THROW(Pool.parallelForChunked(
-                   16, 1,
-                   [&](std::size_t, std::size_t) {
-                     throw std::runtime_error("serial boom");
-                   }),
+TEST(ParallelFor, SerialPathPropagatesException) {
+  EXPECT_THROW(support::parallelFor(1, 16,
+                                    [](std::size_t) {
+                                      throw std::runtime_error("serial boom");
+                                    }),
                std::runtime_error);
 }
 
-TEST(ThreadPool, UsableAfterFailedBatch) {
-  support::ThreadPool Pool(4);
-  EXPECT_THROW(Pool.parallelForChunked(128, 1,
-                                       [&](std::size_t, std::size_t) {
-                                         throw std::runtime_error("x");
-                                       }),
-               std::runtime_error);
-  // The pool must come back clean: a later batch runs to completion and
-  // sees every index exactly once.
-  std::atomic<std::uint64_t> Sum{0};
-  Pool.parallelForChunked(1000, 7, [&](std::size_t Begin, std::size_t Stop) {
-    for (std::size_t I = Begin; I < Stop; ++I)
-      Sum.fetch_add(I, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(Sum.load(), 999u * 1000u / 2);
+TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
+  // {requested threads, N}: the loop runs min(threads, N) threads, and an
+  // empty loop starts none.
+  const std::pair<unsigned, std::size_t> Cases[] = {
+      {1, 1000}, {2, 1000}, {8, 1000}, {8, 3}, {4, 0}};
+  for (auto [Threads, N] : Cases) {
+    std::vector<std::atomic<unsigned>> Runs(N);
+    support::LoopStats Stats;
+    support::parallelFor(
+        Threads, N,
+        [&](std::size_t I) {
+          Runs[I].fetch_add(1, std::memory_order_relaxed);
+        },
+        &Stats);
+    for (std::size_t I = 0; I < N; ++I)
+      EXPECT_EQ(Runs[I].load(), 1u) << "index " << I << " at " << Threads;
+    unsigned Expected =
+        static_cast<unsigned>(std::min<std::size_t>(Threads, N));
+    EXPECT_EQ(Stats.Threads, Expected) << Threads << " threads, N = " << N;
+    EXPECT_EQ(Stats.Claims, N) << Threads << " threads";
+    EXPECT_EQ(Stats.WorkerBusyNs.size(), Expected) << Threads << " threads";
+  }
 }
 
-TEST(ThreadPool, FirstErrorAbortsUnclaimedChunks) {
-  // Every chunk throws, so each participating thread (3 workers + the
-  // caller) fails its first claim and then observes the abort flag: far
-  // fewer than N bodies may run.
-  support::ThreadPool Pool(4);
+TEST(ParallelFor, FirstErrorSkipsUnclaimedIndices) {
+  // Every index throws, so each of the four threads fails its first claim
+  // and then observes the abort flag: far fewer than N bodies may run.
   std::atomic<unsigned> Calls{0};
-  EXPECT_THROW(Pool.parallelForChunked(10000, 1,
-                                       [&](std::size_t, std::size_t) {
-                                         Calls.fetch_add(1);
-                                         throw std::runtime_error("every");
-                                       }),
+  EXPECT_THROW(support::parallelFor(4, 10000,
+                                    [&](std::size_t) {
+                                      Calls.fetch_add(1);
+                                      throw std::runtime_error("every");
+                                    }),
                std::runtime_error);
   EXPECT_LE(Calls.load(), 4u);
 }
@@ -463,22 +473,29 @@ TEST(FaultInjection, ThrowIfFaultThrowsTypedError) {
   }
 }
 
-TEST(ThreadPool, WorkersInheritFaultContext) {
-  // The campaign is installed on the caller; pool workers must mirror it,
-  // otherwise fault decisions would depend on which thread claims a chunk.
+TEST(ParallelFor, ThreadsInheritFaultContext) {
+  // The campaign is installed on the caller; the threads parallelFor
+  // starts must run under it, otherwise fault decisions would depend on
+  // which thread claims an index. Each of the first four bodies waits for
+  // the other three, so every thread runs one of them (the caller alone
+  // would otherwise claim every cheap index before the others start).
   support::FaultPlan Plan;
   Plan.Rate = 1.0;
   support::FaultScope Scope(&Plan, 11);
-  support::ThreadPool Pool(4);
+  constexpr unsigned Threads = 4;
+  std::atomic<unsigned> Arrived{0};
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::vector<char> Fired(512, 0);
-  Pool.parallelForChunked(Fired.size(), 1,
-                          [&](std::size_t Begin, std::size_t Stop) {
-                            for (std::size_t I = Begin; I < Stop; ++I)
-                              Fired[I] = support::faultPoint(
-                                             support::FaultSite::Hungarian, I)
-                                             ? 1
-                                             : 0;
-                          });
+  support::parallelFor(Threads, Fired.size(), [&](std::size_t I) {
+    if (I < Threads) {
+      Arrived.fetch_add(1);
+      while (Arrived.load() < Threads &&
+             std::chrono::steady_clock::now() < Deadline)
+        std::this_thread::yield();
+    }
+    Fired[I] = support::faultPoint(support::FaultSite::Hungarian, I) ? 1 : 0;
+  });
   for (std::size_t I = 0; I < Fired.size(); ++I)
     EXPECT_EQ(Fired[I], 1) << "index " << I;
 }
