@@ -12,6 +12,7 @@
 #include <chrono>
 #include <exception>
 #include <unordered_map>
+#include <utility>
 
 using namespace diffcode;
 using namespace diffcode::core;
@@ -165,134 +166,245 @@ DiffCode::dagsForClass(const analysis::AnalysisResult &Result,
   return Dags;
 }
 
+AnalyzedVersion
+DiffCode::analyzeVersion(std::string_view Source, java::AstContext &Ctx,
+                         const std::vector<std::string> &DagClasses,
+                         VersionFacts Facts) const {
+  SourceAnalysis SA = analyzeSourceChecked(Source, Ctx);
+  AnalyzedVersion Out;
+  Out.Status = SA.Status;
+  Out.Detail = std::move(SA.Detail);
+  Out.Stats = SA.Result.Stats;
+  Out.Dags.reserve(DagClasses.size());
+  for (const std::string &Class : DagClasses)
+    Out.Dags.push_back(dagsForClass(SA.Result, Class));
+  if (Facts != VersionFacts::None)
+    Out.Facts = rules::UnitFacts::from(SA.Result,
+                                       Facts == VersionFacts::Executions);
+  return Out;
+}
+
 std::vector<usage::UsageChange>
 DiffCode::usageChangesFor(const corpus::CodeChange &Change,
                           const std::string &TargetClass) const {
   java::AstContext Ctx; // shared across both versions (reset in between)
-  analysis::AnalysisResult OldResult =
-      analyzeSourceChecked(Change.OldCode, Ctx).Result;
-  analysis::AnalysisResult NewResult =
-      analyzeSourceChecked(Change.NewCode, Ctx).Result;
+  const std::vector<std::string> Classes{TargetClass};
+  AnalyzedVersion Old =
+      analyzeVersion(Change.OldCode, Ctx, Classes, VersionFacts::None);
+  AnalyzedVersion New =
+      analyzeVersion(Change.NewCode, Ctx, Classes, VersionFacts::None);
   std::vector<usage::UsageChange> Changes = usage::deriveUsageChanges(
-      dagsForClass(OldResult, TargetClass), dagsForClass(NewResult, TargetClass),
-      TargetClass, *Labels);
+      Old.Dags[0], New.Dags[0], TargetClass, *Labels);
   for (usage::UsageChange &C : Changes)
     C.Origin = Change.origin();
   return Changes;
 }
 
-ChangeRecord DiffCode::processChange(
-    const corpus::CodeChange &Change,
-    const std::vector<std::string> &TargetClasses,
+ChangeRecord DiffCode::assembleChange(
+    const corpus::CodeChange &Change, const AnalyzedVersion &Old,
+    const AnalyzedVersion &New, const std::vector<std::string> &TargetClasses,
     const std::vector<const rules::Rule *> &ClassifyWith,
     support::Interner &Table, obs::Registry *Reg) const {
   ChangeRecord Record;
   Record.Origin = Change.origin();
   Record.GroundTruthKind = Change.Kind;
 
-  try {
-    java::AstContext Ctx; // shared across both versions (reset in between)
-    SourceAnalysis Old = analyzeSourceChecked(Change.OldCode, Ctx);
-    SourceAnalysis New = analyzeSourceChecked(Change.NewCode, Ctx);
+  // Worst of the two versions wins; keep the detail of the losing side.
+  const AnalyzedVersion &Worst = New.Status > Old.Status ? New : Old;
+  Record.Status = Worst.Status;
+  Record.StatusDetail = Worst.Detail;
+  Record.StepsUsed = Old.Stats.StepsUsed + New.Stats.StepsUsed;
 
-    // Worst of the two versions wins; keep the detail of the losing side.
-    const SourceAnalysis &Worst = New.Status > Old.Status ? New : Old;
-    Record.Status = Worst.Status;
-    Record.StatusDetail = Worst.Detail;
-    Record.StepsUsed =
-        Old.Result.Stats.StepsUsed + New.Result.Stats.StepsUsed;
-
-    if (Reg) {
-      // All of these are pure functions of the change's source text, so
-      // they stay in the deterministic snapshot projection.
-      auto &Steps = Reg->histogram("analysis.steps_per_version");
-      auto &Entries = Reg->histogram("analysis.entries_per_version");
-      auto &Objects = Reg->histogram("analysis.objects_per_version");
-      for (const SourceAnalysis *Side : {&Old, &New}) {
-        Steps.record(Side->Result.Stats.StepsUsed);
-        Entries.record(Side->Result.Stats.Entries);
-        Objects.record(Side->Result.Stats.ObjectsTracked);
-      }
-      Reg->counter("analysis.steps_total").add(Record.StepsUsed);
-      Reg->counter("analysis.fuel_exhausted")
-          .add(unsigned(Old.Result.Stats.FuelExhausted) +
-               unsigned(New.Result.Stats.FuelExhausted));
-      Reg->counter("analysis.object_budget_hits")
-          .add(unsigned(Old.Result.Stats.ObjectBudgetHit) +
-               unsigned(New.Result.Stats.ObjectBudgetHit));
+  if (Reg) {
+    // All of these are pure functions of the change's source text, so
+    // they stay in the deterministic snapshot projection.
+    auto &Steps = Reg->histogram("analysis.steps_per_version");
+    auto &Entries = Reg->histogram("analysis.entries_per_version");
+    auto &Objects = Reg->histogram("analysis.objects_per_version");
+    for (const AnalyzedVersion *Side : {&Old, &New}) {
+      Steps.record(Side->Stats.StepsUsed);
+      Entries.record(Side->Stats.Entries);
+      Objects.record(Side->Stats.ObjectsTracked);
     }
-
-    for (const std::string &TargetClass : TargetClasses) {
-      std::vector<usage::UsageChange> Changes = usage::deriveUsageChanges(
-          dagsForClass(Old.Result, TargetClass),
-          dagsForClass(New.Result, TargetClass), TargetClass, Table);
-      for (usage::UsageChange &C : Changes)
-        C.Origin = Record.Origin;
-      if (Reg && !Changes.empty())
-        Reg->counter("usage.changes").add(Changes.size());
-      if (!Changes.empty())
-        Record.PerClass.emplace(TargetClass, std::move(Changes));
-    }
-
-    if (!ClassifyWith.empty()) {
-      rules::UnitFacts OldFacts = rules::UnitFacts::from(Old.Result);
-      rules::UnitFacts NewFacts = rules::UnitFacts::from(New.Result);
-      for (const rules::Rule *R : ClassifyWith)
-        Record.Classification.emplace(
-            R->Id, rules::classifyChange(*R, OldFacts, NewFacts));
-    }
-  } catch (const std::exception &E) {
-    // Containment: this change contributes nothing, but its slot in the
-    // report survives with a structured status — the rest of the corpus
-    // is unaffected.
-    Record.PerClass.clear();
-    Record.Classification.clear();
-    Record.Status = ChangeStatus::AnalysisThrow;
-    Record.StatusDetail = E.what();
-    Record.StepsUsed = 0;
-  } catch (...) {
-    Record.PerClass.clear();
-    Record.Classification.clear();
-    Record.Status = ChangeStatus::AnalysisThrow;
-    Record.StatusDetail = "unknown exception";
-    Record.StepsUsed = 0;
+    Reg->counter("analysis.steps_total").add(Record.StepsUsed);
+    Reg->counter("analysis.fuel_exhausted")
+        .add(unsigned(Old.Stats.FuelExhausted) +
+             unsigned(New.Stats.FuelExhausted));
+    Reg->counter("analysis.object_budget_hits")
+        .add(unsigned(Old.Stats.ObjectBudgetHit) +
+             unsigned(New.Stats.ObjectBudgetHit));
   }
+
+  for (std::size_t C = 0; C < TargetClasses.size(); ++C) {
+    std::vector<usage::UsageChange> Changes = usage::deriveUsageChanges(
+        Old.Dags[C], New.Dags[C], TargetClasses[C], Table);
+    for (usage::UsageChange &U : Changes)
+      U.Origin = Record.Origin;
+    if (Reg && !Changes.empty())
+      Reg->counter("usage.changes").add(Changes.size());
+    if (!Changes.empty())
+      Record.PerClass.emplace(TargetClasses[C], std::move(Changes));
+  }
+
+  for (const rules::Rule *R : ClassifyWith)
+    Record.Classification.emplace(
+        R->Id, rules::classifyChange(*R, Old.Facts, New.Facts));
   return Record;
 }
 
+namespace {
+
+/// Runs \p Assemble, containing any escaping exception: the change then
+/// contributes nothing, but its slot in the report survives with a
+/// structured status — the rest of the corpus is unaffected.
+template <typename Fn>
+ChangeRecord containChange(const corpus::CodeChange &Change, Fn &&Assemble) {
+  std::string Detail;
+  try {
+    return Assemble();
+  } catch (const std::exception &E) {
+    Detail = E.what();
+  } catch (...) {
+    Detail = "unknown exception";
+  }
+  ChangeRecord Record;
+  Record.Origin = Change.origin();
+  Record.GroundTruthKind = Change.Kind;
+  Record.Status = ChangeStatus::AnalysisThrow;
+  Record.StatusDetail = std::move(Detail);
+  return Record;
+}
+
+VersionFacts factsFor(const std::vector<const rules::Rule *> &ClassifyWith) {
+  return ClassifyWith.empty() ? VersionFacts::None : VersionFacts::Merged;
+}
+
+} // namespace
+
+ChangeRecord DiffCode::processChange(
+    const corpus::CodeChange &Change,
+    const std::vector<std::string> &TargetClasses,
+    const std::vector<const rules::Rule *> &ClassifyWith,
+    support::Interner &Table, obs::Registry *Reg) const {
+  return containChange(Change, [&] {
+    java::AstContext Ctx; // shared across both versions (reset in between)
+    AnalyzedVersion Old = analyzeVersion(Change.OldCode, Ctx, TargetClasses,
+                                         factsFor(ClassifyWith));
+    AnalyzedVersion New = analyzeVersion(Change.NewCode, Ctx, TargetClasses,
+                                         factsFor(ClassifyWith));
+    return assembleChange(Change, Old, New, TargetClasses, ClassifyWith,
+                          Table, Reg);
+  });
+}
+
+std::vector<std::vector<std::uint64_t>>
+core::fileHistories(const std::vector<const corpus::CodeChange *> &Changes) {
+  std::map<std::pair<std::string_view, std::string_view>, std::size_t> Group;
+  std::vector<std::vector<std::uint64_t>> Groups;
+  for (std::size_t I = 0; I < Changes.size(); ++I) {
+    auto [It, Inserted] = Group.try_emplace(
+        {Changes[I]->ProjectName, Changes[I]->FileName}, Groups.size());
+    if (Inserted)
+      Groups.emplace_back();
+    Groups[It->second].push_back(I);
+  }
+  return Groups;
+}
+
+VersionStore::VersionStore(const DiffCode &System,
+                           const PipelineRequest &Request)
+    : System(System), Request(Request),
+      Bypass(System.config().Faults.enabled()),
+      Facts(factsFor(Request.ClassifyWith)) {}
+
+VersionStore::Kept VersionStore::version(std::string_view Text,
+                                         const Kept &Sibling) {
+  for (const Kept *K : {&Sibling, &std::as_const(Prev)[0],
+                        &std::as_const(Prev)[1]})
+    if (K->Version && K->Text == Text) {
+      ++Reused;
+      return *K;
+    }
+  ++Analyzed;
+  return {Text, std::make_shared<const AnalyzedVersion>(System.analyzeVersion(
+                    Text, Ctx, Request.TargetClasses, Facts))};
+}
+
+ChangeRecord VersionStore::process(const corpus::CodeChange &Change,
+                                   support::Interner &Table,
+                                   obs::Registry *Reg) {
+  if (Bypass) {
+    Analyzed += 2;
+    return System.processChange(Change, Request.TargetClasses,
+                                Request.ClassifyWith, Table, Reg);
+  }
+  if (Change.ProjectName != Project || Change.FileName != File) {
+    Project = Change.ProjectName;
+    File = Change.FileName;
+    Prev = {};
+  }
+  // A side whose analysis throws stays empty, so it is never kept.
+  std::array<Kept, 2> Cur;
+  ChangeRecord Record = containChange(Change, [&] {
+    Cur[0] = version(Change.OldCode, {});
+    Cur[1] = version(Change.NewCode, Cur[0]);
+    return System.assembleChange(Change, *Cur[0].Version, *Cur[1].Version,
+                                 Request.TargetClasses, Request.ClassifyWith,
+                                 Table, Reg);
+  });
+  Prev = std::move(Cur);
+  return Record;
+}
+
+void VersionStore::recordCounts(obs::Registry &Reg) const {
+  Reg.counter("pipeline.versions_analyzed").add(Analyzed);
+  Reg.counter("pipeline.versions_reused").add(Reused);
+}
+
 std::vector<ChangeRecord>
-DiffCode::analyzeChanges(const PipelineRequest &Request) const {
+DiffCode::analyzeChanges(const PipelineRequest &Request,
+                         std::size_t FirstIndex) const {
   std::vector<ChangeRecord> Records(Request.Changes.size());
 
-  // Each change is independent; threads claim indices from one shared
-  // cursor and write into their own slot, so the result order
-  // (and therefore every downstream number) is identical to the serial
-  // run for any thread count.
+  // The file after one commit is the file before the next, so a file
+  // history is where versions repeat. Threads claim whole histories from
+  // one shared cursor; each runs its history in change order through its
+  // own store and writes into the history's own slots. Reuse comes from
+  // an exact text match and each record equals processChange's, so the
+  // grouping only picks the thread: the result (and therefore every
+  // downstream number) is identical to the serial run for any thread
+  // count.
   //
   // Workers intern into one shared table concurrently; id *values* are
   // therefore scheduling dependent, which is fine — everything downstream
   // is id-value independent (support/Interner.h, determinism contract).
+  const std::vector<std::vector<std::uint64_t>> Groups =
+      fileHistories(Request.Changes);
   support::Interner &Table = *Labels;
   obs::Observer *Obs = Request.Metrics;
   obs::Registry *Reg = Obs ? &Obs->Metrics : nullptr;
   support::LoopStats Loop;
   support::parallelFor(
-      Config.Threads, Request.Changes.size(),
-      [&](std::size_t I) {
-        // Scope key = change index, so an armed fault plan hits the
-        // same changes whether one thread or sixteen claim the work.
-        support::FaultScope Scope(&Config.Faults, I);
-        obs::Span S(Obs ? &Obs->Trace : nullptr, "processChange");
-        std::chrono::steady_clock::time_point T0;
-        if (Obs)
-          T0 = std::chrono::steady_clock::now();
-        Records[I] = processChange(*Request.Changes[I], Request.TargetClasses,
-                                   Request.ClassifyWith, Table, Reg);
-        if (Obs)
-          Records[I].WallNanos = std::uint64_t(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count());
+      Config.Threads, Groups.size(),
+      [&](std::size_t G) {
+        VersionStore Store(*this, Request);
+        for (std::uint64_t I : Groups[G]) {
+          // Scope key = change index, so an armed fault plan hits the
+          // same changes whether one thread or sixteen claim the work.
+          support::FaultScope Scope(&Config.Faults, FirstIndex + I);
+          obs::Span S(Obs ? &Obs->Trace : nullptr, "processChange");
+          std::chrono::steady_clock::time_point T0;
+          if (Obs)
+            T0 = std::chrono::steady_clock::now();
+          Records[I] = Store.process(*Request.Changes[I], Table, Reg);
+          if (Obs)
+            Records[I].WallNanos = std::uint64_t(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - T0)
+                    .count());
+        }
+        if (Reg)
+          Store.recordCounts(*Reg);
       },
       Obs ? &Loop : nullptr);
   if (Reg)

@@ -53,11 +53,14 @@ struct ExecutionPolicy {
   /// Worker subprocesses; support::resolveThreads semantics (0 = one per
   /// hardware thread), additionally clamped to the number of work units.
   unsigned Workers = 0;
-  /// Changes per work unit (serialized batch). 0 means the default (32).
-  /// Larger units amortize the per-unit dispatch round-trip (a unit
-  /// completion context-switches worker -> coordinator -> worker); on
-  /// failure, half-batch bisection recovers single-change granularity,
-  /// so the batch size only prices the clean path.
+  /// Most changes per work unit (serialized batch). 0 means the default
+  /// (32). Units pack whole file histories (fileHistories), so a unit
+  /// holds fewer when the next history does not fit, and only a history
+  /// longer than this is split. Larger units amortize the per-unit
+  /// dispatch round-trip (a unit completion context-switches worker ->
+  /// coordinator -> worker); on failure, half-batch bisection recovers
+  /// single-change granularity, so the batch size only prices the clean
+  /// path.
   std::size_t BatchSize = 32;
   /// Wall-clock watchdog per dispatched unit; a worker that exceeds it is
   /// SIGKILLed and the unit enters retry/bisection. 0 disables the
@@ -155,10 +158,12 @@ struct ChangeRecord {
   /// Interpreter steps consumed across both versions (worst-offender
   /// ranking in the corpus-health summary).
   std::uint64_t StepsUsed = 0;
-  /// Wall nanoseconds processChange spent on this change. Only measured
-  /// when the run is observed (PipelineRequest::Metrics); run-dependent,
-  /// so it feeds the CLI table and the "metrics" JSON block — never the
-  /// deterministic "health" block.
+  /// Wall nanoseconds the analysis stage spent on this change, including
+  /// analyzing any version it needed first (a version an earlier change
+  /// left in the store costs it nothing). Only measured when the run is
+  /// observed (PipelineRequest::Metrics); run-dependent, so it feeds the
+  /// CLI table and the "metrics" JSON block — never the deterministic
+  /// "health" block.
   std::uint64_t WallNanos = 0;
 };
 
@@ -246,6 +251,27 @@ struct PipelineRequest {
   ExecutionPolicy Exec;
 };
 
+/// Which fact digest DiffCode::analyzeVersion builds.
+enum class VersionFacts {
+  None,       ///< No facts: the product's Facts stays empty.
+  Merged,     ///< rules::UnitFacts::from(Result): what classification reads.
+  Executions, ///< Also the per-execution event lists refinement reads.
+};
+
+/// The per-version stage's product: one analyzed program version, owning
+/// everything the per-change stage and the scanner read of it. It holds
+/// no AST and no AnalysisResult, so it outlives the parse that made it
+/// and one product serves every change that shares its text.
+struct AnalyzedVersion {
+  ChangeStatus Status = ChangeStatus::Ok;
+  std::string Detail; ///< First diagnostic / budget cause when non-Ok.
+  analysis::AnalysisStats Stats;
+  /// Usage DAGs per requested class, parallel to the classes
+  /// analyzeVersion was asked for, each as dagsForClass returns them.
+  std::vector<std::vector<usage::UsageDag>> Dags;
+  rules::UnitFacts Facts; ///< Empty under VersionFacts::None.
+};
+
 /// Recomputes \p Report's health summary from its records (at most
 /// \p MaxOffenders worst-offender entries). run() calls this;
 /// exposed for tests and for callers that post-edit reports.
@@ -299,14 +325,38 @@ public:
   usageChangesFor(const corpus::CodeChange &Change,
                   const std::string &TargetClass) const;
 
+  /// The per-version stage: analyzeSourceChecked(Source, Ctx), then the
+  /// usage DAGs of each of \p DagClasses and the facts \p Facts asks for,
+  /// keeping none of the AST or AnalysisResult. Records no metrics and
+  /// throws what the analysis throws.
+  AnalyzedVersion analyzeVersion(std::string_view Source,
+                                 java::AstContext &Ctx,
+                                 const std::vector<std::string> &DagClasses,
+                                 VersionFacts Facts) const;
+
+  /// The per-change stage: the record of \p Change from its two analyzed
+  /// versions, whose Dags are parallel to \p TargetClasses (and whose
+  /// Facts are Merged when \p ClassifyWith is non-empty). Status is the
+  /// worse version's; each class's usage changes are derived and interned
+  /// into \p Table; the change is classified under each rule. With \p Reg,
+  /// records both versions' interpreter metrics (steps/entries/objects
+  /// histograms, budget-hit counters) and usage-change counts. Throws
+  /// what deriving or classifying throws.
+  ChangeRecord
+  assembleChange(const corpus::CodeChange &Change, const AnalyzedVersion &Old,
+                 const AnalyzedVersion &New,
+                 const std::vector<std::string> &TargetClasses,
+                 const std::vector<const rules::Rule *> &ClassifyWith,
+                 support::Interner &Table, obs::Registry *Reg = nullptr) const;
+
   /// Processes one code change end to end for all \p TargetClasses,
-  /// classifying it under \p ClassifyWith (may be empty); feature paths
-  /// intern into \p Table (the stages pass *labels()). With \p Reg, also
-  /// records per-version interpreter metrics (steps/entries/objects
-  /// histograms, budget-hit counters) and usage-change counts into it.
-  /// Never throws: any escaping exception is contained into an empty
-  /// record with Status == AnalysisThrow, so one poisoned change cannot
-  /// take down a corpus run.
+  /// classifying it under \p ClassifyWith (may be empty): assembleChange
+  /// over two fresh analyzeVersion products, so it shares no work with
+  /// any other change — the oracle analyzeChanges' version reuse is
+  /// checked against. Feature paths intern into \p Table (the stages pass
+  /// *labels()); \p Reg is assembleChange's. Never throws: any escaping
+  /// exception is contained into an empty record with Status ==
+  /// AnalysisThrow, so one poisoned change cannot take down a corpus run.
   ChangeRecord
   processChange(const corpus::CodeChange &Change,
                 const std::vector<std::string> &TargetClasses,
@@ -319,11 +369,19 @@ public:
   // re-cluster a filtered class without re-analyzing the corpus.
   //===--------------------------------------------------------------------===//
 
-  /// Stage 1 — per-change analysis: processChange over
-  /// Request.Changes in parallel (config().Threads workers), one record
-  /// per input in input order, each under a deterministic fault scope.
+  /// Stage 1 — per-change analysis: one record per Request.Changes entry,
+  /// in input order, each equal to processChange's. Changes are grouped
+  /// by file history (fileHistories); config().Threads threads claim
+  /// whole groups, and each group runs in change order through its own
+  /// VersionStore, so a version a commit shares with the commit before it
+  /// is analyzed once. Change I runs under the fault scope keyed
+  /// \p FirstIndex + I
+  /// (its index in the whole corpus when the batch extends an earlier
+  /// one, as a session ingest does). Observed runs add the
+  /// pipeline.versions_analyzed / pipeline.versions_reused counters.
   /// Request.BuildDendrograms is ignored here.
-  std::vector<ChangeRecord> analyzeChanges(const PipelineRequest &Request) const;
+  std::vector<ChangeRecord> analyzeChanges(const PipelineRequest &Request,
+                                           std::size_t FirstIndex = 0) const;
 
   /// Stage 2 — per-class gather + filter: concatenates \p TargetClass's
   /// usage changes from \p Records (record order) and runs the
@@ -359,6 +417,58 @@ private:
   /// Corpus interner backing every change this instance derives.
   /// shared_ptr so reports can outlive the facade.
   std::shared_ptr<support::Interner> Labels;
+};
+
+/// Change indices grouped by file history (ProjectName, FileName), each
+/// group in change order, groups in order of their first change. The file
+/// after one commit is the file before the next, so a history is where
+/// versions repeat: analyzeChanges runs each group on one thread, and the
+/// supervisor packs whole groups into its work units.
+std::vector<std::vector<std::uint64_t>>
+fileHistories(const std::vector<const corpus::CodeChange *> &Changes);
+
+/// Runs changes through processChange's two stages, serving a version
+/// from the previous change when that change is of the same file history
+/// and holds the same text: the new file of one commit is the old file of
+/// the next. It keeps just the previous change's two versions (four live
+/// with the change in hand) and drops them when a change of another
+/// history arrives, so reuse never crosses histories. Texts are compared
+/// exactly, so each record equals processChange's whatever changes the
+/// store has seen. A version whose analysis throws is not kept, and the
+/// change is contained as processChange contains it. Under an armed fault
+/// plan the store keeps nothing and each change runs processChange,
+/// because injected faults depend on the change's fault scope. One store
+/// serves one thread; Request and its changes must outlive it.
+class VersionStore {
+public:
+  VersionStore(const DiffCode &System, const PipelineRequest &Request);
+
+  /// The record of \p Change, one of Request.Changes (the caller installs
+  /// its fault scope). Never throws.
+  ChangeRecord process(const corpus::CodeChange &Change,
+                       support::Interner &Table, obs::Registry *Reg = nullptr);
+
+  /// Adds the versions analyzed and the versions served again so far to
+  /// the Deterministic pipeline.versions_analyzed and
+  /// pipeline.versions_reused counters.
+  void recordCounts(obs::Registry &Reg) const;
+
+private:
+  struct Kept {
+    std::string_view Text;
+    std::shared_ptr<const AnalyzedVersion> Version;
+  };
+  Kept version(std::string_view Text, const Kept &Sibling);
+
+  const DiffCode &System;
+  const PipelineRequest &Request;
+  const bool Bypass;
+  const VersionFacts Facts;
+  java::AstContext Ctx;
+  /// The previous change's file history and its old and new versions.
+  std::string_view Project, File;
+  std::array<Kept, 2> Prev;
+  std::uint64_t Analyzed = 0, Reused = 0;
 };
 
 } // namespace core

@@ -146,6 +146,10 @@ int workerMain(const core::DiffCode &System,
       return 2;
 
     Out.clear();
+    // The unit's own version store: units hold whole file histories, so
+    // it serves what the in-process stage's stores serve, and nothing
+    // outlives the unit.
+    core::VersionStore Store(System, Request);
     for (std::uint64_t Index : Unit.Indices) {
       if (Index >= Request.Changes.size())
         return 2;
@@ -169,10 +173,8 @@ int workerMain(const core::DiffCode &System,
         // aggregates worker and coordinator work under one stage row.
         obs::Span ChangeSpan(Observed ? &WorkerObs.Trace : nullptr,
                              "processChange");
-        Record = System.processChange(*Request.Changes[Index],
-                                      Request.TargetClasses,
-                                      Request.ClassifyWith, LocalTable,
-                                      Observed ? &WorkerObs.Metrics : nullptr);
+        Record = Store.process(*Request.Changes[Index], LocalTable,
+                               Observed ? &WorkerObs.Metrics : nullptr);
       }
 
       Defs.flush(Out); // defs strictly before the result that needs them
@@ -199,6 +201,7 @@ int workerMain(const core::DiffCode &System,
       }
     }
     if (Observed) {
+      Store.recordCounts(WorkerObs.Metrics);
       // Telemetry coalesces with the unit's last write: the spans
       // completed since the previous flush plus the registry's full
       // (cumulative) snapshot. Unobserved workers skip this entirely,
@@ -330,17 +333,31 @@ struct Coordinator {
 };
 
 void Coordinator::buildQueue() {
-  std::size_t N = Request.Changes.size();
+  // Whole file histories, packed in order up to Batch changes per unit,
+  // so a worker's store serves every version the in-process stage's
+  // stores do; only a history longer than Batch is split.
   std::size_t Batch = Policy.BatchSize > 0 ? Policy.BatchSize : 32;
   Clock::time_point Now = Clock::now();
-  for (std::size_t Begin = 0; Begin < N; Begin += Batch) {
-    PendingUnit U;
+  PendingUnit U;
+  auto Flush = [&] {
+    if (U.Indices.empty())
+      return;
     U.Id = NextUnitId++;
     U.ReadyAt = Now;
-    for (std::size_t I = Begin; I < std::min(Begin + Batch, N); ++I)
-      U.Indices.push_back(I);
     Queue.push_back(std::move(U));
+    U = PendingUnit();
+  };
+  for (const std::vector<std::uint64_t> &History :
+       core::fileHistories(Request.Changes)) {
+    if (U.Indices.size() + History.size() > Batch)
+      Flush();
+    for (std::uint64_t I : History) {
+      U.Indices.push_back(I);
+      if (U.Indices.size() == Batch)
+        Flush();
+    }
   }
+  Flush();
 }
 
 bool Coordinator::spawnSlot(WorkerSlot &S) {
@@ -748,21 +765,23 @@ void Coordinator::enforceDeadlines(Clock::time_point Now) {
   }
 }
 
-/// Fork exhaustion fallback: run a unit in the coordinator, under the
-/// exact fault-scope discipline analyzeChanges uses. (The Proc* sites
-/// only exist inside worker code paths, so none fire here — the in-
-/// process containment in processChange still does.)
+/// Fork exhaustion fallback: run a unit in the coordinator, through a
+/// unit store as a worker would, under the exact fault-scope discipline
+/// analyzeChanges uses. (The Proc* sites only exist inside worker code
+/// paths, so none fire here — the store's in-process containment still
+/// does.)
 void Coordinator::runUnitInline(const PendingUnit &Unit) {
+  core::VersionStore Store(System, Request);
+  obs::Registry *Reg = Obs ? &Obs->Metrics : nullptr;
   for (std::uint64_t Index : Unit.Indices) {
     support::FaultScope Scope(&System.config().Faults, Index);
     obs::Span ChangeSpan(Obs ? &Obs->Trace : nullptr, "processChange");
-    Records[Index] =
-        System.processChange(*Request.Changes[Index], Request.TargetClasses,
-                             Request.ClassifyWith, Table,
-                             Obs ? &Obs->Metrics : nullptr);
+    Records[Index] = Store.process(*Request.Changes[Index], Table, Reg);
     --Outstanding;
     ++Stats.InlineFallbacks;
   }
+  if (Reg)
+    Store.recordCounts(*Reg);
 }
 
 void Coordinator::shutdownWorkers() {
@@ -834,8 +853,8 @@ void Coordinator::run() {
   while (Outstanding > 0) {
     if (!anyAlive()) {
       // Fork exhaustion: finish everything queued right here. Records
-      // stay byte-identical — it is the same processChange under the
-      // same fault scopes.
+      // stay byte-identical — it is the same unit store under the same
+      // fault scopes.
       while (!Queue.empty()) {
         runUnitInline(Queue.front());
         Queue.pop_front();

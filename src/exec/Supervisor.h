@@ -27,9 +27,10 @@
 ///
 /// Byte-identity contract: with no faults firing, a supervised report is
 /// byte-identical to the in-process engine's, because (a) workers run
-/// the exact same processChange under the exact same per-change fault
-/// scope, (b) the wire codec carries every record field that reaches the
-/// report, and (c) the downstream pipeline is literally the same code
+/// each unit through a core::VersionStore, whose every record equals
+/// processChange's, under the exact same per-change fault scope, (b)
+/// the wire codec carries every record field that reaches the report,
+/// and (c) the downstream pipeline is literally the same code
 /// (DiffCode::run). Interner id values differ across processes, but no
 /// consumer depends on id values — only equality (support/Interner.h
 /// determinism contract).

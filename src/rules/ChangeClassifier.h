@@ -15,7 +15,7 @@
 /// Both versions are evaluated by RuleEval over their UnitFacts digests,
 /// the same evaluator CryptoChecker and the scanner run. Callers digest
 /// each version once and classify under every rule from the two digests
-/// (core::DiffCode::processChange).
+/// (core::DiffCode::assembleChange).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -46,7 +46,7 @@ std::size_t Scanner::cachedUnits() const {
   return Cache.size();
 }
 
-std::shared_ptr<const Scanner::UnitEntry>
+std::shared_ptr<const core::AnalyzedVersion>
 Scanner::digest(std::string_view Code, bool Refine, bool UseCache,
                 java::AstContext &Ctx, std::uint64_t &Hits,
                 std::uint64_t &Misses) const {
@@ -64,11 +64,10 @@ Scanner::digest(std::string_view Code, bool Refine, bool UseCache,
     }
   }
   ++Misses;
-  auto Entry = std::make_shared<UnitEntry>();
-  core::DiffCode::SourceAnalysis SA = System.analyzeSourceChecked(Code, Ctx);
-  Entry->Facts = rules::UnitFacts::from(SA.Result, Refine);
-  Entry->Status = SA.Status;
-  Entry->Detail = std::move(SA.Detail);
+  auto Entry = std::make_shared<const core::AnalyzedVersion>(
+      System.analyzeVersion(Code, Ctx, {},
+                            Refine ? core::VersionFacts::Executions
+                                   : core::VersionFacts::Merged));
   if (UseCache) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     // A racing miss on the same content may have stored first; keep the
@@ -136,7 +135,7 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
     std::uint64_t Hits = 0, Misses = 0;
     try {
       java::AstContext Ctx; // arena reused across the project's units
-      std::vector<std::shared_ptr<const UnitEntry>> Entries;
+      std::vector<std::shared_ptr<const core::AnalyzedVersion>> Entries;
       Entries.reserve(P.Files.size());
       for (unsigned U = 0; U < P.Files.size(); ++U) {
         support::throwIfFault(support::FaultSite::ScanProject, U);
@@ -145,7 +144,8 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
       }
       std::vector<const rules::UnitFacts *> Units;
       Units.reserve(Entries.size());
-      for (const std::shared_ptr<const UnitEntry> &Entry : Entries) {
+      for (const std::shared_ptr<const core::AnalyzedVersion> &Entry :
+           Entries) {
         Units.push_back(&Entry->Facts);
         if (Entry->Status > Rec.Status) {
           Rec.Status = Entry->Status;

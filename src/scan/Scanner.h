@@ -10,7 +10,8 @@
 /// service's Scan request: CryptoChecker's evaluation (Section 6.4,
 /// rules::evaluateProject) scaled to whole corpora. One Scanner instance
 /// owns a rule set (rules::CompiledRuleSet), an analysis facade, and a
-/// warm content-hash cache of digested units (rules::UnitFacts); scan()
+/// warm content-hash cache of analyzed units (core::AnalyzedVersion, the
+/// pipeline's per-version product, holding facts but no DAGs); scan()
 /// fans projects out over one support::parallelFor loop with per-project
 /// fault containment (the core::ChangeStatus taxonomy: one poisoned
 /// project degrades its own record, never the scan), and completed projects
@@ -167,11 +168,6 @@ public:
   std::size_t cachedUnits() const;
 
 private:
-  struct UnitEntry {
-    rules::UnitFacts Facts;
-    core::ChangeStatus Status = core::ChangeStatus::Ok;
-    std::string Detail;
-  };
   /// Content key: dual 64-bit FNV-1a + length (+ the refine bit, since
   /// refined digests carry per-execution event lists).
   struct UnitKey {
@@ -180,17 +176,20 @@ private:
     bool operator<(const UnitKey &O) const;
   };
 
-  std::shared_ptr<const UnitEntry> digest(std::string_view Code, bool Refine,
-                                          bool UseCache, java::AstContext &Ctx,
-                                          std::uint64_t &Hits,
-                                          std::uint64_t &Misses) const;
+  /// The unit's facts (with per-execution lists when \p Refine) and
+  /// status, from the cache or DiffCode::analyzeVersion.
+  std::shared_ptr<const core::AnalyzedVersion>
+  digest(std::string_view Code, bool Refine, bool UseCache,
+         java::AstContext &Ctx, std::uint64_t &Hits,
+         std::uint64_t &Misses) const;
 
   ScanConfig Config;
   rules::CompiledRuleSet Rules;
   core::DiffCode System;
 
   mutable std::mutex CacheMutex;
-  mutable std::map<UnitKey, std::shared_ptr<const UnitEntry>> Cache;
+  mutable std::map<UnitKey, std::shared_ptr<const core::AnalyzedVersion>>
+      Cache;
 };
 
 } // namespace scan

@@ -4,8 +4,8 @@
 
 #include "cluster/Distance.h"
 #include "core/ReportWriter.h"
-#include "support/Parallel.h"
 
+#include <iterator>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -88,19 +88,22 @@ AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
   IngestStats Stats;
   Stats.Ingested = Changes.size();
   const std::size_t FirstNewRecord = Report.Changes.size();
-  const support::FaultPlan &Faults = Opts.Config.Faults;
 
-  // Analyze every change in parallel, each under the fault scope of its
-  // *global* corpus index: a cold run over the whole accumulated change
-  // list scopes change G with key G, so the session must too for armed
-  // campaigns to land identically.
-  Report.Changes.resize(FirstNewRecord + Changes.size());
-  support::Interner &Table = *System.labels();
-  support::parallelFor(Opts.Config.Threads, Changes.size(), [&](std::size_t I) {
-    support::FaultScope Scope(&Faults, FirstNewRecord + I);
-    Report.Changes[FirstNewRecord + I] = System.processChange(
-        Changes[I], TargetClasses, Opts.ClassifyWith, Table);
-  });
+  // The batch pipeline's analysis stage, each change under the fault
+  // scope of its *global* corpus index: a cold run over the whole
+  // accumulated change list scopes change G with key G, so the session
+  // must too for armed campaigns to land identically.
+  core::PipelineRequest Batch;
+  Batch.Changes.reserve(Changes.size());
+  for (const corpus::CodeChange &Change : Changes)
+    Batch.Changes.push_back(&Change);
+  Batch.TargetClasses = TargetClasses;
+  Batch.ClassifyWith = Opts.ClassifyWith;
+  std::vector<core::ChangeRecord> Records =
+      System.analyzeChanges(Batch, FirstNewRecord);
+  Report.Changes.insert(Report.Changes.end(),
+                        std::make_move_iterator(Records.begin()),
+                        std::make_move_iterator(Records.end()));
 
   // Repair exactly the classes the new records contribute to; every
   // other ClassReport is already byte-for-byte what a cold run would

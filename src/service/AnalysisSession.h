@@ -12,9 +12,10 @@
 /// per-class clustering the batch pipeline would recompute from scratch
 /// is repaired incrementally instead:
 ///
-///   * every appended change is analyzed once, by the same
-///     processChange a cold run calls, under the fault scope of its
-///     global corpus index;
+///   * every ingested batch is analyzed by the same analyzeChanges a
+///     cold run calls, each change under the fault scope of its global
+///     corpus index; a version repeated within the batch is analyzed
+///     once, but nothing is kept from one ingest to the next;
 ///   * per-class pair distances are persisted across ingests keyed by
 ///     usage-change feature signatures, so repairing a dendrogram after
 ///     an append computes only the new item's pairs — every old pair is
@@ -97,9 +98,10 @@ public:
   AnalysisSession &operator=(const AnalysisSession &) = delete;
 
   /// Appends \p Changes to the session corpus and repairs the report:
-  /// analyzes each change (Config.Threads workers), then re-filters and
-  /// re-clusters only classes whose usage set changed. The changes
-  /// themselves are not retained — their records are.
+  /// analyzes them with DiffCode::analyzeChanges (Config.Threads
+  /// threads), then re-filters and re-clusters only classes whose usage
+  /// set changed. The changes themselves are not retained — their
+  /// records are.
   IngestStats ingest(const std::vector<corpus::CodeChange> &Changes);
 
   /// The repaired-to-date report: byte-identical to a cold

@@ -7,12 +7,12 @@
 ///
 /// \file
 /// The system's one in-process parallel loop. Every parallel section —
-/// the pipeline's per-change analysis, the scanner's per-project tasks
-/// and the session's appended changes — is a single loop over independent
-/// indices, so there is no pool to keep: parallelFor starts its threads,
-/// runs the loop, and joins them. Threads claim single indices from a
-/// shared atomic cursor and each Body writes only its own output slot, so
-/// results are identical at any thread count.
+/// the pipeline's per-file-history analysis (which a session ingest also
+/// runs) and the scanner's per-project tasks — is a single loop over
+/// independent indices, so there is no pool to keep: parallelFor starts
+/// its threads, runs the loop, and joins them. Threads claim single
+/// indices from a shared atomic cursor and each Body writes only its own
+/// output slot, so results are identical at any thread count.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,6 +24,9 @@
 /// not resolve again. support::parallelFor is the one parallel loop, so
 /// the reusable ThreadPool's header must not come back, and lexAll() is
 /// the lexer's one entry point, so Lexer::next() must not resolve again.
+/// processChange composes the per-version and per-change stages, which
+/// must keep resolving, and the product between them keeps no
+/// AnalysisResult.
 /// The spellings the benchmark (perfbench/src) calls
 /// must keep resolving, so drift on either side breaks this build before
 /// the benchmark is ever built.
@@ -234,6 +237,31 @@ concept BenchUsageSurface =
       } -> std::same_as<std::vector<usage::UsageChange>>;
     };
 
+// processChange is the composition of two public stages, and
+// analyzeChanges takes the corpus index of its first change.
+template <typename System>
+concept HasVersionStages =
+    requires(const System &S, std::string_view Source, java::AstContext &Ctx,
+             const std::vector<std::string> &Classes,
+             const corpus::CodeChange &C, const AnalyzedVersion &V,
+             const std::vector<const rules::Rule *> &Rules,
+             support::Interner &Table, obs::Registry *Reg,
+             const PipelineRequest &R) {
+      {
+        S.analyzeVersion(Source, Ctx, Classes, VersionFacts::Merged)
+      } -> std::same_as<AnalyzedVersion>;
+      {
+        S.assembleChange(C, V, V, Classes, Rules, Table, Reg)
+      } -> std::same_as<ChangeRecord>;
+      {
+        S.analyzeChanges(R, std::size_t(0))
+      } -> std::same_as<std::vector<ChangeRecord>>;
+    };
+
+// The per-version product owns what it holds: no AST, no AnalysisResult.
+template <typename Product>
+concept HoldsAnalysisResult = requires(const Product &P) { P.Result; };
+
 template <typename System>
 concept BenchProcessChange =
     requires(const System &S, const corpus::CodeChange &C,
@@ -315,6 +343,12 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
                 "(support/Parallel.h)");
   static_assert(!HasTokenAtATimeNext<java::Lexer>,
                 "the lexer's one entry point is lexAll()");
+  // Two stages, one owned product between them.
+  static_assert(HasVersionStages<DiffCode>);
+  static_assert(!HoldsAnalysisResult<AnalyzedVersion>,
+                "the per-version product owns its DAGs and facts; it keeps "
+                "no AnalysisResult");
+  static_assert(HoldsAnalysisResult<DiffCode::SourceAnalysis>);
   // The surviving homes still resolve, so the probes above cannot pass
   // vacuously.
   static_assert(HasExecField<PipelineRequest>);

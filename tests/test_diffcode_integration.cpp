@@ -7,10 +7,13 @@
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
+#include "obs/Observer.h"
 #include "rules/BuiltinRules.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 
 using namespace diffcode;
@@ -67,6 +70,109 @@ class AESCipher {
     }
 }
 )java";
+
+std::vector<const rules::Rule *> elicitedRulePointers() {
+  std::vector<const rules::Rule *> Rules;
+  for (const rules::Rule &R : rules::elicitedRules())
+    Rules.push_back(&R);
+  return Rules;
+}
+
+/// What an observed analyzeChanges run counted: its version counters and
+/// the loop's claims.
+struct StoreCounts {
+  std::uint64_t Analyzed = 0, Reused = 0, Claims = 0;
+  bool operator==(const StoreCounts &) const = default;
+};
+
+StoreCounts countsOf(const obs::Observer &Obs) {
+  StoreCounts Out;
+  for (const obs::MetricValue &V : Obs.Metrics.snapshot().Values) {
+    if (V.Name == "pipeline.versions_analyzed") {
+      Out.Analyzed = V.Count;
+      EXPECT_EQ(V.S, obs::Stability::Deterministic);
+    } else if (V.Name == "pipeline.versions_reused") {
+      Out.Reused = V.Count;
+      EXPECT_EQ(V.S, obs::Stability::Deterministic);
+    } else if (V.Name == "threadpool.chunks") {
+      Out.Claims = V.Count;
+    }
+  }
+  return Out;
+}
+
+/// Runs analyzeChanges over \p Changes at 1, 2 and 8 threads, classifying
+/// under R1-R13, and expects every record to equal, as JSON, what
+/// processChange gives for that change alone under the same fault scope:
+/// processChange shares no work between changes, so it is the oracle
+/// for the version store. Returns the observed counts, which must not
+/// move with the thread count.
+StoreCounts expectStoreMatchesProcessChange(
+    const std::vector<const corpus::CodeChange *> &Changes,
+    const support::FaultPlan &Faults = {}) {
+  PipelineRequest Request;
+  Request.Changes = Changes;
+  Request.TargetClasses = api().targetClasses();
+  Request.ClassifyWith = elicitedRulePointers();
+  PipelineConfig OracleConfig;
+  OracleConfig.Faults = Faults;
+  DiffCode Oracle(api(), OracleConfig);
+  std::vector<std::string> Expected;
+  for (std::size_t I = 0; I < Changes.size(); ++I) {
+    support::FaultScope Scope(&Oracle.config().Faults, I);
+    Expected.push_back(changeRecordToJson(
+        Oracle.processChange(*Changes[I], Request.TargetClasses,
+                             Request.ClassifyWith, *Oracle.labels())));
+  }
+
+  std::optional<StoreCounts> Counts;
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    PipelineConfig Config;
+    Config.Threads = Threads;
+    Config.Faults = Faults;
+    DiffCode System(api(), Config);
+    obs::Observer Obs;
+    Request.Metrics = &Obs;
+    std::vector<ChangeRecord> Records = System.analyzeChanges(Request);
+    EXPECT_EQ(Records.size(), Changes.size());
+    for (std::size_t I = 0; I < std::min(Records.size(), Changes.size()); ++I)
+      EXPECT_EQ(changeRecordToJson(Records[I]), Expected[I])
+          << Threads << " threads, change " << I;
+    StoreCounts Run = countsOf(Obs);
+    EXPECT_EQ(Run.Analyzed + Run.Reused, 2 * Changes.size());
+    if (!Counts)
+      Counts = Run;
+    EXPECT_EQ(Run, *Counts) << Threads << " threads";
+  }
+  return *Counts;
+}
+
+/// A Cipher user whose transformation string is \p Transformation.
+std::string cipherUnit(const std::string &Transformation) {
+  return "class A { void m(Key k) throws Exception { Cipher c = "
+         "Cipher.getInstance(\"" +
+         Transformation + "\"); c.init(Cipher.ENCRYPT_MODE, k); } }";
+}
+
+corpus::CodeChange fileChange(std::string Project, std::string File,
+                              unsigned Commit, std::string OldCode,
+                              std::string NewCode) {
+  corpus::CodeChange C;
+  C.ProjectName = std::move(Project);
+  C.FileName = std::move(File);
+  C.CommitIndex = Commit;
+  C.OldCode = std::move(OldCode);
+  C.NewCode = std::move(NewCode);
+  return C;
+}
+
+std::vector<const corpus::CodeChange *>
+pointersTo(const std::vector<corpus::CodeChange> &Changes) {
+  std::vector<const corpus::CodeChange *> Out;
+  for (const corpus::CodeChange &C : Changes)
+    Out.push_back(&C);
+  return Out;
+}
 
 } // namespace
 
@@ -290,6 +396,13 @@ TEST(DiffCodeE2E, ParallelPipelineMatchesSerial) {
   corpus::Miner M(api());
   std::vector<const corpus::CodeChange *> Mined = M.mine(C);
 
+  // Every record the grouped, version-reusing loop produces is the one
+  // processChange produces alone, at every thread count; and consecutive
+  // commits to a file do share versions here.
+  StoreCounts Counts = expectStoreMatchesProcessChange(Mined);
+  EXPECT_GT(Counts.Reused, 0u);
+  EXPECT_LT(Counts.Claims, Mined.size());
+
   PipelineConfig Serial;
   Serial.Threads = 1;
   PipelineConfig Parallel;
@@ -408,4 +521,122 @@ TEST(DiffCodeE2E, StageEntryPointsComposeToRunPipeline) {
       EXPECT_EQ(TA[K].Height, TB[K].Height);
     }
   }
+}
+
+TEST(DiffCodeE2E, StoreAnalyzesAnUnchangedFileOnce) {
+  // Old and new texts are equal: one analysis serves both sides.
+  std::vector<corpus::CodeChange> Changes = {
+      fileChange("p", "A.java", 1, cipherUnit("AES"), cipherUnit("AES"))};
+  StoreCounts Counts = expectStoreMatchesProcessChange(pointersTo(Changes));
+  EXPECT_EQ(Counts.Analyzed, 1u);
+  EXPECT_EQ(Counts.Reused, 1u);
+}
+
+TEST(DiffCodeE2E, StoreKeepsFileHistoriesApart) {
+  // One text in two files of one project and in a second project: each
+  // history is its own group on its own store, so the shared text is
+  // analyzed once per history, and every record is still processChange's.
+  const std::string Shared = cipherUnit("DES");
+  std::vector<corpus::CodeChange> Changes = {
+      fileChange("p", "A.java", 1, Shared, cipherUnit("AES/GCM/NoPadding")),
+      fileChange("p", "B.java", 1, Shared, cipherUnit("AES/CBC/PKCS5Padding")),
+      fileChange("q", "A.java", 1, cipherUnit("RC4"), Shared)};
+  StoreCounts Counts = expectStoreMatchesProcessChange(pointersTo(Changes));
+  EXPECT_EQ(Counts.Analyzed, 6u);
+  EXPECT_EQ(Counts.Reused, 0u);
+  EXPECT_EQ(Counts.Claims, 3u);
+}
+
+TEST(DiffCodeE2E, StoreReusesInterleavedChains) {
+  // A -> B -> C in A.java, interleaved with X -> Y -> Z in B.java: each
+  // middle version is analyzed once and served again to the next commit.
+  std::vector<corpus::CodeChange> Changes = {
+      fileChange("p", "A.java", 1, cipherUnit("DES"), cipherUnit("AES")),
+      fileChange("p", "B.java", 1, cipherUnit("RC4"), cipherUnit("AES/ECB")),
+      fileChange("p", "A.java", 2, cipherUnit("AES"), cipherUnit("AES/GCM")),
+      fileChange("p", "B.java", 2, cipherUnit("AES/ECB"),
+                 cipherUnit("AES/CTR"))};
+  StoreCounts Counts = expectStoreMatchesProcessChange(pointersTo(Changes));
+  EXPECT_EQ(Counts.Analyzed, 6u);
+  EXPECT_EQ(Counts.Reused, 2u);
+  EXPECT_EQ(Counts.Claims, 2u);
+  // The reused versions carry Cipher DAGs, so the records compared above
+  // hold real usage changes.
+  DiffCode System(api());
+  ChangeRecord Middle = System.processChange(
+      Changes[2], api().targetClasses(), {}, *System.labels());
+  ASSERT_EQ(Middle.PerClass.count("Cipher"), 1u);
+  EXPECT_FALSE(Middle.PerClass.at("Cipher").front().Removed.empty());
+}
+
+TEST(DiffCodeE2E, StoreKeepsOnlyThePreviousChangesVersions) {
+  // A -> B -> C -> A in one file: each commit's old side is the previous
+  // commit's new side, but the store has dropped A by the time the third
+  // commit restores it, so A is analyzed again.
+  std::vector<corpus::CodeChange> Changes = {
+      fileChange("p", "A.java", 1, cipherUnit("DES"), cipherUnit("AES")),
+      fileChange("p", "A.java", 2, cipherUnit("AES"), cipherUnit("RC4")),
+      fileChange("p", "A.java", 3, cipherUnit("RC4"), cipherUnit("DES"))};
+  StoreCounts Counts = expectStoreMatchesProcessChange(pointersTo(Changes));
+  EXPECT_EQ(Counts.Analyzed, 4u);
+  EXPECT_EQ(Counts.Reused, 2u);
+  EXPECT_EQ(Counts.Claims, 1u);
+}
+
+TEST(DiffCodeE2E, UnnamedChangesFormOneSerialGroup) {
+  // Changes with empty project and file names share one history: one
+  // claim, one store, every version reused across the batch.
+  std::vector<corpus::CodeChange> Changes = {
+      fileChange("", "", 0, cipherUnit("DES"), cipherUnit("AES")),
+      fileChange("", "", 0, cipherUnit("AES"), cipherUnit("DES")),
+      fileChange("", "", 0, cipherUnit("DES"), cipherUnit("AES"))};
+  StoreCounts Counts = expectStoreMatchesProcessChange(pointersTo(Changes));
+  EXPECT_EQ(Counts.Analyzed, 2u);
+  EXPECT_EQ(Counts.Reused, 4u);
+  EXPECT_EQ(Counts.Claims, 1u);
+}
+
+TEST(DiffCodeE2E, StoreHandlesAddedFiles) {
+  // An added file diffs against the empty text, which the store analyzes
+  // (as the empty result) like any other version; the next commit's old
+  // side is the added file.
+  std::vector<corpus::CodeChange> Changes = {
+      fileChange("p", "A.java", 1, "", cipherUnit("DES")),
+      fileChange("p", "A.java", 2, cipherUnit("DES"), cipherUnit("AES")),
+      fileChange("p", "B.java", 2, "", cipherUnit("AES"))};
+  StoreCounts Counts = expectStoreMatchesProcessChange(pointersTo(Changes));
+  EXPECT_EQ(Counts.Analyzed, 5u);
+  EXPECT_EQ(Counts.Reused, 1u);
+}
+
+TEST(DiffCodeE2E, ArmedPlanBypassesTheStore) {
+  // Injected faults depend on the change's fault scope, so under an
+  // armed plan no version is shared: every record is processChange's
+  // under the same scope, and nothing is reused.
+  corpus::CorpusOptions Opts;
+  Opts.Seed = 47;
+  Opts.NumProjects = 8;
+  corpus::Corpus C = corpus::CorpusGenerator(Opts).generate();
+  corpus::Miner M(api());
+  std::vector<const corpus::CodeChange *> Mined = M.mine(C);
+
+  support::FaultPlan Plan;
+  Plan.Seed = 11;
+  Plan.Rate = 0.002;
+  Plan.SiteMask = support::faultSiteBit(support::FaultSite::Parser);
+  StoreCounts Counts = expectStoreMatchesProcessChange(Mined, Plan);
+  EXPECT_EQ(Counts.Reused, 0u);
+  EXPECT_EQ(Counts.Analyzed, 2 * Mined.size());
+
+  // The campaign did fire, so the comparison covered contained records.
+  PipelineConfig Config;
+  Config.Faults = Plan;
+  PipelineRequest Request;
+  Request.Changes = Mined;
+  Request.TargetClasses = api().targetClasses();
+  std::vector<ChangeRecord> Records =
+      DiffCode(api(), Config).analyzeChanges(Request);
+  EXPECT_TRUE(std::any_of(Records.begin(), Records.end(), [](const auto &R) {
+    return R.Status == ChangeStatus::AnalysisThrow;
+  }));
 }

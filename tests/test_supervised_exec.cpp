@@ -15,6 +15,7 @@
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
 #include "exec/Supervisor.h"
+#include "obs/Observer.h"
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
 #include <vector>
 
 using namespace diffcode;
@@ -96,6 +98,46 @@ TEST(SupervisedExec, ByteIdenticalAcrossWorkersAndBatchSizes) {
           << Workers << " workers, batch " << Batch;
 }
 
+TEST(SupervisedExec, WorkerStoresServeWhatInProcessStoresServe) {
+  // Units hold whole file histories (none here is longer than the
+  // default 32-change unit), so on a clean run the workers' stores
+  // analyze and reuse exactly what the in-process stage's do.
+  for (const std::vector<std::uint64_t> &History :
+       fileHistories(env().Mined))
+    ASSERT_LE(History.size(), 32u);
+  auto Counts = [](const obs::Snapshot &S, const std::string &Prefix) {
+    std::pair<std::uint64_t, std::uint64_t> Out{0, 0};
+    for (const obs::MetricValue &V : S.Values) {
+      if (V.Name == Prefix + "pipeline.versions_analyzed")
+        Out.first = V.Count;
+      else if (V.Name == Prefix + "pipeline.versions_reused")
+        Out.second = V.Count;
+    }
+    return Out;
+  };
+  DiffCode System(api());
+  obs::Observer InProcObs;
+  System.analyzeChanges({.Changes = env().Mined,
+                         .TargetClasses = api().targetClasses(),
+                         .Metrics = &InProcObs});
+  auto InProc = Counts(InProcObs.summarize().Metrics, "");
+  EXPECT_GT(InProc.second, 0u);
+  EXPECT_EQ(InProc.first + InProc.second, 2 * env().Mined.size());
+
+  for (unsigned Workers : {1u, 3u}) {
+    ExecutionPolicy Exec;
+    Exec.Mode = ExecutionMode::Supervised;
+    Exec.Workers = Workers;
+    obs::Observer SupObs;
+    exec::superviseChanges(System, {.Changes = env().Mined,
+                                    .TargetClasses = api().targetClasses(),
+                                    .Metrics = &SupObs,
+                                    .Exec = Exec});
+    EXPECT_EQ(Counts(SupObs.summarize().Metrics, "exec.worker."), InProc)
+        << Workers << " workers";
+  }
+}
+
 TEST(SupervisedExec, CleanRunBookkeeping) {
   exec::SupervisionStats Stats;
   ExecutionPolicy Exec;
@@ -110,10 +152,24 @@ TEST(SupervisedExec, CleanRunBookkeeping) {
       &Stats);
 
   ASSERT_EQ(Records.size(), env().Mined.size());
-  // One unit per contiguous batch; a clean run never retries, bisects,
-  // restarts, kills, falls back inline, or stamps a terminal status.
+  // One unit per pack of whole file histories of at most four changes (a
+  // longer history fills units of four); a clean run never retries,
+  // bisects, restarts, kills, falls back inline, or stamps a terminal
+  // status.
   std::uint64_t N = env().Mined.size();
-  EXPECT_EQ(Stats.UnitsDispatched, (N + 3) / 4);
+  std::uint64_t Units = 0, Open = 0;
+  for (const std::vector<std::uint64_t> &History :
+       fileHistories(env().Mined)) {
+    if (Open + History.size() > 4) {
+      Units += Open > 0;
+      Open = 0;
+    }
+    Units += (Open + History.size()) / 4;
+    Open = (Open + History.size()) % 4;
+  }
+  Units += Open > 0;
+  EXPECT_GT(Units, (N + 3) / 4);
+  EXPECT_EQ(Stats.UnitsDispatched, Units);
   EXPECT_EQ(Stats.Retries, 0u);
   EXPECT_EQ(Stats.Bisections, 0u);
   EXPECT_EQ(Stats.WorkerRestarts, 0u);
