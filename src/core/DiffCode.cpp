@@ -57,23 +57,20 @@ std::size_t CorpusHealth::troubled() const {
   return N;
 }
 
-void core::computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders) {
-  CorpusHealth Health;
-  for (const ChangeRecord &Record : Report.Changes)
-    ++Health.StatusCounts[static_cast<std::size_t>(Record.Status)];
-  for (const ClassReport &Class : Report.PerClass)
-    if (!Class.ClusteringError.empty())
-      ++Health.ClusteringFailures;
-
-  // Order: steps descending, then origin, then record index. Every file
-  // of a commit shares its origin, so the index is what makes the order
-  // total; without it, tied records of one commit would come out in an
-  // order set by the sort's internals.
-  const std::vector<ChangeRecord> &Records = Report.Changes;
-  std::vector<std::size_t> Order;
-  for (std::size_t I = 0; I < Records.size(); ++I)
+void HealthTally::extend(const std::vector<ChangeRecord> &Records) {
+  // Candidates: the current offenders plus every new record that used
+  // steps. Order: steps descending, then origin, then record index. Every
+  // file of a commit shares its origin, so the index is what makes the
+  // order total; without it, tied records of one commit would come out in
+  // an order set by the sort's internals, and the top of the longer list
+  // would not follow from the top of the shorter one.
+  std::vector<std::size_t> Order = std::move(Worst);
+  for (std::size_t I = Tallied; I < Records.size(); ++I) {
+    ++StatusCounts[static_cast<std::size_t>(Records[I].Status)];
     if (Records[I].StepsUsed > 0)
       Order.push_back(I);
+  }
+  Tallied = Records.size();
   std::size_t Top = std::min(MaxOffenders, Order.size());
   std::partial_sort(Order.begin(), Order.begin() + Top, Order.end(),
                     [&Records](std::size_t A, std::size_t B) {
@@ -84,12 +81,28 @@ void core::computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders) {
                         return RA.Origin < RB.Origin;
                       return A < B;
                     });
-  for (std::size_t I = 0; I < Top; ++I) {
-    const ChangeRecord &Record = Records[Order[I]];
+  Order.resize(Top);
+  Worst = std::move(Order);
+}
+
+CorpusHealth HealthTally::health(const CorpusReport &Report) const {
+  CorpusHealth Health;
+  Health.StatusCounts = StatusCounts;
+  for (const ClassReport &Class : Report.PerClass)
+    if (!Class.ClusteringError.empty())
+      ++Health.ClusteringFailures;
+  for (std::size_t I : Worst) {
+    const ChangeRecord &Record = Report.Changes[I];
     Health.WorstOffenders.push_back(WorstOffender{
         Record.Origin, Record.StepsUsed, Record.Status, Record.WallNanos});
   }
-  Report.Health = Health;
+  return Health;
+}
+
+void core::computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders) {
+  HealthTally Tally(MaxOffenders);
+  Tally.extend(Report.Changes);
+  Report.Health = Tally.health(Report);
 }
 
 DiffCode::DiffCode(const apimodel::CryptoApiModel &Api)

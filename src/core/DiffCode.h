@@ -272,9 +272,38 @@ struct AnalyzedVersion {
   rules::UnitFacts Facts; ///< Empty under VersionFacts::None.
 };
 
+/// The corpus-health rollup as a running tally over an append-only record
+/// list: the status counts plus the record indices of the current worst
+/// offenders. The offender order is total, so the top entries of a longer
+/// list come from the previous top entries plus the new records, and
+/// extending a tally gives exactly what a recount over every record gives.
+class HealthTally {
+public:
+  /// A tally of no records keeping at most \p MaxOffenders offenders.
+  explicit HealthTally(std::size_t MaxOffenders = 5)
+      : MaxOffenders(MaxOffenders) {}
+
+  /// Folds in the records of \p Records past the ones already folded,
+  /// which must be its prefix.
+  void extend(const std::vector<ChangeRecord> &Records);
+
+  /// The health block of \p Report, whose Changes are the records folded
+  /// in. Clustering failures are recounted over Report.PerClass, because a
+  /// re-clustered class can fail or recover.
+  CorpusHealth health(const CorpusReport &Report) const;
+
+private:
+  std::size_t MaxOffenders;
+  std::size_t Tallied = 0;
+  std::array<std::size_t, NumChangeStatuses> StatusCounts{};
+  /// Record indices of the worst offenders, in offender order.
+  std::vector<std::size_t> Worst;
+};
+
 /// Recomputes \p Report's health summary from its records (at most
-/// \p MaxOffenders worst-offender entries). run() calls this;
-/// exposed for tests and for callers that post-edit reports.
+/// \p MaxOffenders worst-offender entries): a HealthTally extended over
+/// every record. run() calls this; exposed for tests and for callers that
+/// post-edit reports.
 void computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders = 5);
 
 /// The system facade.

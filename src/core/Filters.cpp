@@ -2,9 +2,6 @@
 
 #include "core/Filters.h"
 
-#include <set>
-#include <tuple>
-
 using namespace diffcode;
 using namespace diffcode::core;
 using namespace diffcode::usage;
@@ -35,51 +32,42 @@ FilterStage diffcode::core::classifySolo(const UsageChange &Change) {
   return FilterStage::Kept;
 }
 
+void diffcode::core::continueFilters(const std::vector<UsageChange> &Changes,
+                                     FilterResult &Result, FilterSeen &Seen) {
+  for (std::size_t I = Result.Total; I < Changes.size(); ++I) {
+    const UsageChange &Change = Changes[I];
+    FilterStage Stage = classifySolo(Change);
+    if (Stage == FilterStage::Kept &&
+        !Seen.emplace(Change.TypeName, Change.Removed, Change.Added).second)
+      Stage = FilterStage::FDup;
+    if (Stage == FilterStage::Kept)
+      Result.Kept.push_back(Change);
+    Result.Outcome.push_back(Stage);
+    // A change counts towards every stage it got past.
+    switch (Stage) {
+    case FilterStage::Kept:
+      ++Result.AfterDup;
+      [[fallthrough]];
+    case FilterStage::FDup:
+      ++Result.AfterRem;
+      [[fallthrough]];
+    case FilterStage::FRem:
+      ++Result.AfterAdd;
+      [[fallthrough]];
+    case FilterStage::FAdd:
+      ++Result.AfterSame;
+      [[fallthrough]];
+    case FilterStage::FSame:
+      break;
+    }
+  }
+  Result.Total = Changes.size();
+}
+
 FilterResult
 diffcode::core::applyFilters(const std::vector<UsageChange> &Changes) {
   FilterResult Result;
-  Result.Total = Changes.size();
-  Result.Outcome.reserve(Changes.size());
-
-  std::size_t RemovedSame = 0, RemovedAdd = 0, RemovedRem = 0,
-              RemovedDup = 0;
-  // fdup: interned changes make feature identity a tuple of id vectors
-  // (valid because one corpus shares one interner), so duplicate
-  // detection is a set probe instead of a scan over the survivors. First
-  // occurrence wins, exactly as before.
-  using FeatureKey = std::tuple<std::string, std::vector<support::PathId>,
-                                std::vector<support::PathId>>;
-  std::set<FeatureKey> Seen;
-  for (const UsageChange &Change : Changes) {
-    FilterStage Stage = classifySolo(Change);
-    switch (Stage) {
-    case FilterStage::FSame:
-      ++RemovedSame;
-      break;
-    case FilterStage::FAdd:
-      ++RemovedAdd;
-      break;
-    case FilterStage::FRem:
-      ++RemovedRem;
-      break;
-    default: {
-      bool Inserted =
-          Seen.emplace(Change.TypeName, Change.Removed, Change.Added).second;
-      if (!Inserted) {
-        Stage = FilterStage::FDup;
-        ++RemovedDup;
-      } else {
-        Result.Kept.push_back(Change);
-      }
-      break;
-    }
-    }
-    Result.Outcome.push_back(Stage);
-  }
-
-  Result.AfterSame = Result.Total - RemovedSame;
-  Result.AfterAdd = Result.AfterSame - RemovedAdd;
-  Result.AfterRem = Result.AfterAdd - RemovedRem;
-  Result.AfterDup = Result.AfterRem - RemovedDup;
+  FilterSeen Seen;
+  continueFilters(Changes, Result, Seen);
   return Result;
 }

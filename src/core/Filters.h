@@ -24,6 +24,9 @@
 #include "usage/UsageChange.h"
 
 #include <cstddef>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace diffcode {
@@ -50,8 +53,23 @@ struct FilterResult {
   std::size_t AfterDup = 0;
 };
 
-/// Runs the pipeline. Duplicate detection keeps the first occurrence of
-/// each distinct (F-, F+).
+/// fdup's memory: the (type, F-, F+) of every change a FilterResult kept.
+/// Interned ids make feature identity a tuple of id vectors (valid because
+/// one corpus shares one interner), so a duplicate is one set probe.
+using FilterSeen =
+    std::set<std::tuple<std::string, std::vector<support::PathId>,
+                        std::vector<support::PathId>>>;
+
+/// Continues \p Result over Changes[Result.Total..]: \p Result covers the
+/// prefix Changes[0..Result.Total) and \p Seen holds the features it kept.
+/// fsame, fadd and frem judge each change alone and fdup keeps first
+/// occurrences, so continuing over the new changes gives exactly what
+/// applyFilters over all of \p Changes gives.
+void continueFilters(const std::vector<usage::UsageChange> &Changes,
+                     FilterResult &Result, FilterSeen &Seen);
+
+/// Runs the pipeline: continueFilters from an empty result. Duplicate
+/// detection keeps the first occurrence of each distinct (F-, F+).
 FilterResult applyFilters(const std::vector<usage::UsageChange> &Changes);
 
 /// Classifies a single change in isolation (no duplicate stage).

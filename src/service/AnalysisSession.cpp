@@ -13,12 +13,16 @@
 using namespace diffcode;
 using namespace diffcode::service;
 
-/// Per-class incremental clustering state. Kept items are append-only
-/// across ingests (fsame/fadd/frem are per-item and fdup keeps *first*
+/// Per-class incremental state. Kept items are append-only across
+/// ingests (fsame/fadd/frem are per-item and fdup keeps *first*
 /// occurrences, so appending changes never evicts a survivor), which is
-/// what makes a persistent pair table sound: old pairs stay valid
-/// forever, an ingest only adds new rows.
+/// what makes the continued filter result and a persistent pair table
+/// sound: old survivors and old pairs stay valid forever, an ingest only
+/// adds new ones.
 struct AnalysisSession::ClassState {
+  /// fdup's seen-set over the class's survivors so far, so an ingest
+  /// filters only its own usage changes (core::continueFilters).
+  core::FilterSeen Seen;
   /// Feature signature (exact Removed/Added id vectors) -> dense
   /// signature id. fdup guarantees Kept signatures are distinct within a
   /// class, so a signature id identifies exactly one kept item for the
@@ -76,7 +80,7 @@ AnalysisSession::AnalysisSession(const apimodel::CryptoApiModel &Api,
     Report.PerClass.push_back(System.filterClass({}, Class));
     Classes.push_back(std::make_unique<ClassState>());
   }
-  core::computeCorpusHealth(Report);
+  Report.Health = Tally.health(Report);
 }
 
 AnalysisSession::~AnalysisSession() = default;
@@ -121,7 +125,8 @@ AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
     }
   }
 
-  core::computeCorpusHealth(Report);
+  Tally.extend(Report.Changes);
+  Report.Health = Tally.health(Report);
 
   ++Ingests;
   Lifetime.Ingested += Stats.Ingested;
@@ -148,9 +153,11 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
     Class.AllChanges.insert(Class.AllChanges.end(), It->second.begin(),
                             It->second.end());
   }
-  // Filter: a full linear re-run. Incrementalizing fdup's seen-set is
-  // possible but the filters are a rounding error next to clustering.
-  Class.Filtered = core::applyFilters(Class.AllChanges);
+  // Filter: continue the previous ingest's result over the new usage
+  // changes only, against the class's seen-set.
+  ClassState &State = *Classes[ClassIndex];
+  const std::size_t SurvivorsBefore = Class.Filtered.Kept.size();
+  core::continueFilters(Class.AllChanges, Class.Filtered, State.Seen);
 
   // Cold fallback: armed analysis campaigns must evaluate every fault
   // point a cold run would.
@@ -159,6 +166,13 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
     return;
   }
 
+  // Survivors are append-only, so an unchanged count means unchanged
+  // survivors: the same matrix and the same tree. A failed clustering is
+  // retried, as a cold run would.
+  if (Class.Filtered.Kept.size() == SurvivorsBefore &&
+      Class.ClusteringError.empty())
+    return;
+
   // Incremental re-cluster: rebuild the dense matrix from the persisted
   // pair table, computing only pairs never seen before (for an append
   // ingest that is one thin border strip of the matrix), then hand it to
@@ -166,7 +180,6 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
   // the two feature sets and the cold matrix evaluates it per pair too,
   // so every looked-up entry matches what the cold matrix would hold —
   // and identical matrices agglomerate into identical dendrograms.
-  ClassState &State = *Classes[ClassIndex];
   const std::vector<usage::UsageChange> &Kept = Class.Filtered.Kept;
   System.clusterClass(Class, [&] {
     const std::size_t N = Kept.size();

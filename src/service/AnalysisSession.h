@@ -16,22 +16,30 @@
 ///     cold run calls, each change under the fault scope of its global
 ///     corpus index; a version repeated within the batch is analyzed
 ///     once, but nothing is kept from one ingest to the next;
+///   * the health block and each touched class's filter result are
+///     continued over the new records only (core::HealthTally,
+///     core::continueFilters with a per-class fdup seen-set), which gives
+///     exactly what a recount over the whole session gives;
+///   * only classes the new records contribute to are re-filtered, and a
+///     touched class is re-clustered only when its survivors grew
+///     (survivors are append-only, so the same count means the same
+///     matrix and the same tree); untouched classes keep their
+///     ClassReport verbatim;
 ///   * per-class pair distances are persisted across ingests keyed by
-///     usage-change feature signatures, so repairing a dendrogram after
-///     an append computes only the new item's pairs — every old pair is
-///     a table lookup (bit-identical: cold runs evaluate the same
-///     cluster::usageDist per pair);
-///   * only classes whose usage set actually changed are re-filtered and
-///     re-clustered; untouched classes keep their ClassReport verbatim.
+///     usage-change feature signatures, so re-clustering a class whose
+///     survivors grew computes only the new items' pairs — every old pair
+///     is a table lookup (bit-identical: cold runs evaluate the same
+///     cluster::usageDist per pair).
 ///
 /// Byte-identity contract (the PR 1-7 differential pattern): after any
 /// sequence of ingests, report() is byte-identical to a cold
 /// DiffCode::run over the same changes in the same order, at any thread
 /// count. One deliberate scope cut keeps that contract airtight: when a
 /// fault campaign arms any in-process analysis site, the pair tables are
-/// bypassed and touched classes re-cluster cold — a table lookup skips
-/// the Hungarian fault points a cold matrix evaluates, so the tables are
-/// only trusted when they cannot change observable behaviour.
+/// bypassed and touched classes re-cluster cold on every ingest — a table
+/// lookup or a kept tree skips the Hungarian and clustering fault points a
+/// cold run evaluates, so both are only trusted when they cannot change
+/// observable behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,10 +79,19 @@ struct IngestStats {
   /// stays only because the benchmark (perfbench/src/Traced.cpp) reads
   /// it; it goes together with perfbench's service.cache_hit_share.
   std::size_t CacheHits = 0;
-  std::size_t ClassesRepaired = 0; ///< Classes re-filtered/re-clustered.
-  std::size_t ClassesReused = 0;   ///< Classes kept verbatim.
-  std::uint64_t PairsComputed = 0; ///< Fresh usageDist evaluations.
-  std::uint64_t PairsReused = 0;   ///< Pair distances served from tables.
+  /// Classes the new records contribute to: each is re-filtered, and
+  /// re-clustered only when its survivors grew (or, under an armed
+  /// analysis or clustering campaign, always).
+  std::size_t ClassesRepaired = 0;
+  std::size_t ClassesReused = 0; ///< Classes kept verbatim.
+  /// Fresh usageDist evaluations while rebuilding the matrix of a class
+  /// whose survivors grew: the new survivors' pairs. 0 when no class grew,
+  /// and under an armed analysis or clustering campaign, whose cold
+  /// re-clusters bypass the tables.
+  std::uint64_t PairsComputed = 0;
+  /// Pair distances served from the tables in the same rebuilds: the old
+  /// survivors' pairs. 0 when no class grew.
+  std::uint64_t PairsReused = 0;
 };
 
 /// Cumulative session counters (sums of every ingest's IngestStats), for
@@ -99,9 +116,9 @@ public:
 
   /// Appends \p Changes to the session corpus and repairs the report:
   /// analyzes them with DiffCode::analyzeChanges (Config.Threads
-  /// threads), then re-filters and re-clusters only classes whose usage
-  /// set changed. The changes themselves are not retained — their
-  /// records are.
+  /// threads), continues the filter result of each class they contribute
+  /// to, re-clusters those whose survivors grew, and extends the health
+  /// tally. The changes themselves are not retained — their records are.
   IngestStats ingest(const std::vector<corpus::CodeChange> &Changes);
 
   /// The repaired-to-date report: byte-identical to a cold
@@ -140,8 +157,11 @@ private:
   bool CachingSafe = true;
 
   /// The live report. Report.Changes is the session's record store;
-  /// PerClass is repaired in place; Health recomputed per ingest.
+  /// PerClass is repaired in place; Health is rebuilt from Tally.
   core::CorpusReport Report;
+  /// The health tally over Report.Changes, extended by each ingest's
+  /// records.
+  core::HealthTally Tally;
 
   /// Per target class (parallel to TargetClasses / Report.PerClass).
   std::vector<std::unique_ptr<ClassState>> Classes;

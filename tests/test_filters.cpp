@@ -149,3 +149,62 @@ TEST(Filters, LargeBatchStaysConsistent) {
   // 50 identical kept changes collapse to 1.
   EXPECT_EQ(R.AfterDup, 1u);
 }
+
+TEST(Filters, ContinuingChunkByChunkEqualsOneRun) {
+  // Every way to split the list into contiguous chunks (2^(n-1) of them),
+  // with each stage represented, duplicates of a kept change landing in
+  // later chunks, and a duplicate of an fadd change that must stay fadd.
+  const std::vector<UsageChange> Changes = {
+      make({path("AES")}, {path("DES")}, "k1"),
+      make({}, {}),
+      make({path("AES")}, {path("DES")}, "dup-of-k1"),
+      make({}, {path("AES")}),
+      make({path("DES")}, {path("AES")}, "k2"),
+      make({path("AES")}, {}),
+      make({}, {path("AES")}),
+      make({path("DES")}, {path("AES")}, "dup-of-k2"),
+      make({path("AES")}, {path("DES")}, "dup-of-k1-again"),
+      make({path("RC4")}, {path("AES")}, "k3"),
+      make({}, {}),
+  };
+  const FilterResult Whole = applyFilters(Changes);
+  ASSERT_EQ(Whole.Kept.size(), 3u);
+  ASSERT_EQ(Whole.AfterRem - Whole.AfterDup, 3u);
+
+  const std::size_t Cuts = Changes.size() - 1;
+  for (std::uint32_t Mask = 0; Mask < (1u << Cuts); ++Mask) {
+    // Bit I set: a chunk ends after Changes[I].
+    std::vector<UsageChange> Prefix;
+    FilterResult Continued;
+    FilterSeen Seen;
+    for (std::size_t I = 0; I < Changes.size(); ++I) {
+      Prefix.push_back(Changes[I]);
+      if (I + 1 == Changes.size() || (Mask >> I & 1u))
+        continueFilters(Prefix, Continued, Seen);
+    }
+    EXPECT_EQ(Continued.Outcome, Whole.Outcome) << Mask;
+    EXPECT_EQ(Continued.Total, Whole.Total) << Mask;
+    EXPECT_EQ(Continued.AfterSame, Whole.AfterSame) << Mask;
+    EXPECT_EQ(Continued.AfterAdd, Whole.AfterAdd) << Mask;
+    EXPECT_EQ(Continued.AfterRem, Whole.AfterRem) << Mask;
+    EXPECT_EQ(Continued.AfterDup, Whole.AfterDup) << Mask;
+    ASSERT_EQ(Continued.Kept.size(), Whole.Kept.size()) << Mask;
+    for (std::size_t K = 0; K < Whole.Kept.size(); ++K) {
+      EXPECT_TRUE(Continued.Kept[K].sameFeatures(Whole.Kept[K])) << Mask;
+      EXPECT_EQ(Continued.Kept[K].Origin, Whole.Kept[K].Origin) << Mask;
+    }
+  }
+}
+
+TEST(Filters, ContinuingWithNothingNewChangesNothing) {
+  std::vector<UsageChange> Changes = {make({path("AES")}, {path("DES")}),
+                                      make({}, {})};
+  FilterResult R;
+  FilterSeen Seen;
+  continueFilters(Changes, R, Seen);
+  continueFilters(Changes, R, Seen);
+  EXPECT_EQ(R.Total, 2u);
+  EXPECT_EQ(R.Outcome.size(), 2u);
+  EXPECT_EQ(R.Kept.size(), 1u);
+  EXPECT_EQ(Seen.size(), 1u);
+}

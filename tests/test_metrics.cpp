@@ -659,6 +659,98 @@ TEST(CorpusHealth, WorstOffenderTiesKeepRecordOrder) {
     EXPECT_EQ(Report.Health.WorstOffenders[I].WallNanos, I);
 }
 
+namespace {
+
+/// Field-by-field CorpusHealth equality, with the first difference named.
+::testing::AssertionResult sameHealth(const core::CorpusHealth &A,
+                                      const core::CorpusHealth &B) {
+  if (A.StatusCounts != B.StatusCounts)
+    return ::testing::AssertionFailure() << "status counts differ";
+  if (A.ClusteringFailures != B.ClusteringFailures)
+    return ::testing::AssertionFailure() << "clustering failures differ";
+  if (A.WorstOffenders.size() != B.WorstOffenders.size())
+    return ::testing::AssertionFailure()
+           << A.WorstOffenders.size() << " offenders vs "
+           << B.WorstOffenders.size();
+  for (std::size_t I = 0; I < A.WorstOffenders.size(); ++I) {
+    const core::WorstOffender &X = A.WorstOffenders[I];
+    const core::WorstOffender &Y = B.WorstOffenders[I];
+    if (X.Origin != Y.Origin || X.Steps != Y.Steps || X.Status != Y.Status ||
+        X.WallNanos != Y.WallNanos)
+      return ::testing::AssertionFailure() << "offender " << I << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(CorpusHealth, TallyExtendedInChunksEqualsRecount) {
+  // Records of one commit share an origin; equal step counts recur across
+  // origins; two records use no steps; and with five offenders the fifth
+  // place is a tie on (steps, origin) between records 1, 4 and 11 that
+  // only the record index breaks. WallNanos tags each record.
+  struct Row {
+    const char *Origin;
+    std::uint64_t Steps;
+    core::ChangeStatus Status;
+  };
+  const Row Rows[] = {
+      {"p-a@c1", 100, core::ChangeStatus::Ok},
+      {"p-a@c1", 100, core::ChangeStatus::Degraded},
+      {"p-b@c2", 0, core::ChangeStatus::ParseError},
+      {"p-c@c3", 250, core::ChangeStatus::BudgetExceeded},
+      {"p-a@c1", 100, core::ChangeStatus::Ok},
+      {"p-d@c4", 40, core::ChangeStatus::Ok},
+      {"p-b@c2", 100, core::ChangeStatus::AnalysisThrow},
+      {"p-e@c5", 0, core::ChangeStatus::Ok},
+      {"p-0@c0", 100, core::ChangeStatus::Ok},
+      {"p-c@c3", 250, core::ChangeStatus::Ok},
+      {"p-f@c6", 40, core::ChangeStatus::Degraded},
+      {"p-a@c1", 100, core::ChangeStatus::Ok},
+  };
+  const std::size_t N = std::size(Rows);
+  core::CorpusReport Full;
+  for (std::size_t I = 0; I < N; ++I) {
+    core::ChangeRecord R;
+    R.Origin = Rows[I].Origin;
+    R.StepsUsed = Rows[I].Steps;
+    R.Status = Rows[I].Status;
+    R.WallNanos = I;
+    Full.Changes.push_back(std::move(R));
+  }
+  // One failed class, which health() recounts from the report.
+  Full.PerClass.resize(2);
+  Full.PerClass[1].ClusteringError = "injected";
+
+  core::computeCorpusHealth(Full);
+  ASSERT_EQ(Full.Health.WorstOffenders.size(), 5u);
+  EXPECT_EQ(Full.Health.WorstOffenders[4].WallNanos, 1u);
+  EXPECT_EQ(Full.Health.ClusteringFailures, 1u);
+
+  for (std::size_t MaxOffenders : {std::size_t(0), std::size_t(1),
+                                   std::size_t(5), N + 3}) {
+    // Every split into contiguous chunks; bit I set: a chunk ends after
+    // record I. After each chunk the tally must equal a recount of the
+    // prefix.
+    for (std::uint32_t Mask = 0; Mask < (1u << (N - 1)); ++Mask) {
+      core::HealthTally Tally(MaxOffenders);
+      core::CorpusReport Prefix;
+      Prefix.PerClass = Full.PerClass;
+      for (std::size_t I = 0; I < N; ++I) {
+        Prefix.Changes.push_back(Full.Changes[I]);
+        if (I + 1 < N && !(Mask >> I & 1u))
+          continue;
+        Tally.extend(Prefix.Changes);
+        core::CorpusReport Recount = Prefix;
+        core::computeCorpusHealth(Recount, MaxOffenders);
+        ASSERT_TRUE(sameHealth(Tally.health(Prefix), Recount.Health))
+            << "max " << MaxOffenders << " mask " << Mask << " after "
+            << I;
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // CLI --trace-out smoke test (tier1)
 //===----------------------------------------------------------------------===//

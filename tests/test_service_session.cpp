@@ -87,6 +87,53 @@ commitGroups(const std::vector<corpus::CodeChange> &Changes) {
   return Out;
 }
 
+/// Each class's survivor count (Filtered.Kept), in target-class order.
+std::vector<std::size_t> survivors(const AnalysisSession &Session) {
+  std::vector<std::size_t> Out;
+  for (const ClassReport &Class : Session.report().PerClass)
+    Out.push_back(Class.Filtered.Kept.size());
+  return Out;
+}
+
+/// The pairs among \p N survivors.
+std::uint64_t pairs(std::uint64_t N) { return N * (N - 1) / 2; }
+
+/// Field-by-field FilterResult equality, with the first difference named.
+::testing::AssertionResult sameFilterResult(const FilterResult &A,
+                                            const FilterResult &B) {
+  if (A.Outcome != B.Outcome)
+    return ::testing::AssertionFailure() << "outcomes differ";
+  if (A.Total != B.Total || A.AfterSame != B.AfterSame ||
+      A.AfterAdd != B.AfterAdd || A.AfterRem != B.AfterRem ||
+      A.AfterDup != B.AfterDup)
+    return ::testing::AssertionFailure() << "counts differ";
+  if (A.Kept.size() != B.Kept.size())
+    return ::testing::AssertionFailure()
+           << A.Kept.size() << " kept vs " << B.Kept.size();
+  for (std::size_t I = 0; I < A.Kept.size(); ++I)
+    if (!A.Kept[I].sameFeatures(B.Kept[I]) ||
+        A.Kept[I].Origin != B.Kept[I].Origin)
+      return ::testing::AssertionFailure() << "kept " << I << " differs";
+  return ::testing::AssertionSuccess();
+}
+
+/// Field-by-field CorpusHealth equality.
+::testing::AssertionResult sameHealth(const CorpusHealth &A,
+                                      const CorpusHealth &B) {
+  if (A.StatusCounts != B.StatusCounts ||
+      A.ClusteringFailures != B.ClusteringFailures)
+    return ::testing::AssertionFailure() << "counts differ";
+  if (A.WorstOffenders.size() != B.WorstOffenders.size())
+    return ::testing::AssertionFailure() << "offender counts differ";
+  for (std::size_t I = 0; I < A.WorstOffenders.size(); ++I) {
+    const WorstOffender &X = A.WorstOffenders[I], &Y = B.WorstOffenders[I];
+    if (X.Origin != Y.Origin || X.Steps != Y.Steps || X.Status != Y.Status ||
+        X.WallNanos != Y.WallNanos)
+      return ::testing::AssertionFailure() << "offender " << I << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Ingests every batch into a fresh session and returns the snapshot.
 std::string
 sessionJson(const std::vector<std::vector<corpus::CodeChange>> &Batches,
@@ -144,7 +191,10 @@ TEST(ServiceSession, ReplayedBatchMatchesColdDoubledStream) {
 }
 
 TEST(ServiceSession, IncrementalRepairReusesPairDistances) {
-  std::vector<corpus::CodeChange> Changes = minedChanges(16, 3);
+  // 24 projects at seed 7, split in halves: the tail grows a class that
+  // the head left with at least two survivors, so the append's rebuild
+  // has old-old pairs to look up.
+  std::vector<corpus::CodeChange> Changes = minedChanges(24, 7);
   ASSERT_GE(Changes.size(), 40u);
   std::size_t Half = Changes.size() / 2;
   std::vector<corpus::CodeChange> Head(Changes.begin(),
@@ -154,14 +204,30 @@ TEST(ServiceSession, IncrementalRepairReusesPairDistances) {
 
   AnalysisSession Session(api(), SessionOptions());
   IngestStats Warm = Session.ingest(Head);
+  std::vector<std::size_t> Before = survivors(Session);
   IngestStats Append = Session.ingest(Tail);
+  std::vector<std::size_t> After = survivors(Session);
 
-  // The warm ingest computed every pair fresh; the append repairs the
-  // touched classes and must serve the old-old block of each distance
-  // matrix from the persisted tables instead of recomputing it.
+  // The warm ingest computed every pair fresh. The append re-clusters
+  // exactly the classes whose survivors grew; each serves its old-old
+  // block from the persisted tables and computes only the pairs that
+  // involve a new survivor.
   EXPECT_GT(Warm.PairsComputed, 0u);
   EXPECT_GT(Append.ClassesRepaired, 0u);
+  bool GrewFromTwo = false;
+  std::uint64_t OldPairs = 0, NewPairs = 0;
+  for (std::size_t C = 0; C < After.size(); ++C) {
+    ASSERT_GE(After[C], Before[C]) << "survivors are append-only";
+    if (After[C] == Before[C])
+      continue;
+    GrewFromTwo |= Before[C] >= 2;
+    OldPairs += pairs(Before[C]);
+    NewPairs += pairs(After[C]) - pairs(Before[C]);
+  }
+  ASSERT_TRUE(GrewFromTwo) << "the tail must grow a class holding >= 2";
   EXPECT_GT(Append.PairsReused, 0u);
+  EXPECT_EQ(Append.PairsReused, OldPairs);
+  EXPECT_EQ(Append.PairsComputed, NewPairs);
   EXPECT_EQ(Session.reportJson(), coldJson(Changes));
 }
 
@@ -204,16 +270,82 @@ TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
   }
 }
 
+TEST(ServiceSession, ArmedClusteringReclustersTouchedClassesOnEveryIngest) {
+  // Under an armed clustering campaign a kept tree would skip fault points
+  // a cold re-cluster evaluates, so touched classes re-cluster cold on
+  // every ingest even when their survivors did not grow. Ingesting the
+  // same changes twice touches the same classes with the same survivors,
+  // and the fault decisions depend only on those, so the second ingest
+  // evaluates exactly as many clustering fault points as the first.
+  std::vector<corpus::CodeChange> Changes = minedChanges(6, 7);
+  support::FaultStats Faults;
+  SessionOptions Opts;
+  Opts.Config.Faults.Rate = 0.35;
+  Opts.Config.Faults.Seed = 4242;
+  Opts.Config.Faults.SiteMask =
+      support::faultSiteBit(support::FaultSite::Clustering);
+  Opts.Config.Faults.Stats = &Faults;
+  AnalysisSession Session(api(), Opts);
+  Session.ingest(Changes);
+  std::vector<std::size_t> Before = survivors(Session);
+  const std::uint64_t First =
+      Faults.evaluated(support::FaultSite::Clustering);
+  IngestStats Second = Session.ingest(Changes);
+  ASSERT_EQ(survivors(Session), Before);
+  EXPECT_GT(Second.ClassesRepaired, 0u);
+  EXPECT_GT(First, 0u);
+  EXPECT_EQ(Faults.evaluated(support::FaultSite::Clustering), 2 * First);
+}
+
+TEST(ServiceSession, ContinuedHealthAndFiltersEqualRecountAfterEveryIngest) {
+  // One commit per ingest, in-process and under an armed Parser +
+  // Interpreter plan (so statuses vary). After every ingest the continued
+  // health block and every class's continued filter result must equal a
+  // recount over everything ingested so far.
+  std::vector<corpus::CodeChange> Changes = minedChanges();
+  std::vector<std::vector<corpus::CodeChange>> Commits =
+      commitGroups(Changes);
+  ASSERT_GE(Commits.size(), 20u);
+  PipelineConfig Armed;
+  Armed.Faults.Rate = 0.35;
+  Armed.Faults.Seed = 4242;
+  Armed.Faults.SiteMask =
+      support::faultSiteBit(support::FaultSite::Parser) |
+      support::faultSiteBit(support::FaultSite::Interpreter);
+
+  for (const PipelineConfig &Config : {PipelineConfig(), Armed}) {
+    SessionOptions Opts;
+    Opts.Config = Config;
+    AnalysisSession Session(api(), Opts);
+    for (std::size_t C = 0; C < Commits.size(); ++C) {
+      Session.ingest(Commits[C]);
+      CorpusReport Recount = Session.report();
+      computeCorpusHealth(Recount);
+      ASSERT_TRUE(sameHealth(Session.report().Health, Recount.Health))
+          << "commit " << C;
+      for (const ClassReport &Class : Session.report().PerClass)
+        ASSERT_TRUE(
+            sameFilterResult(Class.Filtered, applyFilters(Class.AllChanges)))
+            << Class.TargetClass << " after commit " << C;
+    }
+    EXPECT_EQ(Session.reportJson(), coldJson(Changes, Config));
+    EXPECT_EQ(Session.report().Health.troubled() > 0,
+              Config.Faults.enabled());
+  }
+}
+
 TEST(ServiceSession, AppendedTreesEqualColdTreesNodeForNode) {
   // The report JSON leaves the dendrograms out, so byte-identity alone
   // cannot see a repaired tree drift from the cold one. Cold-ingest most
   // of a stream, append the rest one commit per ingest (the daemon's
   // IngestReq shape), then compare every class's tree node for node.
+  // The last 160 commits include appends that grow a class's survivors,
+  // so some repaired trees come from the pair tables.
   std::vector<corpus::CodeChange> Changes = minedChanges(60, 42);
   std::vector<std::vector<corpus::CodeChange>> Commits =
       commitGroups(Changes);
-  ASSERT_GE(Commits.size(), 60u);
-  const std::size_t Appended = 40;
+  const std::size_t Appended = 160;
+  ASSERT_GT(Commits.size(), Appended);
   std::vector<corpus::CodeChange> Head;
   for (std::size_t C = 0; C + Appended < Commits.size(); ++C)
     Head.insert(Head.end(), Commits[C].begin(), Commits[C].end());
@@ -223,15 +355,26 @@ TEST(ServiceSession, AppendedTreesEqualColdTreesNodeForNode) {
     Opts.Config.Threads = Threads;
     AnalysisSession Session(api(), Opts);
     Session.ingest(Head);
-    IngestStats Appends;
+    std::size_t Repaired = 0, Grew = 0;
+    std::uint64_t GrowReused = 0;
     for (std::size_t C = Commits.size() - Appended; C < Commits.size(); ++C) {
+      std::vector<std::size_t> Before = survivors(Session);
       IngestStats Stats = Session.ingest(Commits[C]);
-      Appends.ClassesRepaired += Stats.ClassesRepaired;
-      Appends.PairsReused += Stats.PairsReused;
+      Repaired += Stats.ClassesRepaired;
+      if (survivors(Session) != Before) {
+        ++Grew;
+        GrowReused += Stats.PairsReused;
+      } else {
+        // Unchanged survivors keep their trees: no matrix is rebuilt.
+        EXPECT_EQ(Stats.PairsComputed, 0u) << "commit " << C;
+        EXPECT_EQ(Stats.PairsReused, 0u) << "commit " << C;
+      }
     }
-    // The appends went through the pair-table repair, not a cold rebuild.
-    EXPECT_GT(Appends.ClassesRepaired, 0u);
-    EXPECT_GT(Appends.PairsReused, 0u);
+    // Appends that grew a class went through the pair-table repair, not a
+    // cold rebuild.
+    EXPECT_GT(Repaired, 0u);
+    EXPECT_GT(Grew, 0u);
+    EXPECT_GT(GrowReused, 0u);
 
     PipelineRequest Request;
     for (const corpus::CodeChange &Change : Changes)
@@ -264,13 +407,21 @@ TEST(ServiceSession, AppendedTreesEqualColdTreesNodeForNode) {
 }
 
 TEST(ServiceSession, MetricsFlowThroughObserver) {
-  std::vector<corpus::CodeChange> Changes = minedChanges(6, 7);
+  // The two halves of a stream whose tail grows a class's survivors (see
+  // IncrementalRepairReusesPairDistances), so the second ingest rebuilds a
+  // matrix from the tables.
+  std::vector<corpus::CodeChange> Changes = minedChanges(24, 7);
+  std::size_t Half = Changes.size() / 2;
+  std::vector<corpus::CodeChange> Head(Changes.begin(),
+                                       Changes.begin() + Half);
+  std::vector<corpus::CodeChange> Tail(Changes.begin() + Half,
+                                       Changes.end());
   obs::Observer Obs;
   SessionOptions Opts;
   Opts.Metrics = &Obs;
   AnalysisSession Session(api(), std::move(Opts));
-  IngestStats First = Session.ingest(Changes);
-  IngestStats Second = Session.ingest(Changes);
+  IngestStats First = Session.ingest(Head);
+  IngestStats Second = Session.ingest(Tail);
 
   obs::Snapshot Snap = Obs.Metrics.snapshot();
   auto Counter = [&](const std::string &Name) -> std::uint64_t {
@@ -280,7 +431,7 @@ TEST(ServiceSession, MetricsFlowThroughObserver) {
     return ~std::uint64_t(0);
   };
   EXPECT_EQ(Counter("service.ingests"), 2u);
-  EXPECT_EQ(Counter("service.changes"), 2 * Changes.size());
+  EXPECT_EQ(Counter("service.changes"), Changes.size());
   // The repair counters are the two ingests' IngestStats, summed.
   EXPECT_GT(First.ClassesRepaired, 0u);
   EXPECT_GT(Second.PairsReused, 0u);
