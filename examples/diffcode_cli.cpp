@@ -251,6 +251,27 @@ int runSuggest(int argc, char **argv) {
   return Suggested ? 0 : 1;
 }
 
+/// The text `--metrics` block of `pipeline` and `scan`: one line per
+/// metric, in the snapshot's name order.
+void printMetrics(const obs::Snapshot &Snap) {
+  std::printf("\nmetrics:\n");
+  for (const obs::MetricValue &V : Snap.Values) {
+    switch (V.Kind) {
+    case obs::MetricKind::Counter:
+      std::printf("  %-32s %12llu\n", V.Name.c_str(),
+                  static_cast<unsigned long long>(V.Count));
+      break;
+    case obs::MetricKind::Histogram:
+      std::printf("  %-32s %12llu samples, sum %llu, min %llu, max %llu\n",
+                  V.Name.c_str(), static_cast<unsigned long long>(V.Count),
+                  static_cast<unsigned long long>(V.Sum),
+                  static_cast<unsigned long long>(V.Min),
+                  static_cast<unsigned long long>(V.Max));
+      break;
+    }
+  }
+}
+
 int runPipeline(int argc, char **argv, bool Json) {
   if (argc < 3)
     return printUsage();
@@ -403,26 +424,7 @@ int runPipeline(int argc, char **argv, bool Json) {
       std::printf("  %-22s %8llu %12.3f\n", S.Name.c_str(),
                   static_cast<unsigned long long>(S.Spans),
                   double(S.TotalNs) / 1e6);
-    std::printf("\nmetrics:\n");
-    for (const obs::MetricValue &V : Report.Metrics.Metrics.Values) {
-      switch (V.Kind) {
-      case obs::MetricKind::Counter:
-        std::printf("  %-32s %12llu\n", V.Name.c_str(),
-                    static_cast<unsigned long long>(V.Count));
-        break;
-      case obs::MetricKind::Gauge:
-        std::printf("  %-32s %12lld\n", V.Name.c_str(),
-                    static_cast<long long>(V.Value));
-        break;
-      case obs::MetricKind::Histogram:
-        std::printf("  %-32s %12llu samples, sum %llu, min %llu, max %llu\n",
-                    V.Name.c_str(), static_cast<unsigned long long>(V.Count),
-                    static_cast<unsigned long long>(V.Sum),
-                    static_cast<unsigned long long>(V.Min),
-                    static_cast<unsigned long long>(V.Max));
-        break;
-      }
-    }
+    printMetrics(Report.Metrics.Metrics);
   }
   return ExitCode;
 }
@@ -566,28 +568,8 @@ int runScan(int argc, char **argv) {
         std::printf("  [%s] %s: %s\n", core::changeStatusName(Rec.Status),
                     Rec.Project.c_str(), Rec.Detail.c_str());
       }
-    if (Metrics) {
-      std::printf("\nmetrics:\n");
-      for (const obs::MetricValue &V : Report.Metrics.Metrics.Values) {
-        switch (V.Kind) {
-        case obs::MetricKind::Counter:
-          std::printf("  %-32s %12llu\n", V.Name.c_str(),
-                      static_cast<unsigned long long>(V.Count));
-          break;
-        case obs::MetricKind::Gauge:
-          std::printf("  %-32s %12lld\n", V.Name.c_str(),
-                      static_cast<long long>(V.Value));
-          break;
-        case obs::MetricKind::Histogram:
-          std::printf("  %-32s %12llu samples, sum %llu, min %llu, max %llu\n",
-                      V.Name.c_str(), static_cast<unsigned long long>(V.Count),
-                      static_cast<unsigned long long>(V.Sum),
-                      static_cast<unsigned long long>(V.Min),
-                      static_cast<unsigned long long>(V.Max));
-          break;
-        }
-      }
-    }
+    if (Metrics)
+      printMetrics(Report.Metrics.Metrics);
   }
   if (!TraceOut.empty()) {
     std::ofstream Out(TraceOut);

@@ -16,12 +16,15 @@
 /// threshold to obtain flat clusters and rendered as ASCII art for manual
 /// rule elicitation (Figure 8).
 ///
-/// Agglomeration runs the nearest-neighbor-chain algorithm, exact for
-/// complete linkage (a reducible dissimilarity) and O(n^2) after the
-/// distance matrix. A canonical tie-breaking order (DESIGN.md
-/// "Clustering engine") makes the dendrogram unique, so it equals the
-/// O(n^3) greedy reference that tests/NaiveClustering.h keeps as the
-/// differential oracle.
+/// Agglomeration is the plain greedy over the distance matrix, updated
+/// in place by Lance-Williams max updates: each round merges the live
+/// pair with the least (distance, min rep, max rep) key, where a
+/// cluster's representative is its minimum leaf id. That canonical
+/// tie-breaking order (DESIGN.md "Clustering engine") makes the
+/// dendrogram unique. O(n^3) after the matrix: C(n+1, 3) comparisons,
+/// 70,300 for the paper's largest class (75 survivors, Figure 6).
+/// tests/NaiveClustering.h recomputes every linkage from the raw matrix
+/// instead and serves as the differential oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,17 +92,11 @@ std::vector<double> pairwiseDistanceMatrix(
     const std::function<double(std::size_t, std::size_t)> &Dist);
 
 /// Complete-linkage agglomeration of a precomputed distance matrix
-/// (row-major NumItems^2, consumed). Merge nodes are appended in
-/// ascending canonical merge order, so node creation order equals merge
-/// order.
+/// (row-major NumItems^2, consumed). Leaves are nodes 0..NumItems-1, then
+/// one merge node per merge in merge order, the root last; a merge's
+/// Left is the subtree of the smaller representative.
 Dendrogram agglomerateDistanceMatrix(std::size_t NumItems,
                                      std::vector<double> Matrix);
-
-/// Clusters \p NumItems items under item distance \p Dist with complete
-/// linkage.
-Dendrogram agglomerativeCluster(
-    std::size_t NumItems,
-    const std::function<double(std::size_t, std::size_t)> &Dist);
 
 /// The usageDist matrix over \p Changes: pairwiseDistanceMatrix with
 /// cluster::usageDist evaluated once per pair.

@@ -71,9 +71,8 @@ struct ExecutionPolicy {
   /// WorkerCrash/WorkerTimeout/WorkerOom.
   unsigned MaxRetries = 2;
   /// Backoff before the Nth retry of a singleton unit:
-  /// min(BackoffBaseMs << (N-1), BackoffCapMs).
+  /// min(BackoffBaseMs << (N-1), 1000 ms).
   std::uint64_t BackoffBaseMs = 10;
-  std::uint64_t BackoffCapMs = 1000;
   /// RLIMIT_AS for each worker in MiB (0 = unlimited). A worker that
   /// cannot allocate takes a distinguished exit, reported as WorkerOom.
   std::uint64_t WorkerMemoryLimitMb = 0;

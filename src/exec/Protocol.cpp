@@ -67,9 +67,11 @@ bool diffcode::exec::decodeUnitDone(std::string_view Payload,
 // Telemetry
 //===----------------------------------------------------------------------===//
 
-static void writeTelemetryPayload(WireWriter &W, std::uint32_t Incarnation,
-                                  const std::vector<obs::Tracer::Event> &Spans,
-                                  const obs::Snapshot &Metrics) {
+void diffcode::exec::appendTelemetry(
+    std::string &Out, WireWriter &Scratch, std::uint32_t Incarnation,
+    const std::vector<obs::Tracer::Event> &Spans,
+    const obs::Snapshot &Metrics) {
+  WireWriter &W = Scratch;
   W.clear();
   W.u32(Incarnation);
   W.u32(static_cast<std::uint32_t>(Spans.size()));
@@ -89,9 +91,6 @@ static void writeTelemetryPayload(WireWriter &W, std::uint32_t Incarnation,
     case obs::MetricKind::Counter:
       W.u64(V.Count);
       break;
-    case obs::MetricKind::Gauge:
-      W.u64(static_cast<std::uint64_t>(V.Value));
-      break;
     case obs::MetricKind::Histogram:
       W.u64(V.Count);
       W.u64(V.Sum);
@@ -105,25 +104,7 @@ static void writeTelemetryPayload(WireWriter &W, std::uint32_t Incarnation,
       break;
     }
   }
-}
-
-std::string
-diffcode::exec::encodeTelemetry(std::uint32_t Incarnation,
-                                const std::vector<obs::Tracer::Event> &Spans,
-                                const obs::Snapshot &Metrics) {
-  WireWriter W;
-  writeTelemetryPayload(W, Incarnation, Spans, Metrics);
-  return encodeFrame(static_cast<std::uint32_t>(FrameType::Telemetry),
-                     W.bytes());
-}
-
-void diffcode::exec::appendTelemetry(
-    std::string &Out, WireWriter &Scratch, std::uint32_t Incarnation,
-    const std::vector<obs::Tracer::Event> &Spans,
-    const obs::Snapshot &Metrics) {
-  writeTelemetryPayload(Scratch, Incarnation, Spans, Metrics);
-  appendFrame(Out, static_cast<std::uint32_t>(FrameType::Telemetry),
-              Scratch.bytes());
+  appendFrame(Out, static_cast<std::uint32_t>(FrameType::Telemetry), W.bytes());
 }
 
 bool diffcode::exec::decodeTelemetry(std::string_view Payload,
@@ -155,7 +136,7 @@ bool diffcode::exec::decodeTelemetry(std::string_view Payload,
     std::uint8_t U = R.u8();
     std::uint8_t S = R.u8();
     if (!R.ok() || Kind > std::uint8_t(obs::MetricKind::Histogram) ||
-        U > std::uint8_t(obs::Unit::Percent) ||
+        U > std::uint8_t(obs::Unit::Nanoseconds) ||
         S > std::uint8_t(obs::Stability::PerRun))
       return false;
     // Registry snapshots are strictly name-ordered; enforcing that here
@@ -169,9 +150,6 @@ bool diffcode::exec::decodeTelemetry(std::string_view Payload,
     switch (V.Kind) {
     case obs::MetricKind::Counter:
       V.Count = R.u64();
-      break;
-    case obs::MetricKind::Gauge:
-      V.Value = static_cast<std::int64_t>(R.u64());
       break;
     case obs::MetricKind::Histogram: {
       V.Count = R.u64();
@@ -319,14 +297,6 @@ void diffcode::exec::appendResult(std::string &Out, WireWriter &Scratch,
     W.u8(static_cast<std::uint8_t>(Class));
   }
   appendFrame(Out, static_cast<std::uint32_t>(FrameType::Result), W.bytes());
-}
-
-std::string diffcode::exec::encodeResult(std::uint64_t ChangeIndex,
-                                         const core::ChangeRecord &Record) {
-  std::string Out;
-  WireWriter Scratch;
-  appendResult(Out, Scratch, ChangeIndex, Record);
-  return Out;
 }
 
 static bool decodePathIds(WireReader &R, const IdRemap &Remap,

@@ -83,7 +83,10 @@ enum class FrameType : std::uint32_t {
 /// cheap insurance against a future exec()-based spawn path).
 /// v2: Hello gained the worker's inherited interner base counts.
 /// v3: Hello gained the worker's trace epoch; Telemetry frame added.
-inline constexpr std::uint32_t ProtocolVersion = 3;
+/// v4: obs::MetricKind lost Gauge (Histogram is now kind 1) and
+///     obs::Unit lost Percent, so Telemetry's kind and unit bytes
+///     renumbered.
+inline constexpr std::uint32_t ProtocolVersion = 4;
 
 /// Distinguished exit code a worker takes when it cannot allocate
 /// (set_new_handler under RLIMIT_AS, or the ProcOomExit chaos site).
@@ -145,17 +148,12 @@ struct TelemetryFrame {
   }
 };
 
-/// Serializes one telemetry flush. \p Spans come straight from the
-/// worker tracer (obs::Tracer::eventsFrom); the Pid field is not
-/// carried — the coordinator stamps the pid it forked.
-std::string encodeTelemetry(std::uint32_t Incarnation,
-                            const std::vector<obs::Tracer::Event> &Spans,
-                            const obs::Snapshot &Metrics);
-
-/// Appends the Telemetry frame to \p Out, reusing \p Scratch — the
-/// worker's coalesced per-unit write path (rides the same writev as the
-/// unit's Results and UnitDone, so the clean path costs no extra
-/// syscall).
+/// Appends one telemetry flush as a Telemetry frame to \p Out, reusing
+/// \p Scratch — the worker's coalesced per-unit write path (rides the
+/// same writev as the unit's Results and UnitDone, so the clean path
+/// costs no extra syscall). \p Spans come straight from the worker
+/// tracer (obs::Tracer::eventsFrom); the Pid field is not carried — the
+/// coordinator stamps the pid it forked.
 void appendTelemetry(std::string &Out, WireWriter &Scratch,
                      std::uint32_t Incarnation,
                      const std::vector<obs::Tracer::Event> &Spans,
@@ -244,18 +242,14 @@ struct IdRemap {
   }
 };
 
-/// Serializes one ChangeRecord with worker-local path ids (the worker's
-/// DefSender has already streamed the defs they resolve through).
-/// WallNanos is deliberately not carried: it is PerRun — never part of
-/// the byte-compared report surface. Observed workers ship their wall
-/// times through the Telemetry frame instead, keeping Result payloads
-/// identical whether or not observability is on.
-std::string encodeResult(std::uint64_t ChangeIndex,
-                         const core::ChangeRecord &Record);
-
-/// Appends the Result frame to \p Out, reusing \p Scratch for the
-/// payload — the worker's per-change encode path (one call per change;
-/// the temporaries encodeResult allocates would be pure churn there).
+/// Appends one ChangeRecord as a Result frame to \p Out, reusing
+/// \p Scratch for the payload (the worker's per-change encode path).
+/// Path ids are worker-local: the worker's DefSender has already
+/// streamed the defs they resolve through. WallNanos is deliberately not
+/// carried: it is PerRun — never part of the byte-compared report
+/// surface. Observed workers ship their wall times through the
+/// Telemetry frame instead, keeping Result payloads identical whether or
+/// not observability is on.
 void appendResult(std::string &Out, WireWriter &Scratch,
                   std::uint64_t ChangeIndex, const core::ChangeRecord &Record);
 

@@ -242,6 +242,10 @@ struct PendingUnit {
 /// queues only grow the re-dispatch batch a dead worker strands.
 constexpr std::size_t MaxInFlight = 2;
 
+/// Longest backoff before a singleton retry: the delay doubles from
+/// ExecutionPolicy::BackoffBaseMs per attempt up to this.
+constexpr std::uint64_t BackoffCapMs = 1000;
+
 /// One worker slot: a pid, its two pipe ends, and the per-incarnation
 /// decode state. Everything protocol-scoped (decoder, id remap, unit
 /// progress) is reset on respawn — a fresh worker shares nothing with
@@ -739,10 +743,10 @@ void Coordinator::handleDeath(WorkerSlot &S, support::ExitStatus ES,
   Retry.Id = NextUnitId++;
   Retry.Attempt = Attempt;
   Retry.Indices = std::move(Remaining);
-  std::uint64_t Backoff =
-      Attempt - 1 < 20 ? Policy.BackoffBaseMs << (Attempt - 1)
-                       : Policy.BackoffCapMs;
-  Backoff = std::min(Backoff, Policy.BackoffCapMs);
+  std::uint64_t Backoff = Attempt - 1 < 20
+                              ? Policy.BackoffBaseMs << (Attempt - 1)
+                              : BackoffCapMs;
+  Backoff = std::min(Backoff, BackoffCapMs);
   Retry.ReadyAt = Now + std::chrono::milliseconds(Backoff);
   Queue.push_back(std::move(Retry));
   ++Stats.Retries;

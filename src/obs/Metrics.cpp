@@ -22,8 +22,6 @@ const char *metricKindName(MetricKind Kind) {
   switch (Kind) {
   case MetricKind::Counter:
     return "counter";
-  case MetricKind::Gauge:
-    return "gauge";
   case MetricKind::Histogram:
     return "histogram";
   }
@@ -38,8 +36,6 @@ const char *unitName(Unit U) {
     return "bytes";
   case Unit::Nanoseconds:
     return "ns";
-  case Unit::Percent:
-    return "percent";
   }
   return "";
 }
@@ -97,34 +93,6 @@ std::uint64_t Histogram::min() const {
   return M == ~std::uint64_t(0) ? 0 : M;
 }
 
-void Histogram::merge(const Histogram &Other) {
-  for (unsigned I = 0; I < NumBuckets; ++I)
-    if (std::uint64_t C = Other.Buckets[I].load(std::memory_order_relaxed))
-      Buckets[I].fetch_add(C, std::memory_order_relaxed);
-  Count.fetch_add(Other.Count.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-
-  std::uint64_t Add = Other.Sum.load(std::memory_order_relaxed);
-  std::uint64_t Old = Sum.load(std::memory_order_relaxed);
-  std::uint64_t New;
-  do {
-    New = saturatingAdd(Old, Add);
-  } while (!Sum.compare_exchange_weak(Old, New, std::memory_order_relaxed));
-
-  // The raw Min sentinel (~0 = empty) folds correctly without a special
-  // case: an empty source can never lower the destination.
-  std::uint64_t V = Other.Min.load(std::memory_order_relaxed);
-  std::uint64_t OldMin = Min.load(std::memory_order_relaxed);
-  while (V < OldMin &&
-         !Min.compare_exchange_weak(OldMin, V, std::memory_order_relaxed)) {
-  }
-  std::uint64_t W = Other.Max.load(std::memory_order_relaxed);
-  std::uint64_t OldMax = Max.load(std::memory_order_relaxed);
-  while (W > OldMax &&
-         !Max.compare_exchange_weak(OldMax, W, std::memory_order_relaxed)) {
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
@@ -152,9 +120,6 @@ Registry::Entry &Registry::getOrCreate(std::string_view Name, MetricKind Kind,
     case MetricKind::Counter:
       E.C = std::make_unique<Counter>();
       break;
-    case MetricKind::Gauge:
-      E.G = std::make_unique<Gauge>();
-      break;
     case MetricKind::Histogram:
       E.H = std::make_unique<Histogram>();
       break;
@@ -169,10 +134,6 @@ Registry::Entry &Registry::getOrCreate(std::string_view Name, MetricKind Kind,
 
 Counter &Registry::counter(std::string_view Name, Unit U, Stability S) {
   return *getOrCreate(Name, MetricKind::Counter, U, S).C;
-}
-
-Gauge &Registry::gauge(std::string_view Name, Unit U, Stability S) {
-  return *getOrCreate(Name, MetricKind::Gauge, U, S).G;
 }
 
 Histogram &Registry::histogram(std::string_view Name, Unit U, Stability S) {
@@ -197,9 +158,6 @@ Snapshot Registry::snapshot() const {
     switch (E.Kind) {
     case MetricKind::Counter:
       V.Count = E.C->get();
-      break;
-    case MetricKind::Gauge:
-      V.Value = E.G->get();
       break;
     case MetricKind::Histogram:
       V.Count = E.H->count();
@@ -238,10 +196,6 @@ static void emitMetric(JsonWriter &W, const MetricValue &V) {
   case MetricKind::Counter:
     W.key("value");
     W.value(V.Count);
-    break;
-  case MetricKind::Gauge:
-    W.key("value");
-    W.value(V.Value);
     break;
   case MetricKind::Histogram:
     W.key("count");
@@ -291,9 +245,6 @@ static void mergeValueInto(MetricValue &Dst, const MetricValue &Src) {
   switch (Dst.Kind) {
   case MetricKind::Counter:
     Dst.Count = saturatingAdd(Dst.Count, Src.Count);
-    break;
-  case MetricKind::Gauge:
-    Dst.Value = std::max(Dst.Value, Src.Value);
     break;
   case MetricKind::Histogram: {
     // Min is 0-when-empty at the MetricValue layer, so an empty side
@@ -388,8 +339,6 @@ void recordLoopStats(Registry &R, const support::LoopStats &Loop) {
       .add(Loop.Claims);
   R.counter("threadpool.queue_wait_ns", Unit::Nanoseconds, Stability::PerRun)
       .add(Loop.QueueWaitNs);
-  R.gauge("threadpool.threads", Unit::None, Stability::PerRun)
-      .set(Loop.Threads);
   Histogram &Busy = R.histogram("threadpool.worker_busy_ns",
                                 Unit::Nanoseconds, Stability::PerRun);
   for (std::uint64_t Ns : Loop.WorkerBusyNs)

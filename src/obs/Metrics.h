@@ -7,9 +7,9 @@
 ///
 /// \file
 /// The metrics half of the observability layer (DESIGN.md
-/// "Observability"): counters, gauges, and fixed log-scale-bucket
-/// histograms behind a name-keyed registry, in the spirit of the
-/// pass-statistics machinery mature analysis frameworks ship.
+/// "Observability"): counters and fixed log-scale-bucket histograms
+/// behind a name-keyed registry, in the spirit of the pass-statistics
+/// machinery mature analysis frameworks ship.
 ///
 /// Concurrency contract: all metric updates are lock-free atomics, so
 /// pipeline workers record from any thread without coordination; metric
@@ -21,8 +21,8 @@
 /// runs that record the same multiset of values per metric serialize byte
 /// identically — regardless of thread count or creation order. Metrics
 /// whose values are inherently scheduling- or wall-clock-dependent
-/// (timings, high-water marks across concurrent workers, per-worker
-/// distributions) are registered as Stability::PerRun and excluded from
+/// (timings, claim counts, per-worker distributions) are registered as
+/// Stability::PerRun and excluded from
 /// Snapshot::json(/*DeterministicOnly=*/true), which is what the
 /// differential harness compares across 1/2/8 threads.
 ///
@@ -53,15 +53,14 @@ struct LoopStats;
 namespace obs {
 
 /// What a registered metric is.
-enum class MetricKind { Counter, Gauge, Histogram };
+enum class MetricKind { Counter, Histogram };
 
 /// Unit of a metric's values, for display and emission.
-enum class Unit { None, Bytes, Nanoseconds, Percent };
+enum class Unit { None, Bytes, Nanoseconds };
 
 /// Whether a metric's final value is a pure function of the pipeline
 /// input (Deterministic) or may legitimately differ run to run — wall
-/// times, scheduling-dependent distributions, concurrent high-water
-/// marks (PerRun).
+/// times and scheduling-dependent counts and distributions (PerRun).
 enum class Stability { Deterministic, PerRun };
 
 const char *metricKindName(MetricKind Kind);
@@ -92,24 +91,6 @@ private:
   std::atomic<std::uint64_t> Value{0};
 };
 
-/// Last-writer-wins value with an atomic-max variant for high-water
-/// marks.
-class Gauge {
-public:
-  void set(std::int64_t V) { Value.store(V, std::memory_order_relaxed); }
-  /// Raises the gauge to \p V if it is below (atomic max).
-  void max(std::int64_t V) {
-    std::int64_t Old = Value.load(std::memory_order_relaxed);
-    while (Old < V &&
-           !Value.compare_exchange_weak(Old, V, std::memory_order_relaxed)) {
-    }
-  }
-  std::int64_t get() const { return Value.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<std::int64_t> Value{0};
-};
-
 /// Histogram over fixed log-scale buckets: bucket 0 holds the value 0 and
 /// bucket I >= 1 holds [2^(I-1), 2^I - 1], so any 64-bit value lands in
 /// one of 65 buckets with two instructions (bit_width). Also tracks
@@ -126,11 +107,6 @@ public:
   static std::uint64_t bucketHi(unsigned Index);
 
   void record(std::uint64_t V);
-
-  /// Bucket-wise merge: folds \p Other's bucket counts, count, and
-  /// saturating sum into this histogram, and widens min/max. The union
-  /// is exact because both sides share the same fixed bucket layout.
-  void merge(const Histogram &Other);
 
   std::uint64_t count() const { return Count.load(std::memory_order_relaxed); }
   /// Saturating sum of recorded values.
@@ -157,7 +133,6 @@ struct MetricValue {
   Unit U = Unit::None;
   Stability S = Stability::Deterministic;
   std::uint64_t Count = 0; ///< Counter value / histogram sample count.
-  std::int64_t Value = 0;  ///< Gauge value.
   std::uint64_t Sum = 0, Min = 0, Max = 0; ///< Histogram aggregates.
   /// Non-empty histogram buckets as (bucket index, count), ascending.
   std::vector<std::pair<unsigned, std::uint64_t>> Buckets;
@@ -175,8 +150,8 @@ struct Snapshot {
   /// Merges \p Other into this snapshot, prepending \p Prefix to every
   /// incoming name (a uniform prefix preserves name order, so this is a
   /// sorted two-way merge). Same-name metrics combine per kind:
-  /// counters add with saturation, gauges keep the max (high-water
-  /// semantics), histograms merge bucket-wise with saturating
+  /// counters add with saturation, histograms merge bucket-wise (exact,
+  /// since both sides share the fixed bucket layout) with saturating
   /// count/sum, min of mins, max of maxes. Colliding entries keep this
   /// snapshot's Unit/Stability; new entries copy \p Other's. If any
   /// same-name pair disagrees on kind the whole merge is rejected:
@@ -202,8 +177,6 @@ public:
 
   Counter &counter(std::string_view Name, Unit U = Unit::None,
                    Stability S = Stability::Deterministic);
-  Gauge &gauge(std::string_view Name, Unit U = Unit::None,
-               Stability S = Stability::Deterministic);
   Histogram &histogram(std::string_view Name, Unit U = Unit::None,
                        Stability S = Stability::Deterministic);
 
@@ -219,7 +192,6 @@ private:
     Stability S;
     // Exactly one of these is set, per Kind.
     std::unique_ptr<Counter> C;
-    std::unique_ptr<Gauge> G;
     std::unique_ptr<Histogram> H;
   };
   Entry &getOrCreate(std::string_view Name, MetricKind Kind, Unit U,
@@ -233,8 +205,9 @@ private:
 
 /// Records one support::parallelFor loop under `threadpool.*`: the batch
 /// count (deterministic: 1 for a loop over at least one index, else 0),
-/// and the claims (`threadpool.chunks`), summed queue wait, thread count
-/// and per-thread busy time, which depend on scheduling (PerRun).
+/// and the claims (`threadpool.chunks`), summed queue wait and
+/// per-thread busy time (one sample per thread that ran), which depend
+/// on scheduling (PerRun).
 void recordLoopStats(Registry &R, const support::LoopStats &Loop);
 
 } // namespace obs

@@ -6,13 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The greedy complete-linkage reference the production NN-chain engine
+/// The greedy complete-linkage reference the production engine
 /// (cluster/HierarchicalClustering) is tested against: every step
 /// recomputes all cluster-pair linkages as the max over member items of
 /// the raw distance matrix and merges the minimum under the canonical
 /// (distance, min rep, max rep) order. Its arithmetic is deliberately
-/// independent of the engine's (no Lance-Williams updates), so agreement
-/// exercises two genuinely different code paths.
+/// independent of the engine's (no Lance-Williams updates, member lists
+/// instead of an updated matrix), so agreement exercises two genuinely
+/// different code paths.
 ///
 /// The oracle yields a merge list; mergesOf() reads the same list back
 /// from a production Dendrogram's public node array, so the comparison

@@ -3,12 +3,15 @@
 #include "cluster/HierarchicalClustering.h"
 
 #include "cluster/Distance.h"
+#include "support/FaultInjection.h"
 #include "support/Rng.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 using namespace diffcode;
@@ -16,12 +19,18 @@ using namespace diffcode::cluster;
 
 namespace {
 
-/// Points on a line; distance = |a - b| / 100 to stay within [0,1].
+/// Distance matrix over points on a line; distance = |a - b| / 100 to
+/// stay within [0,1].
+std::vector<double> pointMatrix(const std::vector<double> &Points) {
+  return pairwiseDistanceMatrix(Points.size(),
+                                [&](std::size_t I, std::size_t J) {
+                                  return std::abs(Points[I] - Points[J]) /
+                                         100.0;
+                                });
+}
+
 Dendrogram clusterPoints(const std::vector<double> &Points) {
-  return agglomerativeCluster(Points.size(),
-                              [&](std::size_t I, std::size_t J) {
-                                return std::abs(Points[I] - Points[J]) / 100.0;
-                              });
+  return agglomerateDistanceMatrix(Points.size(), pointMatrix(Points));
 }
 
 std::set<std::set<std::size_t>>
@@ -35,9 +44,7 @@ asSets(const std::vector<std::vector<std::size_t>> &Clusters) {
 } // namespace
 
 TEST(Clustering, EmptyInput) {
-  Dendrogram Tree = agglomerativeCluster(0, [](std::size_t, std::size_t) {
-    return 0.0;
-  });
+  Dendrogram Tree = agglomerateDistanceMatrix(0, {});
   EXPECT_TRUE(Tree.empty());
   EXPECT_TRUE(Tree.cut(0.5).empty());
 }
@@ -96,6 +103,65 @@ TEST(Clustering, MergeHeightsAreMonotone) {
       continue;
     EXPECT_GE(Node.Height + 1e-12, Last);
     Last = Node.Height;
+  }
+}
+
+// The clustering fault point is keyed (N << 32) | merge ordinal, the
+// ordinal counted from 0, and evaluated once before each merge under the
+// class's scope (DiffCode::clusterClass keys it by the class name). So a
+// campaign fails the agglomeration at the first ordinal whose key fires,
+// and one whose keys never fire evaluates N - 1 points.
+TEST(Clustering, FaultKeyIsItemCountAndMergeOrdinal) {
+  Rng R(3);
+  std::vector<double> Points;
+  for (int I = 0; I < 24; ++I)
+    Points.push_back(static_cast<double>(R.range(0, 100)));
+  const std::size_t N = Points.size();
+  const std::vector<double> D = pointMatrix(Points);
+  const std::uint64_t ClassScope = support::fnv1a64("javax.crypto.Cipher");
+  const auto Site = support::FaultSite::Clustering;
+  auto PlanFor = [Site](std::uint64_t Seed) {
+    support::FaultPlan Plan;
+    Plan.Seed = Seed;
+    Plan.Rate = 0.05;
+    Plan.SiteMask = support::faultSiteBit(Site);
+    return Plan;
+  };
+  // The first merge ordinal whose key fires under Plan; N - 1 if none.
+  auto FirstFiring = [&](const support::FaultPlan &Plan) {
+    support::FaultScope Scope(&Plan, ClassScope);
+    std::size_t K = 0;
+    while (K + 1 < N &&
+           !support::faultPoint(Site,
+                                (static_cast<std::uint64_t>(N) << 32) | K))
+      ++K;
+    return K;
+  };
+
+  {
+    // Seed 8 first fires at ordinal 9, so the ordinal is not pinned by
+    // a fault at the very first merge.
+    support::FaultPlan Plan = PlanFor(8);
+    const std::size_t K = FirstFiring(Plan);
+    ASSERT_GT(K, 0u);
+    ASSERT_LT(K + 1, N);
+    support::FaultStats Stats;
+    Plan.Stats = &Stats;
+    support::FaultScope Scope(&Plan, ClassScope);
+    EXPECT_THROW(agglomerateDistanceMatrix(N, D), support::FaultInjected);
+    EXPECT_EQ(Stats.evaluated(Site), K + 1);
+    EXPECT_EQ(Stats.fired(Site), 1u);
+  }
+  {
+    // Seed 5 never fires: every merge evaluates its point once.
+    support::FaultPlan Plan = PlanFor(5);
+    ASSERT_EQ(FirstFiring(Plan) + 1, N);
+    support::FaultStats Stats;
+    Plan.Stats = &Stats;
+    support::FaultScope Scope(&Plan, ClassScope);
+    EXPECT_EQ(agglomerateDistanceMatrix(N, D).nodes().size(), 2 * N - 1);
+    EXPECT_EQ(Stats.evaluated(Site), N - 1);
+    EXPECT_EQ(Stats.fired(Site), 0u);
   }
 }
 

@@ -1,13 +1,14 @@
-//===- tests/test_clustering_equivalence.cpp - NN-chain vs naive oracle ----===//
+//===- tests/test_clustering_equivalence.cpp - Engine vs naive oracle -----===//
 //
-// Differential harness for the clustering engine: the production
-// nearest-neighbor-chain agglomeration must reproduce the O(n^3) naive
-// reference in tests/NaiveClustering.h exactly — same merges in the same
-// order, heights equal by ==, and the matching flat-cluster counts at
-// every cut — on seeded random usage-change corpora and on tie-heavy
-// synthetic metrics. Ties are the hard part: usageDist values like 0.0,
-// 0.5, and 1.0 recur constantly, and complete linkage is only unique
-// once the canonical tie-breaking order fixes it.
+// Differential harness for the clustering engine: the production greedy
+// over a Lance-Williams-updated matrix must reproduce the naive
+// reference in tests/NaiveClustering.h, which recomputes every linkage
+// from the raw matrix, exactly — same merges in the same order, heights
+// equal by ==, and the matching flat-cluster counts at every cut — on
+// seeded random usage-change corpora and on tie-heavy synthetic metrics.
+// Ties are the hard part: usageDist values like 0.0, 0.5, and 1.0 recur
+// constantly, and complete linkage is only unique once the canonical
+// tie-breaking order fixes it.
 //
 //===----------------------------------------------------------------------===//
 

@@ -227,7 +227,7 @@ TEST(Protocol, ControlFrameRoundTrip) {
 TEST(Protocol, TelemetryRoundTrip) {
   obs::Registry Reg;
   Reg.counter("exec.changes", obs::Unit::None).add(7);
-  Reg.gauge("exec.rss", obs::Unit::Bytes).max(1 << 20);
+  Reg.counter("exec.rss", obs::Unit::Bytes).add(1 << 20);
   obs::Histogram &H = Reg.histogram("exec.latency", obs::Unit::Nanoseconds);
   H.record(100);
   H.record(100000);
@@ -236,7 +236,10 @@ TEST(Protocol, TelemetryRoundTrip) {
   Spans.push_back({"processChange", 1000, 500, 2, 0});
   Spans.push_back({"processChange", 2000, 300, 2, 0});
 
-  std::string F = encodeTelemetry(4, Spans, Reg.snapshot());
+  // Frames are encoded by appending, here into an empty buffer.
+  WireWriter Scratch;
+  std::string F;
+  appendTelemetry(F, Scratch, 4, Spans, Reg.snapshot());
   TelemetryFrame Out;
   ASSERT_TRUE(
       decodeTelemetry(std::string_view(F).substr(WireHeaderBytes), Out));
@@ -253,19 +256,19 @@ TEST(Protocol, TelemetryRoundTrip) {
   EXPECT_EQ(Out.Metrics.json(), Reg.snapshot().json());
 
   // An empty frame (no new spans, empty registry) is valid too.
-  std::string Empty = encodeTelemetry(0, {}, obs::Snapshot());
+  std::string Empty;
+  appendTelemetry(Empty, Scratch, 0, {}, obs::Snapshot());
   TelemetryFrame EmptyOut;
   ASSERT_TRUE(decodeTelemetry(
       std::string_view(Empty).substr(WireHeaderBytes), EmptyOut));
   EXPECT_TRUE(EmptyOut.Spans.empty());
   EXPECT_TRUE(EmptyOut.Metrics.Values.empty());
 
-  // appendTelemetry coalesces into an existing buffer and decodes the
-  // same as the standalone encoder.
+  // Appending after a UnitDone (the worker's coalesced write) adds
+  // exactly the frame an empty buffer gets.
   std::string Coalesced = encodeUnitDone(3);
-  WireWriter Scratch;
   appendTelemetry(Coalesced, Scratch, 4, Spans, Reg.snapshot());
-  EXPECT_EQ(Coalesced.substr(encodeUnitDone(3).size()), F);
+  EXPECT_EQ(Coalesced, encodeUnitDone(3) + F);
 }
 
 TEST(Protocol, TelemetryRejectsHostilePayloads) {
@@ -274,9 +277,10 @@ TEST(Protocol, TelemetryRejectsHostilePayloads) {
   Reg.histogram("b.hist").record(42);
   std::vector<obs::Tracer::Event> Spans;
   Spans.push_back({"span", 10, 5, 1, 0});
-  std::string Payload = std::string(
-      std::string_view(encodeTelemetry(1, Spans, Reg.snapshot()))
-          .substr(WireHeaderBytes));
+  std::string Frame;
+  WireWriter Scratch;
+  appendTelemetry(Frame, Scratch, 1, Spans, Reg.snapshot());
+  std::string Payload = Frame.substr(WireHeaderBytes);
   TelemetryFrame Out;
   ASSERT_TRUE(decodeTelemetry(Payload, Out));
 
@@ -308,10 +312,19 @@ TEST(Protocol, TelemetryRejectsHostilePayloads) {
     W.u64(0);
     return std::string(W.bytes());
   };
+  EXPECT_FALSE(decodeTelemetry(HostileMetric(2, 0, 0), Out)); // kind
   EXPECT_FALSE(decodeTelemetry(HostileMetric(3, 0, 0), Out)); // kind
+  EXPECT_FALSE(decodeTelemetry(HostileMetric(0, 3, 0), Out)); // unit
   EXPECT_FALSE(decodeTelemetry(HostileMetric(0, 9, 0), Out)); // unit
   EXPECT_FALSE(decodeTelemetry(HostileMetric(0, 0, 7), Out)); // stability
   ASSERT_TRUE(decodeTelemetry(HostileMetric(0, 0, 0), Out));
+  // Kind 2 is out of range (a protocol-v3 sender's histogram byte). With
+  // no value bytes after it, only the kind range check can reject it.
+  {
+    std::string KindTwo = HostileMetric(2, 0, 0);
+    KindTwo.resize(KindTwo.size() - sizeof(std::uint64_t));
+    EXPECT_FALSE(decodeTelemetry(KindTwo, Out));
+  }
 
   // Metric names out of order (Snapshot::merge's precondition).
   {
@@ -336,7 +349,7 @@ TEST(Protocol, TelemetryRejectsHostilePayloads) {
     W.u32(0);
     W.u32(1);
     W.str("h");
-    W.u8(2); // histogram
+    W.u8(static_cast<std::uint8_t>(obs::MetricKind::Histogram));
     W.u8(0);
     W.u8(0);
     W.u64(2); // count
@@ -521,7 +534,10 @@ TEST(Protocol, ResultRoundTripAcrossInterners) {
 
   std::string Stream;
   Defs.flush(Stream);
-  Stream += encodeResult(17, In);
+  WireWriter Scratch;
+  std::string Frame;
+  appendResult(Frame, Scratch, 17, In);
+  Stream += Frame;
 
   support::Interner ParentTable;
   ParentTable.path(makePath("pad.Type", "pad()", 2, "pad", false));
@@ -556,8 +572,7 @@ TEST(Protocol, ResultRoundTripAcrossInterners) {
   EXPECT_EQ(Out.PerClass["javax.crypto.Cipher"][0].Table, &ParentTable);
 
   // Corrupted payload: flip the status byte to an invalid value.
-  std::string Payload = std::string(
-      std::string_view(encodeResult(17, In)).substr(WireHeaderBytes));
+  std::string Payload = Frame.substr(WireHeaderBytes);
   core::ChangeRecord Dummy;
   EXPECT_FALSE(decodeResult(Payload.substr(0, Payload.size() / 2), Remap,
                             ParentTable, Index, Dummy));

@@ -198,11 +198,11 @@ TEST(InterningEquivalence, FiltersMatchStringReferenceOnRandomCorpora) {
 }
 
 //===----------------------------------------------------------------------===//
-// Clustering: NN-chain engine vs the naive oracle
+// Clustering: the engine vs the naive oracle
 //===----------------------------------------------------------------------===//
 
 TEST(InterningEquivalence, ClusteringMatchesStringMetricTrees) {
-  // Production: clusterUsageChanges (usageDistanceMatrix + NN-chain).
+  // Production: clusterUsageChanges (usageDistanceMatrix + greedy).
   // Reference: a pairwise usageDist matrix + the naive oracle. Merges
   // must be bit-identical.
   for (unsigned Seed : {3u, 4u}) {

@@ -81,38 +81,8 @@ TEST(Histogram, SumSaturates) {
   EXPECT_EQ(H.count(), 2u);
 }
 
-TEST(Histogram, MergeIsBucketwise) {
-  Histogram A, B;
-  for (std::uint64_t V : {0ull, 3ull, 1024ull})
-    A.record(V);
-  for (std::uint64_t V : {2ull, 7ull, 9000ull})
-    B.record(V);
-  A.merge(B);
-  EXPECT_EQ(A.count(), 6u);
-  EXPECT_EQ(A.sum(), 0u + 3 + 1024 + 2 + 7 + 9000);
-  EXPECT_EQ(A.min(), 0u);
-  EXPECT_EQ(A.max(), 9000u);
-  EXPECT_EQ(A.bucketCount(0), 1u);  // 0
-  EXPECT_EQ(A.bucketCount(2), 2u);  // 3 and 2 land in [2,3]
-  EXPECT_EQ(A.bucketCount(3), 1u);  // 7
-  EXPECT_EQ(A.bucketCount(11), 1u); // 1024
-  EXPECT_EQ(A.bucketCount(14), 1u); // 9000
-
-  // Merging an empty histogram is the identity, including min().
-  Histogram Empty;
-  A.merge(Empty);
-  EXPECT_EQ(A.count(), 6u);
-  EXPECT_EQ(A.min(), 0u);
-  // ...and merging INTO an empty one adopts the source's min.
-  Histogram C;
-  C.merge(A);
-  EXPECT_EQ(C.min(), 0u);
-  EXPECT_EQ(C.max(), 9000u);
-  EXPECT_EQ(C.count(), 6u);
-}
-
 //===----------------------------------------------------------------------===//
-// Counter / Gauge
+// Counter
 //===----------------------------------------------------------------------===//
 
 TEST(Counter, AddAndSaturate) {
@@ -126,18 +96,6 @@ TEST(Counter, AddAndSaturate) {
   EXPECT_EQ(C.get(), ~std::uint64_t(0)); // stays pinned
 }
 
-TEST(Gauge, SetAndMax) {
-  Gauge G;
-  G.set(10);
-  EXPECT_EQ(G.get(), 10);
-  G.max(5);
-  EXPECT_EQ(G.get(), 10); // max() never lowers
-  G.max(20);
-  EXPECT_EQ(G.get(), 20);
-  G.set(-3);
-  EXPECT_EQ(G.get(), -3); // set() always wins
-}
-
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
@@ -148,16 +106,19 @@ TEST(Registry, GetOrCreateIsStable) {
   Counter &B = R.counter("a");
   EXPECT_EQ(&A, &B);
   EXPECT_EQ(R.size(), 1u);
-  R.histogram("h").record(3);
-  R.gauge("g").set(7);
-  EXPECT_EQ(R.size(), 3u);
+  Histogram &H = R.histogram("h");
+  H.record(3);
+  EXPECT_EQ(&H, &R.histogram("h"));
+  EXPECT_EQ(R.size(), 2u);
 }
 
 TEST(Registry, KindMismatchThrows) {
   Registry R;
   R.counter("x");
-  EXPECT_THROW(R.gauge("x"), std::logic_error);
+  R.histogram("y");
   EXPECT_THROW(R.histogram("x"), std::logic_error);
+  EXPECT_THROW(R.counter("y"), std::logic_error);
+  EXPECT_EQ(R.size(), 2u);
 }
 
 TEST(Registry, SnapshotIsNameSorted) {
@@ -191,18 +152,21 @@ TEST(SnapshotMerge, CombinesPerKind) {
   Registry Dst, Src;
   Dst.counter("changes").add(10);
   Src.counter("changes").add(32);
-  Dst.gauge("rss").max(100);
-  Src.gauge("rss").max(250);
   Dst.histogram("lat").record(4);
   Src.histogram("lat").record(1024);
   Src.counter("only.src").add(5);
   Dst.counter("only.dst").add(6);
+  // An empty side never drags the merged min to its 0-when-empty.
+  Dst.histogram("idle.dst");
+  Src.histogram("idle.dst").record(9);
+  Dst.histogram("idle.src").record(5);
+  Src.histogram("idle.src");
 
   Snapshot S = Dst.snapshot();
   ASSERT_TRUE(S.merge(Src.snapshot()));
-  ASSERT_EQ(S.Values.size(), 5u);
-  // Counters sum, gauges keep the high-water mark, histograms fold
-  // bucket-wise; entries unique to either side survive as-is.
+  ASSERT_EQ(S.Values.size(), 6u);
+  // Counters sum, histograms fold bucket-wise; entries unique to either
+  // side survive as-is.
   auto Find = [&S](const char *Name) -> const MetricValue & {
     for (const MetricValue &V : S.Values)
       if (V.Name == Name)
@@ -211,7 +175,6 @@ TEST(SnapshotMerge, CombinesPerKind) {
     return Missing;
   };
   EXPECT_EQ(Find("changes").Count, 42u);
-  EXPECT_EQ(Find("rss").Value, 250);
   EXPECT_EQ(Find("lat").Count, 2u);
   EXPECT_EQ(Find("lat").Sum, 1028u);
   EXPECT_EQ(Find("lat").Min, 4u);
@@ -221,6 +184,10 @@ TEST(SnapshotMerge, CombinesPerKind) {
   EXPECT_EQ(Find("lat").Buckets[1].first, 11u); // 1024
   EXPECT_EQ(Find("only.src").Count, 5u);
   EXPECT_EQ(Find("only.dst").Count, 6u);
+  EXPECT_EQ(Find("idle.dst").Count, 1u);
+  EXPECT_EQ(Find("idle.dst").Min, 9u);
+  EXPECT_EQ(Find("idle.src").Count, 1u);
+  EXPECT_EQ(Find("idle.src").Min, 5u);
 }
 
 TEST(SnapshotMerge, CounterAndHistogramSumsSaturate) {
@@ -240,8 +207,8 @@ TEST(SnapshotMerge, KindMismatchRejectsWholeMergeUntouched) {
   Registry Dst, Src;
   Dst.counter("aaa").add(1);
   Dst.counter("clash").add(2);
-  Src.counter("aaa").add(100);   // would merge fine...
-  Src.gauge("clash").set(3);     // ...but this one disagrees on kind
+  Src.counter("aaa").add(100);     // would merge fine...
+  Src.histogram("clash").record(3); // ...but this one disagrees on kind
   Snapshot S = Dst.snapshot();
   std::string Before = S.json();
   EXPECT_FALSE(S.merge(Src.snapshot()));
@@ -580,7 +547,6 @@ TEST(Tracer, TraceJsonSeparatesPidLanes) {
 TEST(Snapshot, JsonIsWellFormed) {
   Registry R;
   R.counter("c", Unit::Bytes).add(7);
-  R.gauge("g").set(-2);
   Histogram &H = R.histogram("h", Unit::Nanoseconds, Stability::PerRun);
   H.record(0);
   H.record(300);

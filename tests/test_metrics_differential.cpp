@@ -137,10 +137,11 @@ TEST(MetricsDifferential, StageSpanCountsAreThreadCountInvariant) {
 }
 
 TEST(MetricsDifferential, ObservedRunCarriesLoopMetrics) {
-  // The per-change loop reports all five threadpool.* metrics. Only the
+  // The per-change loop reports all four threadpool.* metrics. Only the
   // batch count is deterministic, and it must not move with the thread
   // count. The loop claims whole file histories, so it makes one claim
-  // per (project, file) and starts at most one thread per history.
+  // per (project, file) and starts at most one thread per history; each
+  // thread that ran records one busy-time sample.
   std::set<std::pair<std::string, std::string>> Histories;
   for (const corpus::CodeChange *Change : env().Mined)
     Histories.emplace(Change->ProjectName, Change->FileName);
@@ -158,7 +159,7 @@ TEST(MetricsDifferential, ObservedRunCarriesLoopMetrics) {
       }
     ASSERT_EQ(Names, (std::vector<std::string>{
                          "threadpool.batches", "threadpool.chunks",
-                         "threadpool.queue_wait_ns", "threadpool.threads",
+                         "threadpool.queue_wait_ns",
                          "threadpool.worker_busy_ns"}))
         << Threads << " threads";
     const unsigned Ran =
@@ -166,12 +167,11 @@ TEST(MetricsDifferential, ObservedRunCarriesLoopMetrics) {
     EXPECT_EQ(Loop["threadpool.batches"].Count, 1u) << Threads << " threads";
     EXPECT_EQ(Loop["threadpool.batches"].S, obs::Stability::Deterministic);
     EXPECT_EQ(Loop["threadpool.chunks"].Count, N) << Threads << " threads";
-    EXPECT_EQ(Loop["threadpool.threads"].Value, Ran) << Threads << " threads";
     EXPECT_EQ(Loop["threadpool.worker_busy_ns"].Count, Ran)
         << Threads << " threads";
     for (const char *Name :
          {"threadpool.chunks", "threadpool.queue_wait_ns",
-          "threadpool.threads", "threadpool.worker_busy_ns"})
+          "threadpool.worker_busy_ns"})
       EXPECT_EQ(Loop[Name].S, obs::Stability::PerRun) << Name;
   }
 }
