@@ -5,9 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The one parser behind every numeric flag of diffcode_cli and diffcoded,
-// so a typo such as `--workers abc` is a usage error instead of silently
-// becoming 0.
+// The one parser behind every numeric flag of diffcode_cli and diffcoded
+// and the positional counts and seeds of export_corpus and
+// mine_and_cluster, so a typo such as `--workers abc` is a usage error
+// instead of silently becoming 0.
 //
 //===----------------------------------------------------------------------===//
 

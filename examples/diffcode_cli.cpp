@@ -622,11 +622,10 @@ int runConnect(int argc, char **argv) {
         break;
       }
       std::printf("ingested %zu changes (session total %llu): "
-                  "%zu classes repaired, %llu pair distances reused\n",
+                  "%zu classes repaired\n",
                   Reply.Stats.Ingested,
                   static_cast<unsigned long long>(Reply.TotalChanges),
-                  Reply.Stats.ClassesRepaired,
-                  static_cast<unsigned long long>(Reply.Stats.PairsReused));
+                  Reply.Stats.ClassesRepaired);
     } else if (std::strcmp(argv[I], "--query") == 0 && I + 1 < argc) {
       std::string Answer;
       // "metrics" is answered by the daemon's observer (StatsReq), not

@@ -15,24 +15,26 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliArgs.h"
+
 #include "corpus/CorpusGenerator.h"
 #include "corpus/CorpusIO.h"
 #include "corpus/Miner.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace diffcode;
 
 int main(int argc, char **argv) {
-  if (argc < 2) {
+  corpus::CorpusOptions Opts;
+  Opts.NumProjects = 8;
+  Opts.Seed = 42;
+  if (argc < 2 || (argc > 2 && !parseNonNegative(argv[2], Opts.NumProjects)) ||
+      (argc > 3 && !parseNonNegative(argv[3], Opts.Seed))) {
     std::fprintf(stderr,
                  "usage: export_corpus <output-dir> [num_projects] [seed]\n");
     return 2;
   }
-  corpus::CorpusOptions Opts;
-  Opts.NumProjects = argc > 2 ? std::atoi(argv[2]) : 8;
-  Opts.Seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
 
   std::printf("generating %u projects (seed %llu)...\n", Opts.NumProjects,
               static_cast<unsigned long long>(Opts.Seed));

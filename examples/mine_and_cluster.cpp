@@ -15,20 +15,26 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliArgs.h"
+
 #include "core/DiffCode.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
 #include "rules/RuleSuggestion.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace diffcode;
 
 int main(int argc, char **argv) {
   corpus::CorpusOptions CorpusOpts;
-  CorpusOpts.NumProjects = argc > 1 ? std::atoi(argv[1]) : 40;
-  CorpusOpts.Seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  CorpusOpts.NumProjects = 40;
+  CorpusOpts.Seed = 42;
+  if ((argc > 1 && !parseNonNegative(argv[1], CorpusOpts.NumProjects)) ||
+      (argc > 2 && !parseNonNegative(argv[2], CorpusOpts.Seed))) {
+    std::fprintf(stderr, "usage: mine_and_cluster [num_projects] [seed]\n");
+    return 2;
+  }
 
   std::printf("generating corpus: %u projects (seed %llu)...\n",
               CorpusOpts.NumProjects,

@@ -46,14 +46,16 @@
 # --chaos (opt-in): after the regular suite, run the seeded chaos
 # campaign (ctest -L chaos): workers that crash, hang, OOM-exit, start
 # slowly, and corrupt result streams, asserting deterministic per-status
-# counts and zero coordinator crashes; then the supervision throughput
-# guard (bench/micro_supervision, asserting supervised execution stays
+# counts and zero coordinator crashes; then a stitched-trace validation:
+# two supervised traced CLI runs (2 and 4 workers) whose traces must be
+# schema-valid, show at least two pid lanes, and agree on the per-change
+# span count (span-count invariance — worker scheduling must not lose
+# spans); then, last, the supervision throughput guard
+# (bench/micro_supervision, asserting supervised execution stays
 # byte-identical to in-process and within 10% of its CPU time at
 # min(4, hardware-width) workers; leaves BENCH_supervision.json in the
-# build directory); then a stitched-trace validation: two supervised
-# traced CLI runs (2 and 4 workers) whose traces must be schema-valid,
-# show at least two pid lanes, and agree on the per-change span count
-# (span-count invariance — worker scheduling must not lose spans).
+# build directory). The guard runs last so that its verdict never keeps
+# the trace check from running; a failing guard still fails the script.
 #   scripts/check.sh --chaos -L tier1
 set -euo pipefail
 
@@ -159,8 +161,6 @@ fi
 if [[ "$CHAOS" == "1" ]]; then
   echo "== seeded chaos campaign (ctest -L chaos) =="
   ctest --output-on-failure -j"$(nproc)" -L chaos
-  echo "== supervision throughput guard (bench/micro_supervision) =="
-  ./bench/micro_supervision 32 42 BENCH_supervision.json
   echo "== stitched supervised trace validation =="
   # Two supervised traced runs at different worker counts: both traces
   # must be schema-valid with worker lanes present, and the per-change
@@ -183,4 +183,6 @@ if [[ "$CHAOS" == "1" ]]; then
     exit 1
   fi
   echo "stitched traces OK: $SPANS2 per-change spans on both worker counts"
+  echo "== supervision throughput guard (bench/micro_supervision) =="
+  ./bench/micro_supervision 32 42 BENCH_supervision.json
 fi

@@ -441,14 +441,6 @@ ClassReport DiffCode::filterClass(const std::vector<ChangeRecord> &Records,
 }
 
 void DiffCode::clusterClass(ClassReport &Class) const {
-  clusterClass(Class, [&Class] {
-    return cluster::usageDistanceMatrix(Class.Filtered.Kept);
-  });
-}
-
-void DiffCode::clusterClass(
-    ClassReport &Class,
-    const std::function<std::vector<double>()> &Distances) const {
   Class.Tree = cluster::Dendrogram();
   Class.ClusteringError.clear();
   if (Class.Filtered.Kept.empty())
@@ -458,8 +450,7 @@ void DiffCode::clusterClass(
   support::FaultScope Scope(&Config.Faults,
                             support::fnv1a64(Class.TargetClass));
   try {
-    Class.Tree = cluster::agglomerateDistanceMatrix(Class.Filtered.Kept.size(),
-                                                    Distances());
+    Class.Tree = cluster::clusterUsageChanges(Class.Filtered.Kept);
   } catch (const std::exception &E) {
     Class.Tree = cluster::Dendrogram();
     Class.ClusteringError = E.what();

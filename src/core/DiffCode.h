@@ -29,7 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,8 +52,8 @@ struct ExecutionPolicy {
   /// Worker subprocesses; support::resolveThreads semantics (0 = one per
   /// hardware thread), additionally clamped to the number of work units.
   unsigned Workers = 0;
-  /// Most changes per work unit (serialized batch). 0 means the default
-  /// (32). Units pack whole file histories (fileHistories), so a unit
+  /// Most changes per work unit (serialized batch); 0 packs one change
+  /// per unit. Units pack whole file histories (fileHistories), so a unit
   /// holds fewer when the next history does not fit, and only a history
   /// longer than this is split. Larger units amortize the per-unit
   /// dispatch round-trip (a unit completion context-switches worker ->
@@ -421,12 +420,6 @@ public:
   /// by complete linkage under usageDist. A failure empties the Tree and
   /// sets Class.ClusteringError instead of throwing.
   void clusterClass(ClassReport &Class) const;
-  /// clusterClass over a distance matrix from \p Distances (row-major
-  /// Kept.size()^2, e.g. assembled from persisted pair distances) instead
-  /// of computing usageDist afresh. Distances runs inside the class's
-  /// fault scope and error containment, exactly like the cold matrix.
-  void clusterClass(ClassReport &Class,
-                    const std::function<std::vector<double>()> &Distances) const;
 
   /// The one pipeline entry point: dispatches on Request.Exec.Mode, runs
   /// the per-change analysis stage — analyzeChanges in this process or

@@ -340,7 +340,7 @@ void Coordinator::buildQueue() {
   // Whole file histories, packed in order up to Batch changes per unit,
   // so a worker's store serves every version the in-process stage's
   // stores do; only a history longer than Batch is split.
-  std::size_t Batch = Policy.BatchSize > 0 ? Policy.BatchSize : 32;
+  const std::size_t Batch = std::max<std::size_t>(Policy.BatchSize, 1);
   Clock::time_point Now = Clock::now();
   PendingUnit U;
   auto Flush = [&] {

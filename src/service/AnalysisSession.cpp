@@ -2,53 +2,13 @@
 
 #include "service/AnalysisSession.h"
 
-#include "cluster/Distance.h"
 #include "core/ReportWriter.h"
 
 #include <iterator>
-#include <map>
-#include <unordered_map>
 #include <utility>
 
 using namespace diffcode;
 using namespace diffcode::service;
-
-/// Per-class incremental state. Kept items are append-only across
-/// ingests (fsame/fadd/frem are per-item and fdup keeps *first*
-/// occurrences, so appending changes never evicts a survivor), which is
-/// what makes the continued filter result and a persistent pair table
-/// sound: old survivors and old pairs stay valid forever, an ingest only
-/// adds new ones.
-struct AnalysisSession::ClassState {
-  /// fdup's seen-set over the class's survivors so far, so an ingest
-  /// filters only its own usage changes (core::continueFilters).
-  core::FilterSeen Seen;
-  /// Feature signature (exact Removed/Added id vectors) -> dense
-  /// signature id. fdup guarantees Kept signatures are distinct within a
-  /// class, so a signature id identifies exactly one kept item for the
-  /// session's lifetime. Ids are internal bookkeeping only — they never
-  /// reach the report, so their dependence on interner id values is fine
-  /// (support/Interner.h determinism contract).
-  std::map<std::pair<std::vector<support::PathId>, std::vector<support::PathId>>,
-           std::uint32_t>
-      SigIds;
-  /// (lo signature id << 32 | hi) -> usageDist. Distances depend only on
-  /// the two feature sets, so the table survives any amount of
-  /// re-filtering.
-  std::unordered_map<std::uint64_t, double> PairDist;
-
-  std::uint32_t idFor(const usage::UsageChange &Change) {
-    auto It = SigIds.emplace(std::make_pair(Change.Removed, Change.Added),
-                             std::uint32_t(SigIds.size()));
-    return It.first->second;
-  }
-
-  static std::uint64_t pairKey(std::uint32_t A, std::uint32_t B) {
-    if (A > B)
-      std::swap(A, B);
-    return (std::uint64_t(A) << 32) | B;
-  }
-};
 
 namespace {
 
@@ -78,7 +38,7 @@ AnalysisSession::AnalysisSession(const apimodel::CryptoApiModel &Api,
   // empty tree) plus the all-zero health block.
   for (const std::string &Class : TargetClasses) {
     Report.PerClass.push_back(System.filterClass({}, Class));
-    Classes.push_back(std::make_unique<ClassState>());
+    Seen.emplace_back();
   }
   Report.Health = Tally.health(Report);
 }
@@ -132,8 +92,6 @@ AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
   Lifetime.Ingested += Stats.Ingested;
   Lifetime.ClassesRepaired += Stats.ClassesRepaired;
   Lifetime.ClassesReused += Stats.ClassesReused;
-  Lifetime.PairsComputed += Stats.PairsComputed;
-  Lifetime.PairsReused += Stats.PairsReused;
   recordMetrics(Stats);
   return Stats;
 }
@@ -155,54 +113,20 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
   }
   // Filter: continue the previous ingest's result over the new usage
   // changes only, against the class's seen-set.
-  ClassState &State = *Classes[ClassIndex];
   const std::size_t SurvivorsBefore = Class.Filtered.Kept.size();
-  core::continueFilters(Class.AllChanges, Class.Filtered, State.Seen);
-
-  // Cold fallback: armed analysis campaigns must evaluate every fault
-  // point a cold run would.
-  if (!CachingSafe) {
-    System.clusterClass(Class);
-    return;
-  }
+  core::continueFilters(Class.AllChanges, Class.Filtered, Seen[ClassIndex]);
 
   // Survivors are append-only, so an unchanged count means unchanged
   // survivors: the same matrix and the same tree. A failed clustering is
-  // retried, as a cold run would.
-  if (Class.Filtered.Kept.size() == SurvivorsBefore &&
+  // retried, and under an armed campaign (!CachingSafe) the class
+  // re-clusters anyway, as a cold run would.
+  if (CachingSafe && Class.Filtered.Kept.size() == SurvivorsBefore &&
       Class.ClusteringError.empty())
     return;
 
-  // Incremental re-cluster: rebuild the dense matrix from the persisted
-  // pair table, computing only pairs never seen before (for an append
-  // ingest that is one thin border strip of the matrix), then hand it to
-  // the batch engine's clustering step. usageDist is a pure function of
-  // the two feature sets and the cold matrix evaluates it per pair too,
-  // so every looked-up entry matches what the cold matrix would hold —
-  // and identical matrices agglomerate into identical dendrograms.
-  const std::vector<usage::UsageChange> &Kept = Class.Filtered.Kept;
-  System.clusterClass(Class, [&] {
-    const std::size_t N = Kept.size();
-    std::vector<std::uint32_t> Sig(N);
-    for (std::size_t I = 0; I < N; ++I)
-      Sig[I] = State.idFor(Kept[I]);
-    std::vector<double> Matrix(N * N, 0.0);
-    for (std::size_t I = 0; I < N; ++I)
-      for (std::size_t J = I + 1; J < N; ++J) {
-        std::uint64_t Key = ClassState::pairKey(Sig[I], Sig[J]);
-        auto It = State.PairDist.find(Key);
-        if (It == State.PairDist.end()) {
-          It = State.PairDist
-                   .emplace(Key, cluster::usageDist(Kept[I], Kept[J]))
-                   .first;
-          ++Stats.PairsComputed;
-        } else {
-          ++Stats.PairsReused;
-        }
-        Matrix[I * N + J] = Matrix[J * N + I] = It->second;
-      }
-    return Matrix;
-  });
+  System.clusterClass(Class);
+  const std::uint64_t N = Class.Filtered.Kept.size();
+  Stats.PairsComputed += N * (N - 1) / 2;
 }
 
 std::string AnalysisSession::reportJson() const {
@@ -225,6 +149,4 @@ void AnalysisSession::recordMetrics(const IngestStats &Stats) const {
   R.counter("service.changes").add(Stats.Ingested);
   R.counter("service.classes.repaired").add(Stats.ClassesRepaired);
   R.counter("service.classes.reused").add(Stats.ClassesReused);
-  R.counter("service.pairs.computed").add(Stats.PairsComputed);
-  R.counter("service.pairs.reused").add(Stats.PairsReused);
 }

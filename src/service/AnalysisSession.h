@@ -25,21 +25,18 @@
 ///     (survivors are append-only, so the same count means the same
 ///     matrix and the same tree); untouched classes keep their
 ///     ClassReport verbatim;
-///   * per-class pair distances are persisted across ingests keyed by
-///     usage-change feature signatures, so re-clustering a class whose
-///     survivors grew computes only the new items' pairs — every old pair
-///     is a table lookup (bit-identical: cold runs evaluate the same
-///     cluster::usageDist per pair).
+///   * a class whose survivors grew re-clusters from scratch through
+///     DiffCode::clusterClass, exactly as a cold run does. Per class the
+///     session keeps only fdup's seen-set.
 ///
 /// Byte-identity contract (the PR 1-7 differential pattern): after any
 /// sequence of ingests, report() is byte-identical to a cold
 /// DiffCode::run over the same changes in the same order, at any thread
 /// count. One deliberate scope cut keeps that contract airtight: when a
-/// fault campaign arms any in-process analysis site, the pair tables are
-/// bypassed and touched classes re-cluster cold on every ingest — a table
-/// lookup or a kept tree skips the Hungarian and clustering fault points a
-/// cold run evaluates, so both are only trusted when they cannot change
-/// observable behaviour.
+/// fault campaign arms any in-process analysis site, touched classes
+/// re-cluster on every ingest — a kept tree skips the Hungarian and
+/// clustering fault points a cold run evaluates, so it is only trusted
+/// when it cannot change observable behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +47,6 @@
 #include "corpus/RepoModel.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -84,22 +80,23 @@ struct IngestStats {
   /// analysis or clustering campaign, always).
   std::size_t ClassesRepaired = 0;
   std::size_t ClassesReused = 0; ///< Classes kept verbatim.
-  /// Fresh usageDist evaluations while rebuilding the matrix of a class
-  /// whose survivors grew: the new survivors' pairs. 0 when no class grew,
-  /// and under an armed analysis or clustering campaign, whose cold
-  /// re-clusters bypass the tables.
+  /// usageDist calls made by this ingest's re-clusters: C(n, 2) for each
+  /// re-clustered class with n survivors. 0 when every touched class kept
+  /// its tree.
   std::uint64_t PairsComputed = 0;
-  /// Pair distances served from the tables in the same rebuilds: the old
-  /// survivors' pairs. 0 when no class grew.
+  /// Always 0: the session keeps no pair-distance tables. The field stays
+  /// only because the benchmark (perfbench/src/Traced.cpp) reads it; it
+  /// goes together with perfbench's service.pairs_reused.
   std::uint64_t PairsReused = 0;
 };
 
-/// Cumulative session counters (sums of every ingest's IngestStats), for
-/// the Query wire request and tests.
+/// Cumulative session counters, for the Query wire request and tests.
 struct SessionStats {
   std::size_t TotalChanges = 0;
   std::size_t Ingests = 0;
-  IngestStats Lifetime; ///< Ingested/repaired/pairs summed over ingests.
+  /// Ingested, ClassesRepaired and ClassesReused summed over ingests (what
+  /// the "stats" query reports); the other fields stay 0.
+  IngestStats Lifetime;
 };
 
 /// A long-lived incremental pipeline over an append-only change stream.
@@ -140,8 +137,6 @@ public:
   const core::DiffCode &system() const { return System; }
 
 private:
-  struct ClassState;
-
   void repairClass(std::size_t ClassIndex, std::size_t FirstNewRecord,
                    IngestStats &Stats);
   void recordMetrics(const IngestStats &Stats) const;
@@ -150,10 +145,10 @@ private:
   core::DiffCode System;
   std::vector<std::string> TargetClasses;
   /// False when a fault campaign arms an in-process analysis or
-  /// clustering site. It guards only the pair tables: a lookup would skip
-  /// the Hungarian fault points a cold matrix evaluates, so touched
-  /// classes then re-cluster cold (still byte-identical). Parser and
-  /// interpreter campaigns lose only the tables' speed.
+  /// clustering site. It guards only the kept trees: a kept tree skips the
+  /// Hungarian and clustering fault points a cold re-cluster evaluates, so
+  /// touched classes then re-cluster on every ingest (still
+  /// byte-identical).
   bool CachingSafe = true;
 
   /// The live report. Report.Changes is the session's record store;
@@ -163,8 +158,10 @@ private:
   /// records.
   core::HealthTally Tally;
 
-  /// Per target class (parallel to TargetClasses / Report.PerClass).
-  std::vector<std::unique_ptr<ClassState>> Classes;
+  /// fdup's seen-set over each class's survivors so far, so an ingest
+  /// filters only its own usage changes (core::continueFilters). Parallel
+  /// to TargetClasses / Report.PerClass.
+  std::vector<core::FilterSeen> Seen;
 
   std::size_t Ingests = 0;
   IngestStats Lifetime;

@@ -67,8 +67,6 @@ std::string service::encodeIngestReply(const IngestReply &Reply) {
   W.u64(Reply.Stats.Ingested);
   W.u64(Reply.Stats.ClassesRepaired);
   W.u64(Reply.Stats.ClassesReused);
-  W.u64(Reply.Stats.PairsComputed);
-  W.u64(Reply.Stats.PairsReused);
   return W.take();
 }
 
@@ -78,8 +76,6 @@ bool service::decodeIngestReply(std::string_view Payload, IngestReply &Out) {
   Out.Stats.Ingested = R.u64();
   Out.Stats.ClassesRepaired = R.u64();
   Out.Stats.ClassesReused = R.u64();
-  Out.Stats.PairsComputed = R.u64();
-  Out.Stats.PairsReused = R.u64();
   return R.atEnd();
 }
 

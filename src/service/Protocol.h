@@ -66,11 +66,11 @@ enum class ServiceFrame : std::uint32_t {
 
 /// Bumped whenever any payload layout changes; IngestReq carries it and
 /// the server refuses a mismatched client with ReplyErr.
-inline constexpr std::uint32_t ServiceProtocolVersion = 2;
+inline constexpr std::uint32_t ServiceProtocolVersion = 3;
 
 /// What an acknowledged ingest reports back: the session high-water mark
-/// plus that ingest's IngestStats (its always-zero CacheHits is not
-/// carried).
+/// plus that ingest's IngestStats (CacheHits, PairsComputed and
+/// PairsReused are not carried).
 struct IngestReply {
   std::uint64_t TotalChanges = 0;
   IngestStats Stats;
@@ -84,8 +84,9 @@ bool decodeIngestRequest(std::string_view Payload,
                          std::vector<corpus::CodeChange> &Out,
                          std::string *Error = nullptr);
 
-/// ReplyOk payload for IngestReq: six u64s (total changes, ingested,
-/// classes repaired, classes reused, pairs computed, pairs reused).
+/// ReplyOk payload for IngestReq: four u64s (total changes, ingested,
+/// classes repaired, classes reused). Version 2's six-u64 reply, which
+/// also carried two pair counts, fails on its trailing bytes.
 std::string encodeIngestReply(const IngestReply &Reply);
 bool decodeIngestReply(std::string_view Payload, IngestReply &Out);
 

@@ -102,8 +102,6 @@ std::string Server::handleQuery(const std::string &What, bool &Known) const {
     W.key("ingests").value(std::uint64_t(S.Ingests));
     W.key("classes_repaired").value(std::uint64_t(S.Lifetime.ClassesRepaired));
     W.key("classes_reused").value(std::uint64_t(S.Lifetime.ClassesReused));
-    W.key("pairs_computed").value(std::uint64_t(S.Lifetime.PairsComputed));
-    W.key("pairs_reused").value(std::uint64_t(S.Lifetime.PairsReused));
     W.endObject();
     return W.take();
   }
@@ -299,7 +297,7 @@ int service::serveUnix(Server &S, int ListenFd) {
     if (Outcome == ServeOutcome::Shutdown)
       return 0;
     // Disconnected / ProtocolError only end this connection; the session
-    // (and its pair tables) lives on for the next client.
+    // lives on for the next client.
   }
 }
 

@@ -20,8 +20,7 @@
 ///
 /// Interning is *structural*: id equality coincides exactly with
 /// NodeLabel::operator== (which includes ValueIsString), the property
-/// shortest-path elimination, the filters and the service's
-/// pair-distance table rely on.
+/// shortest-path elimination and the filters rely on.
 ///
 /// Thread-safety contract: the interner is append-only behind a
 /// std::shared_mutex — intern calls take the exclusive lock, lookups

@@ -98,7 +98,7 @@ void expectMatchesOracle(std::size_t N, const std::vector<double> &D) {
 
 class CorpusEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(CorpusEquivalence, ChainMatchesNaiveOracle) {
+TEST_P(CorpusEquivalence, GreedyMatchesNaiveOracle) {
   unsigned Seed = static_cast<unsigned>(GetParam());
   // Sizes sweep the 50-300 range across the seeds.
   std::size_t Size = 50 + (Seed * 83) % 251;

@@ -143,6 +143,14 @@ TEST(ServiceProtocol, IngestRequestRejectsHostilePayloads) {
   W.u32(0);
   EXPECT_FALSE(decodeIngestRequest(W.take(), Got, &Error));
   EXPECT_NE(Error.find("version"), std::string::npos);
+  // A version-2 client, whose ingest reply carried two pair counts, is
+  // refused the same way.
+  exec::WireWriter V2;
+  V2.u32(2);
+  V2.u32(0);
+  Error.clear();
+  EXPECT_FALSE(decodeIngestRequest(V2.take(), Got, &Error));
+  EXPECT_NE(Error.find("version"), std::string::npos);
 
   // An allocation-bomb count with no bytes behind it.
   exec::WireWriter Bomb;
@@ -169,17 +177,21 @@ TEST(ServiceProtocol, IngestReplyAndTextRoundTrip) {
   Want.Stats.Ingested = 5;
   Want.Stats.ClassesRepaired = 4;
   Want.Stats.ClassesReused = 2;
-  Want.Stats.PairsComputed = 99;
-  Want.Stats.PairsReused = 101;
   IngestReply Got;
-  ASSERT_TRUE(decodeIngestReply(encodeIngestReply(Want), Got));
+  std::string Payload = encodeIngestReply(Want);
+  EXPECT_EQ(Payload.size(), 4 * sizeof(std::uint64_t));
+  ASSERT_TRUE(decodeIngestReply(Payload, Got));
   EXPECT_EQ(Got.TotalChanges, Want.TotalChanges);
   EXPECT_EQ(Got.Stats.Ingested, Want.Stats.Ingested);
   EXPECT_EQ(Got.Stats.ClassesRepaired, Want.Stats.ClassesRepaired);
   EXPECT_EQ(Got.Stats.ClassesReused, Want.Stats.ClassesReused);
-  EXPECT_EQ(Got.Stats.PairsComputed, Want.Stats.PairsComputed);
-  EXPECT_EQ(Got.Stats.PairsReused, Want.Stats.PairsReused);
   EXPECT_FALSE(decodeIngestReply("short", Got));
+  // A version-2 reply (six u64s, the last two pair counts) fails on its
+  // trailing bytes.
+  exec::WireWriter V2;
+  for (std::uint64_t V : {12345678901ull, 5ull, 4ull, 2ull, 99ull, 101ull})
+    V2.u64(V);
+  EXPECT_FALSE(decodeIngestReply(V2.take(), Got));
 
   std::string Text;
   std::string Binary("bin\0ary", 7);
@@ -289,6 +301,7 @@ TEST(ServiceServer, ForkedRoundTripMatchesColdBatch) {
   ASSERT_TRUE(C.query("stats", Stats, &Error)) << Error;
   EXPECT_NE(Stats.find("\"ingests\":1"), std::string::npos) << Stats;
   EXPECT_EQ(Stats.find("cache"), std::string::npos) << Stats;
+  EXPECT_EQ(Stats.find("pairs"), std::string::npos) << Stats;
 
   // An unknown query is an error *reply*, not a dropped connection.
   std::string Answer;

@@ -10,9 +10,9 @@
 /// session API"): after any sequence of ingests, the session's report
 /// is byte-identical to a cold DiffCode::run over the same changes in
 /// the same order — at any thread count, and with an armed in-process
-/// fault plan (where the session bypasses its pair-distance tables and
-/// re-clusters touched classes cold). The JSON leaves the dendrograms
-/// out, so repaired trees are also compared node for node.
+/// fault plan (where the session re-clusters touched classes on every
+/// ingest). The JSON leaves the dendrograms out, so repaired trees are
+/// also compared node for node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -190,10 +190,10 @@ TEST(ServiceSession, ReplayedBatchMatchesColdDoubledStream) {
   EXPECT_EQ(Stats.Ingests, 2u);
 }
 
-TEST(ServiceSession, IncrementalRepairReusesPairDistances) {
+TEST(ServiceSession, GrownClassesReclusterFromScratch) {
   // 24 projects at seed 7, split in halves: the tail grows a class that
-  // the head left with at least two survivors, so the append's rebuild
-  // has old-old pairs to look up.
+  // the head left with at least two survivors, so the append re-clusters
+  // a class that already had a tree.
   std::vector<corpus::CodeChange> Changes = minedChanges(24, 7);
   ASSERT_GE(Changes.size(), 40u);
   std::size_t Half = Changes.size() / 2;
@@ -208,26 +208,23 @@ TEST(ServiceSession, IncrementalRepairReusesPairDistances) {
   IngestStats Append = Session.ingest(Tail);
   std::vector<std::size_t> After = survivors(Session);
 
-  // The warm ingest computed every pair fresh. The append re-clusters
-  // exactly the classes whose survivors grew; each serves its old-old
-  // block from the persisted tables and computes only the pairs that
-  // involve a new survivor.
+  // The warm ingest clustered every class it touched. The append
+  // re-clusters exactly the classes whose survivors grew, each from
+  // scratch: every pair among its survivors is computed again.
   EXPECT_GT(Warm.PairsComputed, 0u);
   EXPECT_GT(Append.ClassesRepaired, 0u);
   bool GrewFromTwo = false;
-  std::uint64_t OldPairs = 0, NewPairs = 0;
+  std::uint64_t GrownPairs = 0;
   for (std::size_t C = 0; C < After.size(); ++C) {
     ASSERT_GE(After[C], Before[C]) << "survivors are append-only";
     if (After[C] == Before[C])
       continue;
     GrewFromTwo |= Before[C] >= 2;
-    OldPairs += pairs(Before[C]);
-    NewPairs += pairs(After[C]) - pairs(Before[C]);
+    GrownPairs += pairs(After[C]);
   }
   ASSERT_TRUE(GrewFromTwo) << "the tail must grow a class holding >= 2";
-  EXPECT_GT(Append.PairsReused, 0u);
-  EXPECT_EQ(Append.PairsReused, OldPairs);
-  EXPECT_EQ(Append.PairsComputed, NewPairs);
+  EXPECT_EQ(Append.PairsComputed, GrownPairs);
+  EXPECT_EQ(Append.PairsReused, 0u);
   EXPECT_EQ(Session.reportJson(), coldJson(Changes));
 }
 
@@ -236,9 +233,10 @@ TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
 
   // In-process faults make outcomes a function of the fault campaign:
   // each change is analyzed under the same global-index FaultScope a
-  // cold run would use, and a pair-table lookup would skip Hungarian
-  // fault points the cold matrix evaluates, so touched classes must
-  // re-cluster cold — and land on the cold run's exact bytes.
+  // cold run would use, and a kept tree would skip Hungarian and
+  // clustering fault points a cold re-cluster evaluates, so touched
+  // classes must re-cluster on every ingest — and land on the cold run's
+  // exact bytes.
   PipelineConfig Armed;
   Armed.Faults.Rate = 0.35;
   Armed.Faults.Seed = 4242;
@@ -247,8 +245,7 @@ TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
       support::faultSiteBit(support::FaultSite::Interpreter) |
       support::faultSiteBit(support::FaultSite::Clustering);
   // A clustering-only campaign leaves every record intact, so touched
-  // classes do get repaired: the zero pair counts below then show the
-  // tables were bypassed, not merely never reached.
+  // classes do get repaired.
   PipelineConfig ClusteringOnly = Armed;
   ClusteringOnly.Faults.SiteMask =
       support::faultSiteBit(support::FaultSite::Clustering);
@@ -262,8 +259,6 @@ TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
       SessionStats Stats;
       EXPECT_EQ(sessionJson(splitBatches(Changes, 3), Opts, &Stats), Oracle)
           << Threads;
-      EXPECT_EQ(Stats.Lifetime.PairsComputed, 0u);
-      EXPECT_EQ(Stats.Lifetime.PairsReused, 0u);
       if (Plan == &ClusteringOnly)
         EXPECT_GT(Stats.Lifetime.ClassesRepaired, 0u);
     }
@@ -340,7 +335,7 @@ TEST(ServiceSession, AppendedTreesEqualColdTreesNodeForNode) {
   // of a stream, append the rest one commit per ingest (the daemon's
   // IngestReq shape), then compare every class's tree node for node.
   // The last 160 commits include appends that grow a class's survivors,
-  // so some repaired trees come from the pair tables.
+  // so some repaired trees are re-clustered and the rest are kept.
   std::vector<corpus::CodeChange> Changes = minedChanges(60, 42);
   std::vector<std::vector<corpus::CodeChange>> Commits =
       commitGroups(Changes);
@@ -356,25 +351,21 @@ TEST(ServiceSession, AppendedTreesEqualColdTreesNodeForNode) {
     AnalysisSession Session(api(), Opts);
     Session.ingest(Head);
     std::size_t Repaired = 0, Grew = 0;
-    std::uint64_t GrowReused = 0;
     for (std::size_t C = Commits.size() - Appended; C < Commits.size(); ++C) {
       std::vector<std::size_t> Before = survivors(Session);
       IngestStats Stats = Session.ingest(Commits[C]);
       Repaired += Stats.ClassesRepaired;
       if (survivors(Session) != Before) {
+        // A grown class re-clusters, computing its matrix afresh.
         ++Grew;
-        GrowReused += Stats.PairsReused;
+        EXPECT_GT(Stats.PairsComputed, 0u) << "commit " << C;
       } else {
         // Unchanged survivors keep their trees: no matrix is rebuilt.
         EXPECT_EQ(Stats.PairsComputed, 0u) << "commit " << C;
-        EXPECT_EQ(Stats.PairsReused, 0u) << "commit " << C;
       }
     }
-    // Appends that grew a class went through the pair-table repair, not a
-    // cold rebuild.
     EXPECT_GT(Repaired, 0u);
     EXPECT_GT(Grew, 0u);
-    EXPECT_GT(GrowReused, 0u);
 
     PipelineRequest Request;
     for (const corpus::CodeChange &Change : Changes)
@@ -408,8 +399,8 @@ TEST(ServiceSession, AppendedTreesEqualColdTreesNodeForNode) {
 
 TEST(ServiceSession, MetricsFlowThroughObserver) {
   // The two halves of a stream whose tail grows a class's survivors (see
-  // IncrementalRepairReusesPairDistances), so the second ingest rebuilds a
-  // matrix from the tables.
+  // GrownClassesReclusterFromScratch), so the second ingest re-clusters a
+  // class.
   std::vector<corpus::CodeChange> Changes = minedChanges(24, 7);
   std::size_t Half = Changes.size() / 2;
   std::vector<corpus::CodeChange> Head(Changes.begin(),
@@ -434,16 +425,14 @@ TEST(ServiceSession, MetricsFlowThroughObserver) {
   EXPECT_EQ(Counter("service.changes"), Changes.size());
   // The repair counters are the two ingests' IngestStats, summed.
   EXPECT_GT(First.ClassesRepaired, 0u);
-  EXPECT_GT(Second.PairsReused, 0u);
   EXPECT_EQ(Counter("service.classes.repaired"),
             First.ClassesRepaired + Second.ClassesRepaired);
   EXPECT_EQ(Counter("service.classes.reused"),
             First.ClassesReused + Second.ClassesReused);
-  EXPECT_EQ(Counter("service.pairs.computed"),
-            First.PairsComputed + Second.PairsComputed);
-  EXPECT_EQ(Counter("service.pairs.reused"),
-            First.PairsReused + Second.PairsReused);
-  // The session keeps no record memo, so no service.cache.* metric.
-  for (const obs::MetricValue &V : Snap.Values)
+  // The session keeps no record memo and no pair tables, so no
+  // service.cache.* or service.pairs.* metric.
+  for (const obs::MetricValue &V : Snap.Values) {
     EXPECT_NE(V.Name.rfind("service.cache.", 0), 0u) << V.Name;
+    EXPECT_NE(V.Name.rfind("service.pairs.", 0), 0u) << V.Name;
+  }
 }

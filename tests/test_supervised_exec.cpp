@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -139,48 +140,55 @@ TEST(SupervisedExec, WorkerStoresServeWhatInProcessStoresServe) {
 }
 
 TEST(SupervisedExec, CleanRunBookkeeping) {
-  exec::SupervisionStats Stats;
-  ExecutionPolicy Exec;
-  Exec.Mode = ExecutionMode::Supervised;
-  Exec.Workers = 2;
-  Exec.BatchSize = 4;
-  DiffCode System(api());
-  std::vector<ChangeRecord> Records = exec::superviseChanges(
-      System,
-      {.Changes = env().Mined, .TargetClasses = api().targetClasses(),
-       .Exec = Exec},
-      &Stats);
+  // Batch 0 packs one change per unit, exactly as batch 1 does.
+  for (std::size_t BatchSize : {std::size_t(4), std::size_t(0)}) {
+    exec::SupervisionStats Stats;
+    ExecutionPolicy Exec;
+    Exec.Mode = ExecutionMode::Supervised;
+    Exec.Workers = 2;
+    Exec.BatchSize = BatchSize;
+    DiffCode System(api());
+    std::vector<ChangeRecord> Records = exec::superviseChanges(
+        System,
+        {.Changes = env().Mined, .TargetClasses = api().targetClasses(),
+         .Exec = Exec},
+        &Stats);
 
-  ASSERT_EQ(Records.size(), env().Mined.size());
-  // One unit per pack of whole file histories of at most four changes (a
-  // longer history fills units of four); a clean run never retries,
-  // bisects, restarts, kills, falls back inline, or stamps a terminal
-  // status.
-  std::uint64_t N = env().Mined.size();
-  std::uint64_t Units = 0, Open = 0;
-  for (const std::vector<std::uint64_t> &History :
-       fileHistories(env().Mined)) {
-    if (Open + History.size() > 4) {
-      Units += Open > 0;
-      Open = 0;
+    ASSERT_EQ(Records.size(), env().Mined.size()) << "batch " << BatchSize;
+    // One unit per pack of whole file histories of at most B changes (a
+    // longer history fills units of B); a clean run never retries,
+    // bisects, restarts, kills, falls back inline, or stamps a terminal
+    // status.
+    const std::uint64_t N = env().Mined.size();
+    const std::uint64_t B = std::max<std::uint64_t>(BatchSize, 1);
+    std::uint64_t Units = 0, Open = 0;
+    for (const std::vector<std::uint64_t> &History :
+         fileHistories(env().Mined)) {
+      if (Open + History.size() > B) {
+        Units += Open > 0;
+        Open = 0;
+      }
+      Units += (Open + History.size()) / B;
+      Open = (Open + History.size()) % B;
     }
-    Units += (Open + History.size()) / 4;
-    Open = (Open + History.size()) % 4;
+    Units += Open > 0;
+    if (B == 1)
+      EXPECT_EQ(Units, N);
+    else
+      EXPECT_GT(Units, (N + B - 1) / B) << "batch " << BatchSize;
+    EXPECT_EQ(Stats.UnitsDispatched, Units) << "batch " << BatchSize;
+    EXPECT_EQ(Stats.Retries, 0u);
+    EXPECT_EQ(Stats.Bisections, 0u);
+    EXPECT_EQ(Stats.WorkerRestarts, 0u);
+    EXPECT_EQ(Stats.DeadlineKills, 0u);
+    EXPECT_EQ(Stats.InlineFallbacks, 0u);
+    for (std::size_t I = 0; I < NumChangeStatuses; ++I)
+      EXPECT_EQ(Stats.TerminalStatus[I], 0u) << changeStatusName(
+          static_cast<ChangeStatus>(I));
+    // Results did flow over the wire.
+    EXPECT_GE(Stats.FramesReceived, N);
+    EXPECT_GT(Stats.BytesReceived, 0u);
   }
-  Units += Open > 0;
-  EXPECT_GT(Units, (N + 3) / 4);
-  EXPECT_EQ(Stats.UnitsDispatched, Units);
-  EXPECT_EQ(Stats.Retries, 0u);
-  EXPECT_EQ(Stats.Bisections, 0u);
-  EXPECT_EQ(Stats.WorkerRestarts, 0u);
-  EXPECT_EQ(Stats.DeadlineKills, 0u);
-  EXPECT_EQ(Stats.InlineFallbacks, 0u);
-  for (std::size_t I = 0; I < NumChangeStatuses; ++I)
-    EXPECT_EQ(Stats.TerminalStatus[I], 0u) << changeStatusName(
-        static_cast<ChangeStatus>(I));
-  // Results did flow over the wire.
-  EXPECT_GE(Stats.FramesReceived, N);
-  EXPECT_GT(Stats.BytesReceived, 0u);
 }
 
 TEST(SupervisedExec, InProcessModeDispatchesUnchanged) {
