@@ -39,17 +39,6 @@ const char *core::changeStatusName(ChangeStatus Status) {
   return "unknown";
 }
 
-bool core::changeStatusFromName(std::string_view Name, ChangeStatus &Out) {
-  for (std::size_t I = 0; I < NumChangeStatuses; ++I) {
-    ChangeStatus Status = static_cast<ChangeStatus>(I);
-    if (Name == changeStatusName(Status)) {
-      Out = Status;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::size_t CorpusHealth::troubled() const {
   std::size_t N = 0;
   for (std::size_t I = 1; I < NumChangeStatuses; ++I)

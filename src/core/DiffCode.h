@@ -135,10 +135,6 @@ inline constexpr std::size_t NumChangeStatuses = 8;
 /// Stable lowercase name ("ok", "parse-error", ...) for reports.
 const char *changeStatusName(ChangeStatus Status);
 
-/// Inverse of changeStatusName, for consumers that round-trip reports
-/// through JSON (returns false for unknown names).
-bool changeStatusFromName(std::string_view Name, ChangeStatus &Out);
-
 /// The per-code-change output: usage changes per target class, the
 /// rule-based classification, and provenance.
 struct ChangeRecord {

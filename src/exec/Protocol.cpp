@@ -5,25 +5,17 @@
 using namespace diffcode;
 using namespace diffcode::exec;
 
-std::string diffcode::exec::encodeHello(std::uint32_t BaseLabels,
-                                        std::uint32_t BasePaths,
-                                        std::uint64_t TraceEpochNs) {
+std::string diffcode::exec::encodeHello(std::uint64_t TraceEpochNs) {
   WireWriter W;
   W.u32(ProtocolVersion);
-  W.u32(BaseLabels);
-  W.u32(BasePaths);
   W.u64(TraceEpochNs);
   return encodeFrame(static_cast<std::uint32_t>(FrameType::Hello), W.bytes());
 }
 
 bool diffcode::exec::decodeHello(std::string_view Payload,
-                                 std::uint32_t &BaseLabels,
-                                 std::uint32_t &BasePaths,
                                  std::uint64_t &TraceEpochNs) {
   WireReader R(Payload);
   std::uint32_t Version = R.u32();
-  BaseLabels = R.u32();
-  BasePaths = R.u32();
   TraceEpochNs = R.u64();
   return R.atEnd() && Version == ProtocolVersion;
 }
@@ -68,12 +60,11 @@ bool diffcode::exec::decodeUnitDone(std::string_view Payload,
 //===----------------------------------------------------------------------===//
 
 void diffcode::exec::appendTelemetry(
-    std::string &Out, WireWriter &Scratch, std::uint32_t Incarnation,
+    std::string &Out, WireWriter &Scratch,
     const std::vector<obs::Tracer::Event> &Spans,
     const obs::Snapshot &Metrics) {
   WireWriter &W = Scratch;
   W.clear();
-  W.u32(Incarnation);
   W.u32(static_cast<std::uint32_t>(Spans.size()));
   for (const obs::Tracer::Event &E : Spans) {
     W.str(E.Name);
@@ -110,8 +101,6 @@ void diffcode::exec::appendTelemetry(
 bool diffcode::exec::decodeTelemetry(std::string_view Payload,
                                      TelemetryFrame &Out) {
   WireReader R(Payload);
-  Out.Incarnation = R.u32();
-
   std::uint32_t SpanCount = R.u32();
   Out.Spans.clear();
   // No reserve from the wire-supplied count: a hostile length would
@@ -176,94 +165,23 @@ bool diffcode::exec::decodeTelemetry(std::string_view Payload,
 }
 
 //===----------------------------------------------------------------------===//
-// Interner definition streaming
-//===----------------------------------------------------------------------===//
-
-static void appendLabelDef(std::string &Out, WireWriter &W,
-                           std::uint32_t WorkerId,
-                           const usage::NodeLabel &Label) {
-  W.clear();
-  W.u32(WorkerId);
-  W.u8(static_cast<std::uint8_t>(Label.K));
-  W.u32(Label.ArgIndex);
-  W.u8(Label.ValueIsString ? 1 : 0);
-  W.str(Label.Text);
-  appendFrame(Out, static_cast<std::uint32_t>(FrameType::LabelDef), W.bytes());
-}
-
-static void appendPathDef(std::string &Out, WireWriter &W,
-                          std::uint32_t WorkerId,
-                          const std::vector<support::LabelId> &Labels) {
-  W.clear();
-  W.u32(WorkerId);
-  W.u32(static_cast<std::uint32_t>(Labels.size()));
-  for (support::LabelId Id : Labels)
-    W.u32(Id);
-  appendFrame(Out, static_cast<std::uint32_t>(FrameType::PathDef), W.bytes());
-}
-
-void DefSender::flush(std::string &Out) {
-  WireWriter W;
-  // Labels first: every path flushed below references only label ids
-  // interned before the path itself (the interner is append-only and the
-  // worker is single-threaded), so labelCount() at this instant covers
-  // them all.
-  std::size_t LabelHigh = Table.labelCount();
-  for (; LabelsSent < LabelHigh; ++LabelsSent)
-    appendLabelDef(Out, W, static_cast<std::uint32_t>(LabelsSent),
-                   Table.labelAt(static_cast<support::LabelId>(LabelsSent)));
-  std::size_t PathHigh = Table.pathCount();
-  for (; PathsSent < PathHigh; ++PathsSent)
-    appendPathDef(Out, W, static_cast<std::uint32_t>(PathsSent),
-                  Table.labelsOf(static_cast<support::PathId>(PathsSent)));
-}
-
-bool IdRemap::applyLabelDef(std::string_view Payload,
-                            support::Interner &Table) {
-  WireReader R(Payload);
-  std::uint32_t WorkerId = R.u32();
-  std::uint8_t Kind = R.u8();
-  std::uint32_t ArgIndex = R.u32();
-  std::uint8_t IsString = R.u8();
-  std::string_view Text = R.str();
-  if (!R.atEnd() || Kind > static_cast<std::uint8_t>(usage::NodeLabel::Kind::Arg))
-    return false;
-  // Defs are dense above the inherited base and in worker intern order.
-  if (WorkerId != BaseLabels + Labels.size())
-    return false;
-  usage::NodeLabel Label;
-  Label.K = static_cast<usage::NodeLabel::Kind>(Kind);
-  Label.ArgIndex = ArgIndex;
-  Label.ValueIsString = IsString != 0;
-  Label.Text.assign(Text);
-  Labels.push_back(Table.label(Label));
-  return true;
-}
-
-bool IdRemap::applyPathDef(std::string_view Payload,
-                           support::Interner &Table) {
-  WireReader R(Payload);
-  std::uint32_t WorkerId = R.u32();
-  std::uint32_t Count = R.u32();
-  // No reserve from the wire-supplied count (see decodeTelemetry):
-  // storage grows only with ids that decoded in full.
-  std::vector<support::LabelId> Remapped;
-  for (std::uint32_t I = 0; I < Count; ++I) {
-    std::uint32_t Id = R.u32();
-    support::LabelId Parent = 0;
-    if (!R.ok() || !mapLabel(Id, Parent))
-      return false;
-    Remapped.push_back(Parent);
-  }
-  if (!R.atEnd() || WorkerId != BasePaths + Paths.size())
-    return false;
-  Paths.push_back(Table.path(std::move(Remapped)));
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
 // ChangeRecord codec
 //===----------------------------------------------------------------------===//
+
+static void appendPaths(WireWriter &W, const support::Interner *Table,
+                        const std::vector<support::PathId> &Paths) {
+  W.u32(static_cast<std::uint32_t>(Paths.size()));
+  for (support::PathId Id : Paths) {
+    usage::FeaturePath Path = Table->materialize(Id);
+    W.u32(static_cast<std::uint32_t>(Path.size()));
+    for (const usage::NodeLabel &Label : Path) {
+      W.u8(static_cast<std::uint8_t>(Label.K));
+      W.u32(Label.ArgIndex);
+      W.u8(Label.ValueIsString ? 1 : 0);
+      W.str(Label.Text);
+    }
+  }
+}
 
 void diffcode::exec::appendResult(std::string &Out, WireWriter &Scratch,
                                   std::uint64_t ChangeIndex,
@@ -283,12 +201,8 @@ void diffcode::exec::appendResult(std::string &Out, WireWriter &Scratch,
     for (const usage::UsageChange &Change : Changes) {
       W.str(Change.TypeName);
       W.str(Change.Origin);
-      W.u32(static_cast<std::uint32_t>(Change.Removed.size()));
-      for (support::PathId Id : Change.Removed)
-        W.u32(Id);
-      W.u32(static_cast<std::uint32_t>(Change.Added.size()));
-      for (support::PathId Id : Change.Added)
-        W.u32(Id);
+      appendPaths(W, Change.Table, Change.Removed);
+      appendPaths(W, Change.Table, Change.Added);
     }
   }
   W.u32(static_cast<std::uint32_t>(Record.Classification.size()));
@@ -299,22 +213,36 @@ void diffcode::exec::appendResult(std::string &Out, WireWriter &Scratch,
   appendFrame(Out, static_cast<std::uint32_t>(FrameType::Result), W.bytes());
 }
 
-static bool decodePathIds(WireReader &R, const IdRemap &Remap,
-                          std::vector<support::PathId> &Out) {
+/// Decodes one path list and interns each path into \p Table once it
+/// decoded in full. No reserve from a wire count: storage grows only
+/// with labels and paths whose bytes were there.
+static bool decodePaths(WireReader &R, support::Interner &Table,
+                        std::vector<support::PathId> &Out) {
   std::uint32_t Count = R.u32();
   Out.clear();
+  usage::FeaturePath Path;
   for (std::uint32_t I = 0; I < Count; ++I) {
-    std::uint32_t Id = R.u32();
-    support::PathId Parent = 0;
-    if (!R.ok() || !Remap.mapPath(Id, Parent))
+    std::uint32_t Length = R.u32();
+    Path.clear();
+    for (std::uint32_t L = 0; L < Length && R.ok(); ++L) {
+      usage::NodeLabel Label;
+      std::uint8_t Kind = R.u8();
+      Label.ArgIndex = R.u32();
+      Label.ValueIsString = R.u8() != 0;
+      Label.Text.assign(R.str());
+      if (Kind > static_cast<std::uint8_t>(usage::NodeLabel::Kind::Arg))
+        return false;
+      Label.K = static_cast<usage::NodeLabel::Kind>(Kind);
+      Path.push_back(std::move(Label));
+    }
+    if (!R.ok())
       return false;
-    Out.push_back(Parent);
+    Out.push_back(Table.path(Path));
   }
   return R.ok();
 }
 
 bool diffcode::exec::decodeResult(std::string_view Payload,
-                                  const IdRemap &Remap,
                                   support::Interner &Table,
                                   std::uint64_t &ChangeIndex,
                                   core::ChangeRecord &Out) {
@@ -339,8 +267,8 @@ bool diffcode::exec::decodeResult(std::string_view Payload,
       Change.TypeName.assign(R.str());
       Change.Origin.assign(R.str());
       Change.Table = &Table;
-      if (!decodePathIds(R, Remap, Change.Removed) ||
-          !decodePathIds(R, Remap, Change.Added))
+      if (!decodePaths(R, Table, Change.Removed) ||
+          !decodePaths(R, Table, Change.Added))
         return false;
       Changes.push_back(std::move(Change));
     }

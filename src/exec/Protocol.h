@@ -15,37 +15,26 @@
 ///
 /// Worker -> coordinator:
 ///   Hello     startup handshake (protocol version, trace epoch)
-///   LabelDef  one newly interned NodeLabel (worker-local id order)
-///   PathDef   one newly interned path (worker-local label ids)
-///   Result    one ChangeRecord (worker-local path ids)
+///   Result    one ChangeRecord, its usage-change paths by value
 ///   Telemetry completed spans + cumulative metrics snapshot (observed
 ///             workers only; coalesced with the per-unit writes)
 ///   UnitDone  unit complete (unit id)
 ///
-/// The interned data model does not ship id values across processes —
-/// ids are assignment-order dependent and never comparable across
-/// interners — with one fork()-shaped exception: a forked worker
-/// inherits the parent interner via copy-on-write, so every id below
-/// the table's fork-time high-water mark ("the base") means exactly the
-/// same thing in both processes. Hello carries the worker's base
-/// (label count, path count); the worker interns on top of its
-/// inherited copy and streams *definitions* only for entries above the
-/// base (dense, in id order, labels before the paths that reference
-/// them, defs before the results that reference them). The coordinator
-/// keeps a per-worker IdRemap — identity below the base, worker-local
-/// id -> parent-interner id above it — rebuilt on every respawn (a
-/// respawned worker forks from the current, larger table, so its base
-/// moves up and it streams even less). A base of zero degrades to full
-/// def streaming, which is what a future exec()-spawned worker with no
-/// shared ancestry would use. Results decoded through the remap are
-/// structurally identical to in-process records, which is what keeps
-/// supervised reports byte-identical.
+/// Every frame is self-contained: no interner id crosses the wire. Id
+/// values depend on intern order and mean nothing outside their table,
+/// so a Result carries each removed and added path as its labels (kind,
+/// argument index, string flag, text), and the coordinator interns them
+/// into its own table. The records it decodes are structurally identical
+/// to in-process ones, and no consumer depends on id values (the
+/// support/Interner.h determinism contract), which is what keeps
+/// supervised reports byte-identical. A respawned worker therefore needs
+/// nothing from its predecessor's stream.
 ///
-/// Every decoder is defensive: unknown ids, out-of-order defs, trailing
-/// payload bytes, truncation, or an element count the payload cannot
-/// back all return false and the supervisor treats the worker as
-/// poisoned (kill, restart, retry the unit). No decoder reserves storage
-/// from a count read off the wire.
+/// Every decoder is defensive: out-of-range enum bytes, trailing payload
+/// bytes, truncation, or an element count the payload cannot back all
+/// return false and the supervisor treats the worker as poisoned (kill,
+/// restart, retry the unit). No decoder reserves storage from a count
+/// read off the wire.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,8 +60,6 @@ enum class FrameType : std::uint32_t {
   Hello = 1,
   Work = 2,
   Shutdown = 3,
-  LabelDef = 4,
-  PathDef = 5,
   Result = 6,
   UnitDone = 7,
   Telemetry = 8,
@@ -86,7 +73,10 @@ enum class FrameType : std::uint32_t {
 /// v4: obs::MetricKind lost Gauge (Histogram is now kind 1) and
 ///     obs::Unit lost Percent, so Telemetry's kind and unit bytes
 ///     renumbered.
-inline constexpr std::uint32_t ProtocolVersion = 4;
+/// v5: Result carries paths by value; the label and path definition
+///     frames, Hello's interner base counts and Telemetry's incarnation
+///     stamp are gone.
+inline constexpr std::uint32_t ProtocolVersion = 5;
 
 /// Distinguished exit code a worker takes when it cannot allocate
 /// (set_new_handler under RLIMIT_AS, or the ProcOomExit chaos site).
@@ -102,18 +92,13 @@ struct WorkUnit {
   std::vector<std::uint64_t> Indices;
 };
 
-/// Hello carries the protocol version plus the worker's interner base:
-/// the label/path counts of the table it inherited at fork time. Ids
-/// below the base need no defs — they are the parent's own ids.
-/// TraceEpochNs is the worker tracer's epoch as absolute CLOCK_MONOTONIC
-/// nanoseconds (obs::Tracer::epochSteadyNs), 0 when the worker runs
-/// unobserved; the coordinator subtracts its own epoch to get the
-/// per-incarnation offset that aligns Telemetry span timestamps into
-/// the coordinator's timeline.
-std::string encodeHello(std::uint32_t BaseLabels, std::uint32_t BasePaths,
-                        std::uint64_t TraceEpochNs);
-bool decodeHello(std::string_view Payload, std::uint32_t &BaseLabels,
-                 std::uint32_t &BasePaths, std::uint64_t &TraceEpochNs);
+/// Hello carries the protocol version and the worker tracer's epoch as
+/// absolute CLOCK_MONOTONIC nanoseconds (obs::Tracer::epochSteadyNs), 0
+/// when the worker runs unobserved; the coordinator subtracts its own
+/// epoch to get the per-incarnation offset that aligns Telemetry span
+/// timestamps into the coordinator's timeline.
+std::string encodeHello(std::uint64_t TraceEpochNs);
+bool decodeHello(std::string_view Payload, std::uint64_t &TraceEpochNs);
 
 std::string encodeWork(const WorkUnit &Unit);
 bool decodeWork(std::string_view Payload, WorkUnit &Out);
@@ -137,15 +122,8 @@ struct TelemetrySpan {
 /// snapshot at send time (cumulative — the coordinator keeps only the
 /// latest per incarnation and merges at the end of the run).
 struct TelemetryFrame {
-  std::uint32_t Incarnation = 0;
   std::vector<TelemetrySpan> Spans;
   obs::Snapshot Metrics;
-
-  /// Stale-incarnation guard: frames are stamped with the incarnation
-  /// the worker was spawned as; anything else is dropped, never merged.
-  bool staleFor(std::uint32_t CurrentIncarnation) const {
-    return Incarnation != CurrentIncarnation;
-  }
 };
 
 /// Appends one telemetry flush as a Telemetry frame to \p Out, reusing
@@ -155,7 +133,6 @@ struct TelemetryFrame {
 /// tracer (obs::Tracer::eventsFrom); the Pid field is not carried — the
 /// coordinator stamps the pid it forked.
 void appendTelemetry(std::string &Out, WireWriter &Scratch,
-                     std::uint32_t Incarnation,
                      const std::vector<obs::Tracer::Event> &Spans,
                      const obs::Snapshot &Metrics);
 
@@ -165,100 +142,22 @@ void appendTelemetry(std::string &Out, WireWriter &Scratch,
 /// bucket indices all return false (the supervisor poisons the worker).
 bool decodeTelemetry(std::string_view Payload, TelemetryFrame &Out);
 
-/// Worker side: incremental interner-definition streaming. The worker's
-/// interner is append-only and single-threaded, so everything past the
-/// last flushed high-water mark is new; one flush() appends a LabelDef
-/// frame per new label then a PathDef frame per new path (in that order
-/// — paths only reference already-interned labels). Construction
-/// records the current counts as the base: everything already in the
-/// table (the fork-inherited state) is never streamed. Construct
-/// against an empty interner to stream everything.
-class DefSender {
-public:
-  explicit DefSender(const support::Interner &Table)
-      : Table(Table), LabelsSent(Table.labelCount()),
-        PathsSent(Table.pathCount()), BaseLabels(LabelsSent),
-        BasePaths(PathsSent) {}
-
-  /// The construction-time counts — what Hello advertises.
-  std::uint32_t baseLabels() const {
-    return static_cast<std::uint32_t>(BaseLabels);
-  }
-  std::uint32_t basePaths() const {
-    return static_cast<std::uint32_t>(BasePaths);
-  }
-
-  /// Appends encoded def frames for everything interned since the last
-  /// flush to \p Out.
-  void flush(std::string &Out);
-
-private:
-  const support::Interner &Table;
-  std::size_t LabelsSent = 0;
-  std::size_t PathsSent = 0;
-  std::size_t BaseLabels = 0;
-  std::size_t BasePaths = 0;
-};
-
-/// Coordinator side: one worker incarnation's id translation table.
-/// Worker ids below the Hello-advertised base are the parent's own ids
-/// (fork-inherited, identity mapping); defs above the base arrive dense
-/// and in order, so the rest is a plain vector: Labels[workerLabelId -
-/// BaseLabels] is the parent-interner id. Default-constructed (base 0)
-/// it is the full-streaming remap the pre-fork-aware protocol used.
-struct IdRemap {
-  std::uint32_t BaseLabels = 0;
-  std::uint32_t BasePaths = 0;
-  std::vector<support::LabelId> Labels;
-  std::vector<support::PathId> Paths;
-
-  /// Decodes one LabelDef / PathDef payload and extends the table,
-  /// interning into \p Table. False on any protocol violation
-  /// (non-dense id, unknown label reference, malformed payload).
-  bool applyLabelDef(std::string_view Payload, support::Interner &Table);
-  bool applyPathDef(std::string_view Payload, support::Interner &Table);
-
-  /// Resolves a worker-local label/path id to a parent id; false when
-  /// the id is neither inherited nor defined.
-  bool mapLabel(std::uint32_t Local, support::LabelId &Out) const {
-    if (Local < BaseLabels) {
-      Out = Local;
-      return true;
-    }
-    if (Local - BaseLabels >= Labels.size())
-      return false;
-    Out = Labels[Local - BaseLabels];
-    return true;
-  }
-  bool mapPath(std::uint32_t Local, support::PathId &Out) const {
-    if (Local < BasePaths) {
-      Out = Local;
-      return true;
-    }
-    if (Local - BasePaths >= Paths.size())
-      return false;
-    Out = Paths[Local - BasePaths];
-    return true;
-  }
-};
-
 /// Appends one ChangeRecord as a Result frame to \p Out, reusing
 /// \p Scratch for the payload (the worker's per-change encode path).
-/// Path ids are worker-local: the worker's DefSender has already
-/// streamed the defs they resolve through. WallNanos is deliberately not
-/// carried: it is PerRun — never part of the byte-compared report
-/// surface. Observed workers ship their wall times through the
-/// Telemetry frame instead, keeping Result payloads identical whether or
-/// not observability is on.
+/// Each usage change's removed and added paths go by value, read
+/// through the change's own Table: per path its label count, per label
+/// the kind, argument index, string flag and text. WallNanos is
+/// deliberately not carried: it is PerRun — never part of the
+/// byte-compared report surface. Observed workers ship their wall times
+/// through the Telemetry frame instead, keeping Result payloads
+/// identical whether or not observability is on.
 void appendResult(std::string &Out, WireWriter &Scratch,
                   std::uint64_t ChangeIndex, const core::ChangeRecord &Record);
 
-/// Decodes one Result payload, remapping worker path ids through
-/// \p Remap into \p Table and stamping UsageChange::Table. False on any
-/// malformed or unresolvable payload.
-bool decodeResult(std::string_view Payload, const IdRemap &Remap,
-                  support::Interner &Table, std::uint64_t &ChangeIndex,
-                  core::ChangeRecord &Out);
+/// Decodes one Result payload, interning every path into \p Table and
+/// stamping UsageChange::Table. False on any malformed payload.
+bool decodeResult(std::string_view Payload, support::Interner &Table,
+                  std::uint64_t &ChangeIndex, core::ChangeRecord &Out);
 
 } // namespace exec
 } // namespace diffcode

@@ -11,6 +11,9 @@
 //     coordinator drains continuously;
 //   * results stream in unit order, so the un-received remainder of a
 //     failed unit is always a deterministic suffix;
+//   * every frame is self-contained (a Result carries its paths by
+//     value), so a respawned worker needs no coordinator state beyond a
+//     fresh FrameDecoder and its trace epoch offset;
 //   * every process-level fault decision inside a worker is a pure
 //     function of (plan seed, change index, site, attempt number), so a
 //     chaos campaign produces the same terminal statuses at any worker
@@ -92,14 +95,10 @@ int workerMain(const core::DiffCode &System,
       sleepMs(50);
   }
 
-  // The worker interns on top of the table it inherited through fork():
-  // every id below the fork-time high-water mark is byte-for-byte the
-  // parent's id (copy-on-write snapshot), so only genuinely new entries
-  // are ever re-interned or streamed as defs — on a warmed-up parent
-  // table that is close to nothing. Hello advertises the base so the
-  // coordinator maps inherited ids through the identity.
+  // The worker interns into the table it inherited through fork(), so
+  // its lookups hit every entry the parent already held. Its ids never
+  // leave the process: Result frames carry paths by value.
   support::Interner &LocalTable = *System.labels();
-  DefSender Defs(LocalTable);
 
   // Observed workers run their own Observer: per-change spans and the
   // interpreter metrics land here and ship back per unit in Telemetry
@@ -112,8 +111,7 @@ int workerMain(const core::DiffCode &System,
   std::size_t SpansShipped = 0;
 
   std::string Hello =
-      encodeHello(Defs.baseLabels(), Defs.basePaths(),
-                  Observed ? WorkerObs.Trace.epochSteadyNs() : 0);
+      encodeHello(Observed ? WorkerObs.Trace.epochSteadyNs() : 0);
   if (support::writeFull(RespFd, Hello.data(), Hello.size()) < 0)
     return 0;
   FrameDecoder Decoder;
@@ -177,7 +175,6 @@ int workerMain(const core::DiffCode &System,
                                Observed ? &WorkerObs.Metrics : nullptr);
       }
 
-      Defs.flush(Out); // defs strictly before the result that needs them
       std::size_t FrameStart = Out.size();
       appendResult(Out, Scratch, Index, Record);
       if (support::faultPoint(support::FaultSite::ProcFrameCorrupt,
@@ -209,7 +206,7 @@ int workerMain(const core::DiffCode &System,
       std::vector<obs::Tracer::Event> NewSpans =
           WorkerObs.Trace.eventsFrom(SpansShipped);
       SpansShipped += NewSpans.size();
-      appendTelemetry(Out, Scratch, Incarnation, NewSpans,
+      appendTelemetry(Out, Scratch, NewSpans,
                       WorkerObs.Metrics.snapshot());
     }
     Out += encodeUnitDone(Unit.Id);
@@ -247,7 +244,7 @@ constexpr std::size_t MaxInFlight = 2;
 constexpr std::uint64_t BackoffCapMs = 1000;
 
 /// One worker slot: a pid, its two pipe ends, and the per-incarnation
-/// decode state. Everything protocol-scoped (decoder, id remap, unit
+/// decode state. Everything protocol-scoped (decoder, epoch offset, unit
 /// progress) is reset on respawn — a fresh worker shares nothing with
 /// its predecessor's byte stream.
 struct WorkerSlot {
@@ -257,7 +254,6 @@ struct WorkerSlot {
   int ReqFd = -1;  ///< Coordinator writes Work/Shutdown here (blocking).
   int RespFd = -1; ///< Coordinator reads results here (non-blocking).
   FrameDecoder Decoder;
-  IdRemap Remap;
   /// Worker tracer epoch minus coordinator tracer epoch (Hello, observed
   /// runs only): the per-incarnation offset that aligns Telemetry span
   /// timestamps into the coordinator's timeline. Both clocks are the
@@ -403,7 +399,6 @@ bool Coordinator::spawnSlot(WorkerSlot &S) {
   S.RespFd = Resp.releaseRead();
   support::setNonBlocking(S.RespFd);
   S.Decoder = FrameDecoder();
-  S.Remap = IdRemap();
   S.EpochOffsetNs = 0;
   S.LatestTelemetry = obs::Snapshot();
   S.InFlight.clear();
@@ -510,41 +505,22 @@ bool Coordinator::processFrames(WorkerSlot &S) {
     ++Stats.FramesReceived;
     switch (static_cast<FrameType>(F->Type)) {
     case FrameType::Hello: {
-      // The advertised base must be a prefix of our own table: the
-      // worker forked from this process, and the table only grows, so
-      // anything larger is a corrupt or lying worker.
-      std::uint32_t BaseLabels = 0, BasePaths = 0;
       std::uint64_t WorkerEpochNs = 0;
-      if (!decodeHello(F->Payload, BaseLabels, BasePaths, WorkerEpochNs) ||
-          BaseLabels > Table.labelCount() || BasePaths > Table.pathCount()) {
+      if (!decodeHello(F->Payload, WorkerEpochNs)) {
         S.PoisonReason = "bad handshake";
         return false;
       }
-      S.Remap.BaseLabels = BaseLabels;
-      S.Remap.BasePaths = BasePaths;
       if (Obs && WorkerEpochNs != 0)
         S.EpochOffsetNs =
             static_cast<std::int64_t>(WorkerEpochNs) -
             static_cast<std::int64_t>(Obs->Trace.epochSteadyNs());
       break;
     }
-    case FrameType::LabelDef:
-      if (!S.Remap.applyLabelDef(F->Payload, Table)) {
-        S.PoisonReason = "bad label definition";
-        return false;
-      }
-      break;
-    case FrameType::PathDef:
-      if (!S.Remap.applyPathDef(F->Payload, Table)) {
-        S.PoisonReason = "bad path definition";
-        return false;
-      }
-      break;
     case FrameType::Result: {
       std::uint64_t Index = 0;
       core::ChangeRecord Record;
       if (!S.busy() ||
-          !decodeResult(F->Payload, S.Remap, Table, Index, Record) ||
+          !decodeResult(F->Payload, Table, Index, Record) ||
           S.Received >= S.InFlight.front().Indices.size() ||
           Index != S.InFlight.front().Indices[S.Received]) {
         S.PoisonReason = "bad result frame";
@@ -585,15 +561,6 @@ bool Coordinator::processFrames(WorkerSlot &S) {
       if (!decodeTelemetry(F->Payload, T)) {
         S.PoisonReason = "bad telemetry frame";
         return false;
-      }
-      // Frames are stamped with the incarnation the worker was spawned
-      // as; anything else is a corrupt or lying worker and its telemetry
-      // must not pollute the merged view. (The per-incarnation pipe and
-      // decoder make this unreachable for honest workers — the check is
-      // wire-level insurance, same spirit as the Hello version gate.)
-      if (T.staleFor(S.Incarnation)) {
-        ++Stats.StaleTelemetry;
-        break;
       }
       ++Stats.TelemetryFrames;
       if (!Obs)
@@ -994,9 +961,6 @@ diffcode::exec::superviseChanges(const core::DiffCode &System,
     Reg.counter("exec.telemetry_frames", obs::Unit::None,
                 obs::Stability::PerRun)
         .add(St.TelemetryFrames);
-    Reg.counter("exec.telemetry_stale", obs::Unit::None,
-                obs::Stability::PerRun)
-        .add(St.StaleTelemetry);
   }
   return std::move(C.Records);
 }

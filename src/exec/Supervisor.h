@@ -22,18 +22,18 @@
 ///   * isolates poison inputs by half-batch bisection, then retries the
 ///     surviving singleton with exponential backoff before stamping a
 ///     terminal record,
-///   * respawns a fresh worker (new pipes, decoder, id remap) after
-///     every death.
+///   * respawns a fresh worker (new pipes, decoder) after every death.
 ///
 /// Byte-identity contract: with no faults firing, a supervised report is
 /// byte-identical to the in-process engine's, because (a) workers run
 /// each unit through a core::VersionStore, whose every record equals
 /// processChange's, under the exact same per-change fault scope, (b)
 /// the wire codec carries every record field that reaches the report,
-/// and (c) the downstream pipeline is literally the same code
-/// (DiffCode::run). Interner id values differ across processes, but no
-/// consumer depends on id values — only equality (support/Interner.h
-/// determinism contract).
+/// paths by value, and (c) the downstream pipeline is literally the
+/// same code (DiffCode::run). The coordinator re-interns each path, so
+/// its id values may differ from the worker's, but no consumer depends
+/// on id values — only equality (support/Interner.h determinism
+/// contract).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,10 +68,8 @@ struct SupervisionStats {
   std::uint64_t BytesReceived = 0;
   /// Changes resolved by the in-process fallback (fork exhaustion).
   std::uint64_t InlineFallbacks = 0;
-  /// Telemetry frames merged from observed workers, and frames dropped
-  /// because they were stamped with a non-current incarnation.
+  /// Telemetry frames merged from observed workers.
   std::uint64_t TelemetryFrames = 0;
-  std::uint64_t StaleTelemetry = 0;
   /// Terminal supervisor-stamped statuses, indexed by ChangeStatus.
   std::array<std::uint64_t, core::NumChangeStatuses> TerminalStatus{};
 

@@ -822,9 +822,6 @@ public:
   /// Slab capacity currently retained by the arena.
   std::size_t arenaCapacity() const { return Alloc.bytesCapacity(); }
 
-  /// Number of slabs the arena currently holds.
-  std::size_t arenaSlabs() const { return Alloc.slabCount(); }
-
 private:
   struct DtorEntry {
     void *Ptr;

@@ -144,12 +144,6 @@ struct Token {
   std::string_view Text;
 
   bool is(TokenKind K) const { return Kind == K; }
-  bool isNot(TokenKind K) const { return Kind != K; }
-
-  /// True for any keyword token.
-  bool isKeyword() const {
-    return Kind >= TokenKind::KwAbstract && Kind <= TokenKind::KwWhile;
-  }
 };
 
 /// Human-readable token-kind name for diagnostics ("identifier", "'{'").

@@ -72,8 +72,6 @@ public:
   /// Total slab capacity currently held (retained across reset()).
   std::size_t bytesCapacity() const;
 
-  std::size_t slabCount() const { return Slabs.size(); }
-
 private:
   struct Slab {
     char *Mem;

@@ -52,17 +52,6 @@ template <typename To, typename From> const To *dyn_cast(const From *Val) {
   return To::classof(Val) ? static_cast<const To *>(Val) : nullptr;
 }
 
-/// Like dyn_cast, but tolerates a null argument (propagates null).
-template <typename To, typename From> To *dyn_cast_if_present(From *Val) {
-  return Val ? dyn_cast<To>(Val) : nullptr;
-}
-
-/// Like dyn_cast_if_present (const overload).
-template <typename To, typename From>
-const To *dyn_cast_if_present(const From *Val) {
-  return Val ? dyn_cast<To>(Val) : nullptr;
-}
-
 } // namespace diffcode
 
 #endif // DIFFCODE_SUPPORT_CASTING_H

@@ -39,15 +39,3 @@ std::string_view diffcode::trim(std::string_view Text) {
     Text.remove_suffix(1);
   return Text;
 }
-
-std::string diffcode::replaceAll(std::string Text, std::string_view From,
-                                 std::string_view To) {
-  if (From.empty())
-    return Text;
-  std::size_t Pos = 0;
-  while ((Pos = Text.find(From, Pos)) != std::string::npos) {
-    Text.replace(Pos, From.size(), To);
-    Pos += To.size();
-  }
-  return Text;
-}

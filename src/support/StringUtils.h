@@ -36,10 +36,6 @@ std::string join(const std::vector<std::string> &Parts,
 /// Strips ASCII whitespace from both ends.
 std::string_view trim(std::string_view Text);
 
-/// Replaces every occurrence of \p From in \p Text by \p To.
-std::string replaceAll(std::string Text, std::string_view From,
-                       std::string_view To);
-
 /// Generic Levenshtein distance over random-access sequences. Each element
 /// counts as one unit for insert/delete/substitute.
 template <typename Seq> std::size_t levenshtein(const Seq &A, const Seq &B) {

@@ -245,10 +245,7 @@ TEST(Chaos, ObservedCampaignKeepsTelemetryCoherent) {
   // The ProcKill campaign rerun with an observer attached: incarnations
   // die mid-run, yet the stitched trace and the merged worker metrics
   // must stay coherent. Each incarnation gets a fresh pipe and decoder,
-  // so a frame from a dead incarnation can never arrive — the
-  // stale-incarnation counter existing but staying zero is exactly the
-  // invariant this campaign locks down (the wire guard is insurance
-  // against a confused sender, not a path honest workers can hit).
+  // so a frame from a dead incarnation can never arrive.
   support::FaultPlan Plan;
   Plan.Seed = 21;
   Plan.Rate = 0.5;
@@ -279,9 +276,8 @@ TEST(Chaos, ObservedCampaignKeepsTelemetryCoherent) {
     Ok += R.Status == ChangeStatus::Ok;
   ASSERT_GT(Ok, 0u); // retries recovered some changes (seed-stable)
 
-  // Telemetry flowed from surviving incarnations; none of it was stale.
+  // Telemetry flowed from surviving incarnations.
   EXPECT_GT(Stats.TelemetryFrames, 0u);
-  EXPECT_EQ(Stats.StaleTelemetry, 0u);
 
   // Every committed change's span was stitched into the coordinator's
   // trace: a unit's telemetry frame precedes its UnitDone, so a span can
@@ -299,7 +295,6 @@ TEST(Chaos, ObservedCampaignKeepsTelemetryCoherent) {
   std::string Metrics = Obs.summarize().Metrics.json();
   EXPECT_NE(Metrics.find("\"exec.worker."), std::string::npos);
   EXPECT_NE(Metrics.find("\"exec.telemetry_frames\""), std::string::npos);
-  EXPECT_NE(Metrics.find("\"exec.telemetry_stale\""), std::string::npos);
 }
 
 TEST(Chaos, MixedCampaignIsCompleteAndDeterministic) {

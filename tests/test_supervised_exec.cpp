@@ -185,9 +185,27 @@ TEST(SupervisedExec, CleanRunBookkeeping) {
     for (std::size_t I = 0; I < NumChangeStatuses; ++I)
       EXPECT_EQ(Stats.TerminalStatus[I], 0u) << changeStatusName(
           static_cast<ChangeStatus>(I));
-    // Results did flow over the wire.
-    EXPECT_GE(Stats.FramesReceived, N);
+    // An unobserved clean run receives one Result per change, one
+    // UnitDone per unit and at most one Hello per worker: nothing else.
+    EXPECT_LE(Stats.FramesReceived, N + Stats.UnitsDispatched + Exec.Workers)
+        << "batch " << BatchSize;
     EXPECT_GT(Stats.BytesReceived, 0u);
+
+    // The same DiffCode again: its table now holds every path, so the
+    // workers fork from a warm table and the coordinator's interning
+    // only hits. Records render as the in-process ones either way.
+    std::size_t Paths = System.labels()->pathCount();
+    std::vector<ChangeRecord> Warm = exec::superviseChanges(
+        System, {.Changes = env().Mined,
+                 .TargetClasses = api().targetClasses(),
+                 .Exec = Exec});
+    ASSERT_EQ(Warm.size(), N);
+    for (std::size_t I = 0; I < N; ++I) {
+      std::string Expected = changeRecordToJson(env().Baseline.Changes[I]);
+      EXPECT_EQ(changeRecordToJson(Records[I]), Expected) << I;
+      EXPECT_EQ(changeRecordToJson(Warm[I]), Expected) << I;
+    }
+    EXPECT_EQ(System.labels()->pathCount(), Paths);
   }
 }
 

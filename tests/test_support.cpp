@@ -56,13 +56,6 @@ TEST(StringUtils, TrimBothEnds) {
   EXPECT_EQ(trim("no-trim"), "no-trim");
 }
 
-TEST(StringUtils, ReplaceAll) {
-  EXPECT_EQ(replaceAll("a-b-c", "-", "+"), "a+b+c");
-  EXPECT_EQ(replaceAll("aaa", "aa", "b"), "ba");
-  EXPECT_EQ(replaceAll("abc", "", "x"), "abc");
-  EXPECT_EQ(replaceAll("abc", "d", "x"), "abc");
-}
-
 TEST(StringUtils, Fnv1a64StandardVectors) {
   EXPECT_EQ(support::fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(support::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
