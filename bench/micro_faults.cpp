@@ -7,10 +7,14 @@
 ///
 /// \file
 /// Sweeps seeded fault-injection campaigns over a generated corpus —
-/// rising fault rates across all sites, then each site in isolation —
-/// and charts what the containment layer turned them into: per-
-/// ChangeStatus counts against wall time, read from the observability
-/// layer's metrics snapshots (the ROADMAP's fault-campaign sweep item).
+/// rising fault rates across all sites, then each site an in-process
+/// DiffCode::run reaches (parser, interpreter, hungarian, clustering) in
+/// isolation — and charts what the containment layer turned them into:
+/// per-ChangeStatus counts against wall time, read from the
+/// observability layer's metrics snapshots (the ROADMAP's fault-campaign
+/// sweep item). The other sites are exercised elsewhere: scan-project by
+/// test_scan_pipeline's campaigns, the proc-* sites by the supervised
+/// workers under `ctest -L chaos`.
 ///
 /// Self-verifying:
 ///
@@ -20,8 +24,9 @@
 ///   * the rate-0 campaign reproduces the unobserved baseline byte for
 ///     byte (its report body is a prefix of the observed report);
 ///   * an armed campaign is byte-identical at 1 and 2 threads;
-///   * the hottest campaign actually fired, and single-site campaigns
-///     fire only their own site.
+///   * the hottest campaign actually fired, single-site campaigns fire
+///     only their own site, and each evaluates its own site at least
+///     once (a campaign whose site is never reached shows nothing).
 ///
 ///   micro_faults [projects] [seed] [out.json]   (defaults: 120 42
 ///                                                BENCH_faults.json)
@@ -134,6 +139,10 @@ int main(int argc, char **argv) {
           {.Changes = Mined, .TargetClasses = api().targetClasses()}));
 
   constexpr std::uint32_t AllSites = (1u << support::NumFaultSites) - 1;
+  // The sites an in-process DiffCode::run evaluates.
+  const std::vector<support::FaultSite> RunSites = {
+      support::FaultSite::Parser, support::FaultSite::Interpreter,
+      support::FaultSite::Hungarian, support::FaultSite::Clustering};
   const double MidRate = 0.002;
   std::vector<CampaignSpec> Specs = {
       {"baseline", 0.0, AllSites},
@@ -141,14 +150,10 @@ int main(int argc, char **argv) {
       {"all-sites@0.002", 0.002, AllSites},
       {"all-sites@0.008", 0.008, AllSites},
   };
-  for (unsigned Site = 0; Site < support::NumFaultSites; ++Site)
-    Specs.push_back({std::string("site-") +
-                         support::faultSiteName(
-                             static_cast<support::FaultSite>(Site)) +
-                         "@0.002",
-                     MidRate,
-                     support::faultSiteBit(
-                         static_cast<support::FaultSite>(Site))});
+  for (support::FaultSite Site : RunSites)
+    Specs.push_back(
+        {std::string("site-") + support::faultSiteName(Site) + "@0.002",
+         MidRate, support::faultSiteBit(Site)});
 
   std::vector<CampaignResult> Results(Specs.size());
   std::fprintf(stderr, "\n  %-22s %5s %5s %5s %5s %5s %6s %9s\n", "campaign",
@@ -214,15 +219,18 @@ int main(int argc, char **argv) {
       corpusReportToJson(runCampaign(Mined, ThreadPlan, 2, nullptr));
 
   // The hottest campaign fired; single-site campaigns fire only their
-  // own site.
+  // own site, and each reached its own site.
   bool HottestFired = Results[3].Stats.totalFired() > 0;
-  bool SitesIsolated = true;
-  for (unsigned Site = 0; Site < support::NumFaultSites; ++Site) {
-    const CampaignResult &R = Results[4 + Site];
-    for (unsigned Other = 0; Other < support::NumFaultSites; ++Other)
-      if (Other != Site &&
-          R.Stats.fired(static_cast<support::FaultSite>(Other)) != 0)
+  bool SitesIsolated = true, SitesReached = true;
+  for (std::size_t I = 0; I < RunSites.size(); ++I) {
+    const CampaignResult &R = Results[4 + I];
+    for (unsigned Other = 0; Other < support::NumFaultSites; ++Other) {
+      auto OtherSite = static_cast<support::FaultSite>(Other);
+      if (OtherSite != RunSites[I] && R.Stats.fired(OtherSite) != 0)
         SitesIsolated = false;
+    }
+    if (R.Stats.evaluated(RunSites[I]) == 0)
+      SitesReached = false;
   }
 
   //===--------------------------------------------------------------------===//
@@ -270,8 +278,10 @@ int main(int argc, char **argv) {
   W.key("threads_deterministic").value(ThreadsDeterministic);
   W.key("hottest_campaign_fired").value(HottestFired);
   W.key("single_site_isolated").value(SitesIsolated);
+  W.key("single_site_reached").value(SitesReached);
   bool Pass = AllComplete && StatusSumsMatch && MetricsAgree && Rate0Clean &&
-              ThreadsDeterministic && HottestFired && SitesIsolated;
+              ThreadsDeterministic && HottestFired && SitesIsolated &&
+              SitesReached;
   W.key("pass").value(Pass);
   W.endObject();
 
@@ -299,5 +309,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "FAIL: the hottest campaign never fired\n");
   if (!SitesIsolated)
     std::fprintf(stderr, "FAIL: a single-site campaign fired another site\n");
+  if (!SitesReached)
+    std::fprintf(stderr, "FAIL: a single-site campaign never reached its "
+                         "site\n");
   return Pass ? 0 : 1;
 }

@@ -319,6 +319,23 @@ VersionStore::VersionStore(const DiffCode &System,
       Bypass(System.config().Faults.enabled()),
       Facts(factsFor(Request.ClassifyWith)) {}
 
+void VersionStore::seed(const corpus::CodeChange &First,
+                        const CarriedVersion &Carried) {
+  if (Bypass || !Carried.Version)
+    return;
+  Project = First.ProjectName;
+  File = First.FileName;
+  Prev = {Kept{}, Kept{Carried.Text, Carried.Version}};
+}
+
+void VersionStore::carry(CarriedVersion &Carried) const {
+  // The same product means the same text; a side that threw has neither.
+  if (Bypass || Carried.Version == Prev[1].Version)
+    return;
+  Carried.Text = Prev[1].Text;
+  Carried.Version = Prev[1].Version;
+}
+
 VersionStore::Kept VersionStore::version(std::string_view Text,
                                          const Kept &Sibling) {
   for (const Kept *K : {&Sibling, &std::as_const(Prev)[0],
@@ -364,8 +381,8 @@ void VersionStore::recordCounts(obs::Registry &Reg) const {
 }
 
 std::vector<ChangeRecord>
-DiffCode::analyzeChanges(const PipelineRequest &Request,
-                         std::size_t FirstIndex) const {
+DiffCode::analyzeChanges(const PipelineRequest &Request, std::size_t FirstIndex,
+                         VersionCarry *Carry) const {
   std::vector<ChangeRecord> Records(Request.Changes.size());
 
   // The file after one commit is the file before the next, so a file
@@ -382,6 +399,14 @@ DiffCode::analyzeChanges(const PipelineRequest &Request,
   // is id-value independent (support/Interner.h, determinism contract).
   const std::vector<std::vector<std::uint64_t>> Groups =
       fileHistories(Request.Changes);
+  // Each group's entry in the carry, made here so that every thread below
+  // writes only its own history's entry.
+  std::vector<CarriedVersion *> Carried;
+  if (Carry && !Config.Faults.enabled())
+    for (const std::vector<std::uint64_t> &Group : Groups) {
+      const corpus::CodeChange &First = *Request.Changes[Group.front()];
+      Carried.push_back(&(*Carry)[{First.ProjectName, First.FileName}]);
+    }
   support::Interner &Table = *Labels;
   obs::Observer *Obs = Request.Metrics;
   obs::Registry *Reg = Obs ? &Obs->Metrics : nullptr;
@@ -390,6 +415,8 @@ DiffCode::analyzeChanges(const PipelineRequest &Request,
       Config.Threads, Groups.size(),
       [&](std::size_t G) {
         VersionStore Store(*this, Request);
+        if (!Carried.empty())
+          Store.seed(*Request.Changes[Groups[G].front()], *Carried[G]);
         for (std::uint64_t I : Groups[G]) {
           // Scope key = change index, so an armed fault plan hits the
           // same changes whether one thread or sixteen claim the work.
@@ -405,6 +432,8 @@ DiffCode::analyzeChanges(const PipelineRequest &Request,
                     std::chrono::steady_clock::now() - T0)
                     .count());
         }
+        if (!Carried.empty())
+          Store.carry(*Carried[G]);
         if (Reg)
           Store.recordCounts(*Reg);
       },

@@ -266,6 +266,19 @@ struct AnalyzedVersion {
   rules::UnitFacts Facts; ///< Empty under VersionFacts::None.
 };
 
+/// One file history's last analyzed version, kept from one analyzeChanges
+/// call to the next. It owns its text, because the changes a call views
+/// may be gone before the next call. Empty (no Version) when the history
+/// has none to offer.
+struct CarriedVersion {
+  std::string Text;
+  std::shared_ptr<const AnalyzedVersion> Version;
+};
+
+/// Each file history's CarriedVersion, keyed by (ProjectName, FileName).
+using VersionCarry =
+    std::map<std::pair<std::string, std::string>, CarriedVersion>;
+
 /// The corpus-health rollup as a running tally over an append-only record
 /// list: the status counts plus the record indices of the current worst
 /// offenders. The offender order is total, so the top entries of a longer
@@ -403,8 +416,18 @@ public:
   /// one, as a session ingest does). Observed runs add the
   /// pipeline.versions_analyzed / pipeline.versions_reused counters.
   /// Request.BuildDendrograms is ignored here.
+  ///
+  /// With \p Carry, a batch continues earlier ones: each group's store is
+  /// seeded with its history's carried version, so the commit before the
+  /// batch counts as the previous change, and afterwards the history's
+  /// entry holds the new side of the group's last change (cleared when
+  /// that side threw). Every call passing one carry must use this
+  /// DiffCode and the same TargetClasses and ClassifyWith. Under an armed
+  /// fault plan the stores bypass themselves, and the carry is neither
+  /// read nor written.
   std::vector<ChangeRecord> analyzeChanges(const PipelineRequest &Request,
-                                           std::size_t FirstIndex = 0) const;
+                                           std::size_t FirstIndex = 0,
+                                           VersionCarry *Carry = nullptr) const;
 
   /// Stage 2 — per-class gather + filter: concatenates \p TargetClass's
   /// usage changes from \p Records (record order) and runs the
@@ -456,9 +479,24 @@ fileHistories(const std::vector<const corpus::CodeChange *> &Changes);
 /// plan the store keeps nothing and each change runs processChange,
 /// because injected faults depend on the change's fault scope. One store
 /// serves one thread; Request and its changes must outlive it.
+///
+/// seed() and carry() continue a history across stores: only the new
+/// side travels, since the next commit's old file is the previous
+/// commit's new file.
 class VersionStore {
 public:
   VersionStore(const DiffCode &System, const PipelineRequest &Request);
+
+  /// Makes \p Carried the new side of the change before \p First, so
+  /// \p First's old side can reuse it. Does nothing when \p Carried is
+  /// empty or the store is bypassed. \p Carried must stay unchanged
+  /// until carry().
+  void seed(const corpus::CodeChange &First, const CarriedVersion &Carried);
+
+  /// Writes the new side of the last change processed into \p Carried,
+  /// or empties it when that side threw. Does nothing when the store is
+  /// bypassed.
+  void carry(CarriedVersion &Carried) const;
 
   /// The record of \p Change, one of Request.Changes (the caller installs
   /// its fault scope). Never throws.
@@ -482,7 +520,8 @@ private:
   const bool Bypass;
   const VersionFacts Facts;
   java::AstContext Ctx;
-  /// The previous change's file history and its old and new versions.
+  /// The previous change's file history and its old and new versions (a
+  /// seeded store starts with only the new one).
   std::string_view Project, File;
   std::array<Kept, 2> Prev;
   std::uint64_t Analyzed = 0, Reused = 0;

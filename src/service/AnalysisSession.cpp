@@ -56,15 +56,17 @@ AnalysisSession::ingest(const std::vector<corpus::CodeChange> &Changes) {
   // The batch pipeline's analysis stage, each change under the fault
   // scope of its *global* corpus index: a cold run over the whole
   // accumulated change list scopes change G with key G, so the session
-  // must too for armed campaigns to land identically.
+  // must too for armed campaigns to land identically. The carry lets a
+  // change's old side reuse its history's new side from an earlier ingest.
   core::PipelineRequest Batch;
   Batch.Changes.reserve(Changes.size());
   for (const corpus::CodeChange &Change : Changes)
     Batch.Changes.push_back(&Change);
   Batch.TargetClasses = TargetClasses;
   Batch.ClassifyWith = Opts.ClassifyWith;
+  Batch.Metrics = Opts.Metrics;
   std::vector<core::ChangeRecord> Records =
-      System.analyzeChanges(Batch, FirstNewRecord);
+      System.analyzeChanges(Batch, FirstNewRecord, &Carry);
   Report.Changes.insert(Report.Changes.end(),
                         std::make_move_iterator(Records.begin()),
                         std::make_move_iterator(Records.end()));

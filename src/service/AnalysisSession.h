@@ -15,7 +15,9 @@
 ///   * every ingested batch is analyzed by the same analyzeChanges a
 ///     cold run calls, each change under the fault scope of its global
 ///     corpus index; a version repeated within the batch is analyzed
-///     once, but nothing is kept from one ingest to the next;
+///     once, and each file history's last new-side version is carried to
+///     the next ingest (core::VersionCarry), so a commit's old file, the
+///     previous commit's new file, is not analyzed again;
 ///   * the health block and each touched class's filter result are
 ///     continued over the new records only (core::HealthTally,
 ///     core::continueFilters with a per-class fdup seen-set), which gives
@@ -61,8 +63,10 @@ struct SessionOptions {
   /// Rules each change is classified under (may be empty). Pointed-to
   /// rules must outlive the session.
   std::vector<const rules::Rule *> ClassifyWith;
-  /// Observability sink for service.* metrics (null = off). Must
-  /// outlive the session.
+  /// Observability sink (null = off): the service.* metrics, and each
+  /// ingest's analysis metrics as an observed analyzeChanges records them
+  /// (processChange spans, pipeline.versions_*). Must outlive the
+  /// session.
   obs::Observer *Metrics = nullptr;
 };
 
@@ -115,7 +119,8 @@ public:
   /// analyzes them with DiffCode::analyzeChanges (Config.Threads
   /// threads), continues the filter result of each class they contribute
   /// to, re-clusters those whose survivors grew, and extends the health
-  /// tally. The changes themselves are not retained — their records are.
+  /// tally. The changes themselves are not retained — their records are,
+  /// and a copy of each file history's last new-side text.
   IngestStats ingest(const std::vector<corpus::CodeChange> &Changes);
 
   /// The repaired-to-date report: byte-identical to a cold
@@ -162,6 +167,10 @@ private:
   /// filters only its own usage changes (core::continueFilters). Parallel
   /// to TargetClasses / Report.PerClass.
   std::vector<core::FilterSeen> Seen;
+
+  /// Each file history's last new-side version, which the next ingest's
+  /// analyzeChanges seeds that history's store with.
+  core::VersionCarry Carry;
 
   std::size_t Ingests = 0;
   IngestStats Lifetime;

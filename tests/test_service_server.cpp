@@ -19,6 +19,8 @@
 #include "service/Server.h"
 
 #include "core/ReportWriter.h"
+#include "corpus/CorpusGenerator.h"
+#include "corpus/Miner.h"
 #include "exec/Wire.h"
 #include "scan/ScanReportWriter.h"
 #include "scan/Scanner.h"
@@ -316,6 +318,48 @@ TEST(ServiceServer, ForkedRoundTripMatchesColdBatch) {
   ::close(Fd);
   support::ExitStatus Exit = support::waitProcess(Pid);
   EXPECT_TRUE(Exit.cleanExit()) << Exit.Code;
+}
+
+TEST(ServiceServer, OneCommitPerIngestRequestMatchesColdBatch) {
+  // The daemon destroys each decoded request's changes once the ingest
+  // returns, so a version the session carries to the next ingest must own
+  // its text (under ASan, a view into a freed request is a
+  // heap-use-after-free). One IngestReq per commit, as a push hook sends.
+  corpus::CorpusOptions Opts;
+  Opts.NumProjects = 12;
+  Opts.Seed = 42;
+  corpus::Corpus Corpus = corpus::CorpusGenerator(Opts).generate();
+  std::vector<corpus::CodeChange> Changes;
+  for (const corpus::CodeChange *Change : corpus::Miner(api()).mine(Corpus))
+    Changes.push_back(*Change);
+  ASSERT_GE(Changes.size(), 30u);
+
+  int Fd = -1;
+  pid_t Pid = forkServer(Fd);
+  Client C(Fd);
+  std::string Error;
+  std::size_t Requests = 0;
+  for (std::size_t Begin = 0; Begin < Changes.size(); ++Requests) {
+    std::size_t End = Begin + 1;
+    while (End < Changes.size() &&
+           Changes[End].ProjectName == Changes[Begin].ProjectName &&
+           Changes[End].CommitIndex == Changes[Begin].CommitIndex)
+      ++End;
+    std::vector<corpus::CodeChange> Commit(Changes.begin() + Begin,
+                                           Changes.begin() + End);
+    IngestReply Reply;
+    ASSERT_TRUE(C.ingest(Commit, Reply, &Error)) << Error;
+    ASSERT_EQ(Reply.TotalChanges, End);
+    Begin = End;
+  }
+  EXPECT_GT(Requests, Changes.size() / 2) << "most commits change one file";
+
+  std::string Snapshot;
+  ASSERT_TRUE(C.snapshot(Snapshot, &Error)) << Error;
+  EXPECT_EQ(Snapshot, coldJson(Changes));
+  ASSERT_TRUE(C.shutdown(&Error)) << Error;
+  ::close(Fd);
+  EXPECT_TRUE(support::waitProcess(Pid).cleanExit());
 }
 
 TEST(ServiceServer, ForkedScanMatchesLocalScanner) {

@@ -21,10 +21,15 @@
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
+#include "rules/BuiltinRules.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace diffcode;
@@ -132,6 +137,16 @@ std::uint64_t pairs(std::uint64_t N) { return N * (N - 1) / 2; }
       return ::testing::AssertionFailure() << "offender " << I << " differs";
   }
   return ::testing::AssertionSuccess();
+}
+
+/// The value of counter \p Name in \p Obs's registry, or nothing when it
+/// was never recorded.
+std::optional<std::uint64_t> counterValue(const obs::Observer &Obs,
+                                          const std::string &Name) {
+  for (const obs::MetricValue &V : Obs.Metrics.snapshot().Values)
+    if (V.Name == Name)
+      return V.Count;
+  return std::nullopt;
 }
 
 /// Ingests every batch into a fresh session and returns the snapshot.
@@ -397,6 +412,88 @@ TEST(ServiceSession, AppendedTreesEqualColdTreesNodeForNode) {
   }
 }
 
+TEST(ServiceSession, OneCommitIngestsReuseTheHistorysLastVersion) {
+  // Cold-ingest half a stream, then append the rest one commit per ingest,
+  // each from a vector destroyed before the next ingest, so a carried
+  // version must own its text. Every record must equal processChange's,
+  // and each ingest must serve again exactly the versions its texts
+  // allow: an old side equal to its history's last new side, and a new
+  // side equal to its own old side or to that text. The changes are
+  // classified, so carried facts are read too.
+  std::vector<corpus::CodeChange> Changes = minedChanges(60, 42);
+  std::vector<std::vector<corpus::CodeChange>> Commits =
+      commitGroups(Changes);
+  const std::size_t Half = Commits.size() / 2;
+  std::vector<corpus::CodeChange> Head;
+  for (std::size_t C = 0; C < Half; ++C)
+    Head.insert(Head.end(), Commits[C].begin(), Commits[C].end());
+  std::vector<const rules::Rule *> Rules;
+  for (const rules::Rule &R : rules::elicitedRules())
+    Rules.push_back(&R);
+
+  // The versions each appended commit may serve again, from the texts
+  // alone: the last new side of every file history so far.
+  std::map<std::pair<std::string, std::string>, std::string> LastNew;
+  for (const corpus::CodeChange &Change : Head)
+    LastNew[{Change.ProjectName, Change.FileName}] = Change.NewCode;
+  std::vector<std::uint64_t> Servable;
+  std::uint64_t OldSidesServable = 0;
+  for (std::size_t C = Half; C < Commits.size(); ++C) {
+    std::uint64_t N = 0;
+    std::set<std::pair<std::string, std::string>> InCommit;
+    for (const corpus::CodeChange &Change : Commits[C]) {
+      std::pair<std::string, std::string> History{Change.ProjectName,
+                                                  Change.FileName};
+      ASSERT_TRUE(InCommit.insert(History).second)
+          << "a commit changes a file once";
+      auto It = LastNew.find(History);
+      const bool OldServable =
+          It != LastNew.end() && Change.OldCode == It->second;
+      OldSidesServable += OldServable;
+      N += OldServable;
+      N += Change.NewCode == Change.OldCode ||
+           (It != LastNew.end() && Change.NewCode == It->second);
+      LastNew[History] = Change.NewCode;
+    }
+    Servable.push_back(N);
+  }
+  ASSERT_GT(OldSidesServable, (Commits.size() - Half) / 2)
+      << "most appended old sides are their history's last new side";
+
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    obs::Observer Obs;
+    SessionOptions Opts;
+    Opts.Config.Threads = Threads;
+    Opts.ClassifyWith = Rules;
+    Opts.Metrics = &Obs;
+    AnalysisSession Session(api(), Opts);
+    Session.ingest(Head);
+    DiffCode Oracle(api(), Opts.Config);
+    for (std::size_t C = Half; C < Commits.size(); ++C) {
+      const std::optional<std::uint64_t> Before =
+          counterValue(Obs, "pipeline.versions_reused");
+      const std::size_t First = Session.size();
+      {
+        std::vector<corpus::CodeChange> Commit = Commits[C];
+        Session.ingest(Commit);
+      }
+      const std::optional<std::uint64_t> After =
+          counterValue(Obs, "pipeline.versions_reused");
+      ASSERT_TRUE(Before && After) << "an observed ingest counts reuse";
+      ASSERT_EQ(*After - *Before, Servable[C - Half])
+          << "commit " << C << " at " << Threads << " threads";
+      ASSERT_EQ(Session.size(), First + Commits[C].size());
+      for (std::size_t I = 0; I < Commits[C].size(); ++I)
+        ASSERT_EQ(changeRecordToJson(Session.report().Changes[First + I]),
+                  changeRecordToJson(Oracle.processChange(
+                      Commits[C][I], api().targetClasses(), Rules,
+                      *Oracle.labels())))
+            << "commit " << C << " change " << I;
+    }
+    EXPECT_EQ(Session.reportJson(), coldJson(Changes, Opts.Config)) << Threads;
+  }
+}
+
 TEST(ServiceSession, MetricsFlowThroughObserver) {
   // The two halves of a stream whose tail grows a class's survivors (see
   // GrownClassesReclusterFromScratch), so the second ingest re-clusters a
@@ -429,6 +526,14 @@ TEST(ServiceSession, MetricsFlowThroughObserver) {
             First.ClassesRepaired + Second.ClassesRepaired);
   EXPECT_EQ(Counter("service.classes.reused"),
             First.ClassesReused + Second.ClassesReused);
+  // Each ingest's analysis is observed as a cold analyzeChanges is: every
+  // change's two versions are either analyzed or served again.
+  const std::optional<std::uint64_t> Analyzed =
+      counterValue(Obs, "pipeline.versions_analyzed");
+  const std::optional<std::uint64_t> Reused =
+      counterValue(Obs, "pipeline.versions_reused");
+  ASSERT_TRUE(Analyzed && Reused);
+  EXPECT_EQ(*Analyzed + *Reused, 2 * Changes.size());
   // The session keeps no record memo and no pair tables, so no
   // service.cache.* or service.pairs.* metric.
   for (const obs::MetricValue &V : Snap.Values) {
