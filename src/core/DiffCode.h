@@ -72,9 +72,6 @@ struct ExecutionPolicy {
   /// Backoff before the Nth retry of a singleton unit:
   /// min(BackoffBaseMs << (N-1), 1000 ms).
   std::uint64_t BackoffBaseMs = 10;
-  /// RLIMIT_AS for each worker in MiB (0 = unlimited). A worker that
-  /// cannot allocate takes a distinguished exit, reported as WorkerOom.
-  std::uint64_t WorkerMemoryLimitMb = 0;
 };
 
 /// The engine's settings, shared by every run of one DiffCode: only what
@@ -116,8 +113,8 @@ struct PipelineConfig {
 /// five are in-process containment outcomes (PR 2); the Worker* statuses
 /// are terminal verdicts of the supervised multi-process engine
 /// (exec/Supervisor): the subprocess holding this change died, overran
-/// its deadline, or hit its memory limit even after bounded retry and
-/// half-batch bisection.
+/// its deadline, or took the out-of-memory exit even after bounded retry
+/// and half-batch bisection.
 enum class ChangeStatus {
   Ok = 0,         ///< Both versions parsed and analyzed cleanly.
   Degraded,       ///< Parse diagnostics; analysis ran on a partial tree.
@@ -126,7 +123,7 @@ enum class ChangeStatus {
   AnalysisThrow,  ///< The worker threw; the record is empty but present.
   WorkerCrash,    ///< Worker subprocess died (signal/exit/protocol error).
   WorkerTimeout,  ///< Worker overran the per-unit wall-clock deadline.
-  WorkerOom,      ///< Worker hit its memory limit and took the OOM exit.
+  WorkerOom,      ///< Worker took the out-of-memory exit (exec::OomExitCode).
 };
 
 /// Number of ChangeStatus values (for count arrays).

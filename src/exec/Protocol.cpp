@@ -5,21 +5,6 @@
 using namespace diffcode;
 using namespace diffcode::exec;
 
-std::string diffcode::exec::encodeHello(std::uint64_t TraceEpochNs) {
-  WireWriter W;
-  W.u32(ProtocolVersion);
-  W.u64(TraceEpochNs);
-  return encodeFrame(static_cast<std::uint32_t>(FrameType::Hello), W.bytes());
-}
-
-bool diffcode::exec::decodeHello(std::string_view Payload,
-                                 std::uint64_t &TraceEpochNs) {
-  WireReader R(Payload);
-  std::uint32_t Version = R.u32();
-  TraceEpochNs = R.u64();
-  return R.atEnd() && Version == ProtocolVersion;
-}
-
 std::string diffcode::exec::encodeWork(const WorkUnit &Unit) {
   WireWriter W;
   W.u64(Unit.Id);

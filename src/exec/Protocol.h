@@ -14,11 +14,15 @@
 ///   Shutdown  drain and _exit(0)
 ///
 /// Worker -> coordinator:
-///   Hello     startup handshake (protocol version, trace epoch)
 ///   Result    one ChangeRecord, its usage-change paths by value
-///   Telemetry completed spans + cumulative metrics snapshot (observed
-///             workers only; coalesced with the per-unit writes)
+///   Telemetry one unit's spans and metrics snapshot (observed workers
+///             only; coalesced with the per-unit writes)
 ///   UnitDone  unit complete (unit id)
+///
+/// There is no handshake. A worker is a fork() of its coordinator, so
+/// the two cannot disagree on a payload layout, and what a worker needs
+/// from the run (the request, the fault plan, the tracer's epoch) it
+/// already holds in its copy of the coordinator's memory.
 ///
 /// Every frame is self-contained: no interner id crosses the wire. Id
 /// values depend on intern order and mean nothing outside their table,
@@ -57,7 +61,6 @@ namespace exec {
 
 /// Protocol frame types (Wire frame header's `type` field).
 enum class FrameType : std::uint32_t {
-  Hello = 1,
   Work = 2,
   Shutdown = 3,
   Result = 6,
@@ -65,22 +68,9 @@ enum class FrameType : std::uint32_t {
   Telemetry = 8,
 };
 
-/// Bumped whenever any payload layout changes; Hello carries it and the
-/// coordinator refuses a mismatched worker (impossible with fork(), but
-/// cheap insurance against a future exec()-based spawn path).
-/// v2: Hello gained the worker's inherited interner base counts.
-/// v3: Hello gained the worker's trace epoch; Telemetry frame added.
-/// v4: obs::MetricKind lost Gauge (Histogram is now kind 1) and
-///     obs::Unit lost Percent, so Telemetry's kind and unit bytes
-///     renumbered.
-/// v5: Result carries paths by value; the label and path definition
-///     frames, Hello's interner base counts and Telemetry's incarnation
-///     stamp are gone.
-inline constexpr std::uint32_t ProtocolVersion = 5;
-
-/// Distinguished exit code a worker takes when it cannot allocate
-/// (set_new_handler under RLIMIT_AS, or the ProcOomExit chaos site).
-/// The supervisor maps it to ChangeStatus::WorkerOom.
+/// Distinguished exit code of a worker out of memory; the ProcOomExit
+/// chaos site takes it. The supervisor maps it to
+/// ChangeStatus::WorkerOom.
 inline constexpr int OomExitCode = 86;
 
 /// One dispatched batch of changes, identified by global indices into
@@ -92,24 +82,16 @@ struct WorkUnit {
   std::vector<std::uint64_t> Indices;
 };
 
-/// Hello carries the protocol version and the worker tracer's epoch as
-/// absolute CLOCK_MONOTONIC nanoseconds (obs::Tracer::epochSteadyNs), 0
-/// when the worker runs unobserved; the coordinator subtracts its own
-/// epoch to get the per-incarnation offset that aligns Telemetry span
-/// timestamps into the coordinator's timeline.
-std::string encodeHello(std::uint64_t TraceEpochNs);
-bool decodeHello(std::string_view Payload, std::uint64_t &TraceEpochNs);
-
 std::string encodeWork(const WorkUnit &Unit);
 bool decodeWork(std::string_view Payload, WorkUnit &Out);
 
 std::string encodeUnitDone(std::uint64_t UnitId);
 bool decodeUnitDone(std::string_view Payload, std::uint64_t &UnitId);
 
-/// One completed worker span as shipped over the wire. StartNs is in
-/// the *worker* tracer's timeline; the coordinator applies the Hello
-/// epoch offset before ingesting. Tid is the worker's own small lane
-/// id (lanes are per-pid in trace_event, so no remapping is needed).
+/// One completed worker span as shipped over the wire. StartNs is on
+/// the coordinator tracer's timeline already: the worker's tracer runs
+/// on that tracer's epoch. Tid is the worker's own small lane id (lanes
+/// are per-pid in trace_event, so no remapping is needed).
 struct TelemetrySpan {
   std::string Name;
   std::uint64_t StartNs = 0;
@@ -117,20 +99,20 @@ struct TelemetrySpan {
   std::uint32_t Tid = 0;
 };
 
-/// Decoded Telemetry frame: the spans completed since the worker's
-/// previous telemetry flush (delta) plus the worker registry's full
-/// snapshot at send time (cumulative — the coordinator keeps only the
-/// latest per incarnation and merges at the end of the run).
+/// Decoded Telemetry frame: the spans and the metrics snapshot of one
+/// unit, which the worker recorded into a fresh tracer and registry.
+/// The coordinator stitches the spans and adopts the snapshot as the
+/// frame arrives.
 struct TelemetryFrame {
   std::vector<TelemetrySpan> Spans;
   obs::Snapshot Metrics;
 };
 
-/// Appends one telemetry flush as a Telemetry frame to \p Out, reusing
+/// Appends one unit's telemetry as a Telemetry frame to \p Out, reusing
 /// \p Scratch — the worker's coalesced per-unit write path (rides the
 /// same writev as the unit's Results and UnitDone, so the clean path
-/// costs no extra syscall). \p Spans come straight from the worker
-/// tracer (obs::Tracer::eventsFrom); the Pid field is not carried — the
+/// costs no extra syscall). \p Spans come straight from the unit's
+/// tracer (obs::Tracer::events); the Pid field is not carried — the
 /// coordinator stamps the pid it forked.
 void appendTelemetry(std::string &Out, WireWriter &Scratch,
                      const std::vector<obs::Tracer::Event> &Spans,

@@ -12,8 +12,9 @@
 //   * results stream in unit order, so the un-received remainder of a
 //     failed unit is always a deterministic suffix;
 //   * every frame is self-contained (a Result carries its paths by
-//     value), so a respawned worker needs no coordinator state beyond a
-//     fresh FrameDecoder and its trace epoch offset;
+//     value, a Telemetry frame one unit's spans and metrics), so a
+//     respawned worker needs no coordinator state beyond a fresh
+//     FrameDecoder;
 //   * every process-level fault decision inside a worker is a pure
 //     function of (plan seed, change index, site, attempt number), so a
 //     chaos campaign produces the same terminal statuses at any worker
@@ -36,11 +37,10 @@
 #include <csignal>
 #include <ctime>
 #include <deque>
-#include <new>
+#include <memory>
 #include <string>
 
 #include <poll.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace diffcode;
@@ -58,36 +58,23 @@ void sleepMs(std::uint64_t Ms) {
   }
 }
 
-[[noreturn]] void workerOomHandler() { _exit(OomExitCode); }
-
 //===----------------------------------------------------------------------===//
 // Worker subprocess
 //===----------------------------------------------------------------------===//
 
-/// The forked child's whole life: handshake, then Work frames in, result
-/// streams out, until Shutdown or request-pipe EOF. Never returns to the
-/// fork point — spawnProcess _exits with the return value. Exit codes:
-/// 0 clean, 2 protocol error on the request stream, OomExitCode when
-/// allocation fails under the memory limit (or the ProcOomExit site).
+/// The forked child's whole life: Work frames in, result streams out,
+/// until Shutdown or request-pipe EOF. Never returns to the fork point —
+/// spawnProcess _exits with the return value. Exit codes: 0 clean, 2
+/// protocol error on the request stream, OomExitCode at the ProcOomExit
+/// site.
 int workerMain(const core::DiffCode &System,
                const core::PipelineRequest &Request, unsigned SlotIndex,
                unsigned Incarnation, int ReqFd, int RespFd) {
   ::signal(SIGPIPE, SIG_IGN);
-  const core::ExecutionPolicy &Policy = Request.Exec;
   const support::FaultPlan &Plan = System.config().Faults;
 
-  if (Policy.WorkerMemoryLimitMb > 0) {
-    struct rlimit Lim;
-    Lim.rlim_cur = Lim.rlim_max =
-        static_cast<rlim_t>(Policy.WorkerMemoryLimitMb) * 1024 * 1024;
-    ::setrlimit(RLIMIT_AS, &Lim);
-    // A failed allocation takes the distinguished OOM exit instead of an
-    // unhandled bad_alloc (which would be a generic crash).
-    std::set_new_handler(workerOomHandler);
-  }
-
   {
-    // Slow-start chaos: delay the handshake. Latency only — no result
+    // Slow-start chaos: delay the first read. Latency only — no result
     // depends on when a worker comes up, so byte-identity holds
     // wherever this fires.
     support::FaultScope Scope(&Plan, support::faultMix(0x536c6f77) + SlotIndex);
@@ -100,20 +87,13 @@ int workerMain(const core::DiffCode &System,
   // leave the process: Result frames carry paths by value.
   support::Interner &LocalTable = *System.labels();
 
-  // Observed workers run their own Observer: per-change spans and the
-  // interpreter metrics land here and ship back per unit in Telemetry
-  // frames. Detection is the fork-inherited request pointer — no flag
-  // crosses the wire. Hello advertises the tracer epoch (absolute
-  // CLOCK_MONOTONIC ns) so the coordinator can align span timestamps
-  // into its own timeline; 0 means "unobserved, no telemetry coming".
-  const bool Observed = Request.Metrics != nullptr;
-  obs::Observer WorkerObs;
-  std::size_t SpansShipped = 0;
+  // An observed run is one whose fork-inherited request carries an
+  // observer; no flag crosses the wire. The worker then records each
+  // unit into a fresh registry and tracer and ships both in the unit's
+  // Telemetry frame. Its tracers run on the coordinator tracer's epoch,
+  // so the spans it ships are on the coordinator's timeline as they are.
+  const obs::Observer *RunObs = Request.Metrics;
 
-  std::string Hello =
-      encodeHello(Observed ? WorkerObs.Trace.epochSteadyNs() : 0);
-  if (support::writeFull(RespFd, Hello.data(), Hello.size()) < 0)
-    return 0;
   FrameDecoder Decoder;
   char Buf[1 << 16];
   WorkUnit Unit;
@@ -148,6 +128,12 @@ int workerMain(const core::DiffCode &System,
     // it serves what the in-process stage's stores serve, and nothing
     // outlives the unit.
     core::VersionStore Store(System, Request);
+    std::unique_ptr<obs::Registry> UnitMetrics;
+    std::unique_ptr<obs::Tracer> UnitTrace;
+    if (RunObs) {
+      UnitMetrics = std::make_unique<obs::Registry>();
+      UnitTrace = std::make_unique<obs::Tracer>(RunObs->Trace.epoch());
+    }
     for (std::uint64_t Index : Unit.Indices) {
       if (Index >= Request.Changes.size())
         return 2;
@@ -169,10 +155,9 @@ int workerMain(const core::DiffCode &System,
       {
         // Same span name as the in-process stage, so the stitched trace
         // aggregates worker and coordinator work under one stage row.
-        obs::Span ChangeSpan(Observed ? &WorkerObs.Trace : nullptr,
-                             "processChange");
+        obs::Span ChangeSpan(UnitTrace.get(), "processChange");
         Record = Store.process(*Request.Changes[Index], LocalTable,
-                               Observed ? &WorkerObs.Metrics : nullptr);
+                               UnitMetrics.get());
       }
 
       std::size_t FrameStart = Out.size();
@@ -197,17 +182,13 @@ int workerMain(const core::DiffCode &System,
         Out.clear();
       }
     }
-    if (Observed) {
-      Store.recordCounts(WorkerObs.Metrics);
-      // Telemetry coalesces with the unit's last write: the spans
-      // completed since the previous flush plus the registry's full
-      // (cumulative) snapshot. Unobserved workers skip this entirely,
-      // so the clean path's byte stream is unchanged.
-      std::vector<obs::Tracer::Event> NewSpans =
-          WorkerObs.Trace.eventsFrom(SpansShipped);
-      SpansShipped += NewSpans.size();
-      appendTelemetry(Out, Scratch, NewSpans,
-                      WorkerObs.Metrics.snapshot());
+    if (UnitMetrics) {
+      // Telemetry coalesces with the unit's last write. Unobserved
+      // workers skip this entirely, so the clean path's byte stream is
+      // unchanged.
+      Store.recordCounts(*UnitMetrics);
+      appendTelemetry(Out, Scratch, UnitTrace->events(),
+                      UnitMetrics->snapshot());
     }
     Out += encodeUnitDone(Unit.Id);
     if (support::writeFull(RespFd, Out.data(), Out.size()) < 0)
@@ -244,9 +225,9 @@ constexpr std::size_t MaxInFlight = 2;
 constexpr std::uint64_t BackoffCapMs = 1000;
 
 /// One worker slot: a pid, its two pipe ends, and the per-incarnation
-/// decode state. Everything protocol-scoped (decoder, epoch offset, unit
-/// progress) is reset on respawn — a fresh worker shares nothing with
-/// its predecessor's byte stream.
+/// decode state. Everything protocol-scoped (decoder, unit progress) is
+/// reset on respawn — a fresh worker shares nothing with its
+/// predecessor's byte stream.
 struct WorkerSlot {
   unsigned Index = 0;
   unsigned Incarnation = 0;
@@ -254,17 +235,6 @@ struct WorkerSlot {
   int ReqFd = -1;  ///< Coordinator writes Work/Shutdown here (blocking).
   int RespFd = -1; ///< Coordinator reads results here (non-blocking).
   FrameDecoder Decoder;
-  /// Worker tracer epoch minus coordinator tracer epoch (Hello, observed
-  /// runs only): the per-incarnation offset that aligns Telemetry span
-  /// timestamps into the coordinator's timeline. Both clocks are the
-  /// same system-wide CLOCK_MONOTONIC, so the aligned events stay
-  /// monotone per lane by construction.
-  std::int64_t EpochOffsetNs = 0;
-  /// The incarnation's latest cumulative metrics snapshot (Telemetry is
-  /// cumulative, so later frames replace earlier ones). Retired into the
-  /// coordinator's collection when the incarnation dies, merged at the
-  /// end of the run.
-  obs::Snapshot LatestTelemetry;
   bool TimedOut = false;
   std::string PoisonReason; ///< Non-empty: result stream was corrupt.
   /// Dispatched, un-finished units in the order the worker runs them.
@@ -293,13 +263,9 @@ struct Coordinator {
   std::uint64_t NextUnitId = 0;
   std::deque<WorkerSlot> Slots; // deque: FrameDecoder needn't be movable
   obs::Histogram *UnitLatency = nullptr;
-  /// The run's observer (Request.Metrics); null when unobserved. Worker
-  /// telemetry merges here: spans into Obs->Trace as they arrive,
-  /// metrics snapshots at the end of the run.
+  /// The run's observer (Request.Metrics); null when unobserved. Each
+  /// unit's telemetry merges here as it arrives.
   obs::Observer *Obs = nullptr;
-  /// Final snapshots of dead incarnations (their committed results are
-  /// kept, so their metrics count too).
-  std::vector<obs::Snapshot> RetiredTelemetry;
 
   Coordinator(const core::DiffCode &System,
               const core::PipelineRequest &Request, support::Interner &Table,
@@ -399,8 +365,6 @@ bool Coordinator::spawnSlot(WorkerSlot &S) {
   S.RespFd = Resp.releaseRead();
   support::setNonBlocking(S.RespFd);
   S.Decoder = FrameDecoder();
-  S.EpochOffsetNs = 0;
-  S.LatestTelemetry = obs::Snapshot();
   S.InFlight.clear();
   S.TimedOut = false;
   S.PoisonReason.clear();
@@ -504,18 +468,6 @@ bool Coordinator::processFrames(WorkerSlot &S) {
   while (std::optional<FrameView> F = S.Decoder.nextView()) {
     ++Stats.FramesReceived;
     switch (static_cast<FrameType>(F->Type)) {
-    case FrameType::Hello: {
-      std::uint64_t WorkerEpochNs = 0;
-      if (!decodeHello(F->Payload, WorkerEpochNs)) {
-        S.PoisonReason = "bad handshake";
-        return false;
-      }
-      if (Obs && WorkerEpochNs != 0)
-        S.EpochOffsetNs =
-            static_cast<std::int64_t>(WorkerEpochNs) -
-            static_cast<std::int64_t>(Obs->Trace.epochSteadyNs());
-      break;
-    }
     case FrameType::Result: {
       std::uint64_t Index = 0;
       core::ChangeRecord Record;
@@ -565,14 +517,12 @@ bool Coordinator::processFrames(WorkerSlot &S) {
       ++Stats.TelemetryFrames;
       if (!Obs)
         break; // unobserved run: nothing to merge into
-      for (const TelemetrySpan &Sp : T.Spans) {
-        std::int64_t Aligned =
-            static_cast<std::int64_t>(Sp.StartNs) + S.EpochOffsetNs;
-        Obs->Trace.recordForeign(
-            Sp.Name, Aligned < 0 ? 0 : static_cast<std::uint64_t>(Aligned),
-            Sp.DurNs, Sp.Tid, static_cast<std::uint32_t>(S.Pid));
-      }
-      S.LatestTelemetry = std::move(T.Metrics);
+      for (const TelemetrySpan &Sp : T.Spans)
+        Obs->Trace.recordForeign(Sp.Name, Sp.StartNs, Sp.DurNs, Sp.Tid,
+                                 static_cast<std::uint32_t>(S.Pid));
+      // All PerRun under exec.worker.*: retries and partial-unit loss
+      // make cross-process sums scheduling-dependent under faults.
+      Obs->adoptWorkerSnapshot(T.Metrics);
       break;
     }
     default:
@@ -645,12 +595,6 @@ void Coordinator::handleDeath(WorkerSlot &S, support::ExitStatus ES,
   } else {
     Detail = "worker exited with code " + std::to_string(ES.Code);
   }
-
-  // The dead incarnation's committed results stay in the report, so its
-  // final metrics snapshot counts too — retire it before respawning.
-  if (!S.LatestTelemetry.empty())
-    RetiredTelemetry.push_back(std::move(S.LatestTelemetry));
-  S.LatestTelemetry = obs::Snapshot();
 
   ++S.Incarnation;
   ++Stats.WorkerRestarts;
@@ -929,16 +873,6 @@ diffcode::exec::superviseChanges(const core::DiffCode &System,
   C.run();
 
   if (Request.Metrics) {
-    // Fold worker registries into the run's snapshot under exec.worker.*:
-    // the final cumulative snapshot of every dead incarnation plus each
-    // surviving slot's latest. All PerRun — retries and partial-unit
-    // loss make cross-process sums scheduling-dependent under faults.
-    for (const obs::Snapshot &W : C.RetiredTelemetry)
-      Request.Metrics->adoptWorkerSnapshot(W);
-    for (const WorkerSlot &S : C.Slots)
-      if (!S.LatestTelemetry.empty())
-        Request.Metrics->adoptWorkerSnapshot(S.LatestTelemetry);
-
     obs::Registry &Reg = Request.Metrics->Metrics;
     // Dispatch/retry/restart counts depend on wall-clock races (a real
     // timeout, a delayed EOF), so everything here is PerRun.

@@ -81,7 +81,7 @@ struct SupervisionStats {
 /// Runs the per-change analysis stage under supervised worker
 /// subprocesses: one record per Request.Changes entry, input order,
 /// every failure contained. Honors Request.Exec (workers, batch size,
-/// deadline, retry budget, memory limit) and the system's fault plan
+/// deadline, retry budget) and the system's fault plan
 /// (both the in-process sites — they fire inside workers exactly as they
 /// would in-process — and the Proc* chaos sites). This is the analysis
 /// stage core::DiffCode::run uses when Request.Exec.Mode is Supervised;

@@ -18,19 +18,14 @@
 namespace diffcode {
 namespace obs {
 
-Tracer::Tracer()
-    : Epoch(std::chrono::steady_clock::now()),
-      SelfPid(std::uint32_t(::getpid())) {}
+Tracer::Tracer() : Tracer(std::chrono::steady_clock::now()) {}
+
+Tracer::Tracer(std::chrono::steady_clock::time_point Epoch)
+    : Epoch(Epoch), SelfPid(std::uint32_t(::getpid())) {}
 
 std::uint64_t Tracer::now() const {
   return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - Epoch)
-                           .count());
-}
-
-std::uint64_t Tracer::epochSteadyNs() const {
-  return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           Epoch.time_since_epoch())
                            .count());
 }
 
@@ -64,12 +59,9 @@ std::size_t Tracer::eventCount() const {
   return Events.size();
 }
 
-std::vector<Tracer::Event> Tracer::eventsFrom(std::size_t Begin) const {
+std::vector<Tracer::Event> Tracer::events() const {
   std::lock_guard Lock(Mutex);
-  if (Begin >= Events.size())
-    return {};
-  return std::vector<Event>(Events.begin() + std::ptrdiff_t(Begin),
-                            Events.end());
+  return Events;
 }
 
 std::vector<Tracer::StageTotal> Tracer::aggregate() const {

@@ -21,11 +21,11 @@
 ///
 /// Cross-process stitching: every event carries a `Pid` lane (the
 /// recording process), emitted as `pid` in the trace_event JSON so
-/// Chrome/Perfetto render one lane per process. Workers ship completed
-/// spans back over the exec wire; the coordinator aligns their
-/// timestamps to its own epoch (both processes share CLOCK_MONOTONIC,
-/// and the worker's absolute epoch travels in the Hello frame) and
-/// ingests them with the worker's OS pid.
+/// Chrome/Perfetto render one lane per process. A forked worker builds
+/// its tracers on the coordinator tracer's epoch (both processes share
+/// CLOCK_MONOTONIC), so the spans it ships back over the exec wire are
+/// already on the coordinator's timeline; the coordinator ingests them
+/// as they are, with the worker's OS pid.
 ///
 /// Determinism contract: raw events carry wall-clock timestamps and the
 /// registration order of threads, both run-dependent, so the raw trace is
@@ -70,35 +70,37 @@ public:
     std::uint64_t TotalNs = 0;
   };
 
+  /// A tracer whose epoch is its construction time.
   Tracer();
+  /// A tracer on another tracer's timeline: \p Epoch is that tracer's
+  /// epoch(), so both stamp events against the same instant.
+  explicit Tracer(std::chrono::steady_clock::time_point Epoch);
   Tracer(const Tracer &) = delete;
   Tracer &operator=(const Tracer &) = delete;
 
-  /// Nanoseconds since the tracer's construction (the trace epoch).
+  /// Nanoseconds since the trace epoch.
   std::uint64_t now() const;
 
-  /// The trace epoch as absolute CLOCK_MONOTONIC nanoseconds. Two
-  /// tracers on the same machine can align their timelines by offsetting
-  /// event timestamps with the difference of their epochs — this is the
-  /// value the exec Hello frame carries across the fork boundary.
-  std::uint64_t epochSteadyNs() const;
+  /// The trace epoch. Set once at construction, so reading it takes no
+  /// lock (a forked worker reads its coordinator's).
+  std::chrono::steady_clock::time_point epoch() const { return Epoch; }
 
   /// Records one completed span; called by Span's destructor.
   void record(const char *Name, std::uint64_t StartNs, std::uint64_t DurNs);
 
   /// Ingests one completed span from another process. \p StartNs must
-  /// already be expressed in *this* tracer's timeline (the caller applies
-  /// the epoch offset); \p Tid is the foreign process's own lane id and
-  /// \p Pid its OS pid. The name is copied into a tracer-owned pool.
+  /// already be on *this* tracer's timeline (the other process's tracer
+  /// was built on this one's epoch); \p Tid is the foreign process's own
+  /// lane id and \p Pid its OS pid. The name is copied into a
+  /// tracer-owned pool.
   void recordForeign(std::string_view Name, std::uint64_t StartNs,
                      std::uint64_t DurNs, std::uint32_t Tid,
                      std::uint32_t Pid);
 
   std::size_t eventCount() const;
 
-  /// Copies events [Begin, eventCount()) — the worker-side telemetry
-  /// shipper's "everything since the last flush" cursor read.
-  std::vector<Event> eventsFrom(std::size_t Begin) const;
+  /// Copies every recorded event — what a worker ships for one unit.
+  std::vector<Event> events() const;
 
   /// Name-sorted totals: span count and summed duration per stage name.
   std::vector<StageTotal> aggregate() const;
@@ -112,7 +114,7 @@ public:
 private:
   std::uint32_t tidForThisThread();
 
-  std::chrono::steady_clock::time_point Epoch;
+  const std::chrono::steady_clock::time_point Epoch;
   std::uint32_t SelfPid; ///< Stamped on locally recorded events.
   mutable std::mutex Mutex;
   std::vector<Event> Events;

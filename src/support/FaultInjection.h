@@ -59,7 +59,7 @@ enum class FaultSite : unsigned {
                    ///< scanner's per-project containment boundary.
   ProcKill,        ///< exec worker raises SIGKILL mid-unit (crash).
   ProcHang,        ///< exec worker sleeps past the unit deadline.
-  ProcSlowStart,   ///< exec worker delays its startup handshake.
+  ProcSlowStart,   ///< exec worker delays its first read.
   ProcFrameCorrupt,///< exec worker corrupts/truncates a result frame.
   ProcOomExit,     ///< exec worker takes its out-of-memory exit path.
 };

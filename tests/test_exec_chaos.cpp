@@ -195,7 +195,7 @@ TEST(Chaos, CorruptResultStreamsAreDetected) {
 }
 
 TEST(Chaos, SlowStartIsLatencyOnly) {
-  // Delayed handshakes cost time, not correctness: the report is still
+  // Delayed worker starts cost time, not correctness: the report is still
   // byte-identical to the clean in-process baseline.
   ExecutionPolicy Exec;
   Exec.Workers = 4;

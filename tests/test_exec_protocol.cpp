@@ -175,41 +175,6 @@ TEST(Wire, ChecksumIsFnv1a) {
 //===----------------------------------------------------------------------===//
 
 TEST(Protocol, ControlFrameRoundTrip) {
-  std::uint64_t TraceEpochNs = 0;
-  EXPECT_TRUE(decodeHello(
-      std::string_view(encodeHello(123456789)).substr(WireHeaderBytes),
-      TraceEpochNs));
-  EXPECT_EQ(TraceEpochNs, 123456789u);
-  // An unobserved worker ships epoch 0.
-  EXPECT_TRUE(decodeHello(
-      std::string_view(encodeHello(0)).substr(WireHeaderBytes),
-      TraceEpochNs));
-  EXPECT_EQ(TraceEpochNs, 0u);
-  // A version-1 worker (version only) is refused, not misparsed.
-  {
-    WireWriter W;
-    W.u32(1);
-    EXPECT_FALSE(decodeHello(W.bytes(), TraceEpochNs));
-  }
-  // A version-2 worker (base counts, no trace epoch) is exactly as long
-  // as a current Hello; only the version tells them apart.
-  {
-    WireWriter W;
-    W.u32(2);
-    W.u32(17);
-    W.u32(5);
-    EXPECT_FALSE(decodeHello(W.bytes(), TraceEpochNs));
-  }
-  // A version-4 worker (base counts and trace epoch) likewise.
-  {
-    WireWriter W;
-    W.u32(4);
-    W.u32(17);
-    W.u32(5);
-    W.u64(123456789);
-    EXPECT_FALSE(decodeHello(W.bytes(), TraceEpochNs));
-  }
-
   WorkUnit In;
   In.Id = 42;
   In.Attempt = 3;

@@ -24,7 +24,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <sys/wait.h>
+#include <thread>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -102,40 +105,77 @@ TEST(SupervisedExec, ByteIdenticalAcrossWorkersAndBatchSizes) {
 TEST(SupervisedExec, WorkerStoresServeWhatInProcessStoresServe) {
   // Units hold whole file histories (none here is longer than the
   // default 32-change unit), so on a clean run the workers' stores
-  // analyze and reuse exactly what the in-process stage's do.
+  // analyze and reuse exactly what the in-process stage's do, and every
+  // metric the workers record sums, over the per-unit snapshots the
+  // coordinator adopts, to its in-process twin.
   for (const std::vector<std::uint64_t> &History :
        fileHistories(env().Mined))
     ASSERT_LE(History.size(), 32u);
-  auto Counts = [](const obs::Snapshot &S, const std::string &Prefix) {
-    std::pair<std::uint64_t, std::uint64_t> Out{0, 0};
-    for (const obs::MetricValue &V : S.Values) {
-      if (V.Name == Prefix + "pipeline.versions_analyzed")
-        Out.first = V.Count;
-      else if (V.Name == Prefix + "pipeline.versions_reused")
-        Out.second = V.Count;
-    }
-    return Out;
-  };
   DiffCode System(api());
   obs::Observer InProcObs;
   System.analyzeChanges({.Changes = env().Mined,
                          .TargetClasses = api().targetClasses(),
                          .Metrics = &InProcObs});
-  auto InProc = Counts(InProcObs.summarize().Metrics, "");
-  EXPECT_GT(InProc.second, 0u);
-  EXPECT_EQ(InProc.first + InProc.second, 2 * env().Mined.size());
+  const obs::Snapshot InProc = InProcObs.summarize().Metrics;
+  auto find = [](const obs::Snapshot &S,
+                 const std::string &Name) -> const obs::MetricValue * {
+    for (const obs::MetricValue &V : S.Values)
+      if (V.Name == Name)
+        return &V;
+    return nullptr;
+  };
+  const obs::MetricValue *Analyzed =
+      find(InProc, "pipeline.versions_analyzed");
+  const obs::MetricValue *Reused = find(InProc, "pipeline.versions_reused");
+  ASSERT_TRUE(Analyzed && Reused);
+  EXPECT_GT(Reused->Count, 0u);
+  EXPECT_EQ(Analyzed->Count + Reused->Count, 2 * env().Mined.size());
 
-  for (unsigned Workers : {1u, 3u}) {
+  // Batch 1 splits file histories across units, so only the version
+  // counts may differ there; everything else is recorded per change.
+  struct Shape {
+    unsigned Workers;
+    std::size_t Batch;
+  };
+  for (Shape Run : {Shape{1, 32}, Shape{3, 32}, Shape{2, 1}}) {
     ExecutionPolicy Exec;
     Exec.Mode = ExecutionMode::Supervised;
-    Exec.Workers = Workers;
+    Exec.Workers = Run.Workers;
+    Exec.BatchSize = Run.Batch;
     obs::Observer SupObs;
     exec::superviseChanges(System, {.Changes = env().Mined,
                                     .TargetClasses = api().targetClasses(),
                                     .Metrics = &SupObs,
                                     .Exec = Exec});
-    EXPECT_EQ(Counts(SupObs.summarize().Metrics, "exec.worker."), InProc)
-        << Workers << " workers";
+    const obs::Snapshot Sup = SupObs.summarize().Metrics;
+    const std::string Prefix = "exec.worker.";
+    std::size_t Compared = 0;
+    for (const obs::MetricValue &W : Sup.Values) {
+      if (!W.Name.starts_with(Prefix))
+        continue;
+      std::string Name = W.Name.substr(Prefix.size());
+      SCOPED_TRACE(Name + ", " + std::to_string(Run.Workers) +
+                   " workers, batch " + std::to_string(Run.Batch));
+      const obs::MetricValue *In = find(InProc, Name);
+      ASSERT_NE(In, nullptr);
+      ++Compared;
+      if (Run.Batch == 1 && Name.starts_with("pipeline.versions_"))
+        continue;
+      EXPECT_EQ(W.Kind, In->Kind);
+      EXPECT_EQ(W.Count, In->Count);
+      if (W.Kind == obs::MetricKind::Histogram) {
+        EXPECT_EQ(W.Sum, In->Sum);
+        EXPECT_EQ(W.Min, In->Min);
+        EXPECT_EQ(W.Max, In->Max);
+        EXPECT_EQ(W.Buckets, In->Buckets);
+      }
+    }
+    // Every in-process metric but the loop's own has a worker twin.
+    std::size_t Twins = 0;
+    for (const obs::MetricValue &V : InProc.Values)
+      Twins += !V.Name.starts_with("threadpool.");
+    EXPECT_EQ(Compared, Twins)
+        << Run.Workers << " workers, batch " << Run.Batch;
   }
 }
 
@@ -185,9 +225,9 @@ TEST(SupervisedExec, CleanRunBookkeeping) {
     for (std::size_t I = 0; I < NumChangeStatuses; ++I)
       EXPECT_EQ(Stats.TerminalStatus[I], 0u) << changeStatusName(
           static_cast<ChangeStatus>(I));
-    // An unobserved clean run receives one Result per change, one
-    // UnitDone per unit and at most one Hello per worker: nothing else.
-    EXPECT_LE(Stats.FramesReceived, N + Stats.UnitsDispatched + Exec.Workers)
+    // An unobserved clean run receives one Result per change and one
+    // UnitDone per unit: nothing else.
+    EXPECT_EQ(Stats.FramesReceived, N + Stats.UnitsDispatched)
         << "batch " << BatchSize;
     EXPECT_GT(Stats.BytesReceived, 0u);
 
@@ -207,6 +247,47 @@ TEST(SupervisedExec, CleanRunBookkeeping) {
     }
     EXPECT_EQ(System.labels()->pathCount(), Paths);
   }
+}
+
+TEST(SupervisedExec, WorkerSpansLieInsideAnalyzeChanges) {
+  // The observer's tracer is 20 ms old before the run forks a worker, so
+  // a worker span stamped against any later epoch would start before
+  // the coordinator's analyzeChanges span does.
+  obs::Observer Obs;
+  {
+    obs::Span Before(&Obs.Trace, "before");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ExecutionPolicy Exec;
+  Exec.Mode = ExecutionMode::Supervised;
+  Exec.Workers = 2;
+  DiffCode System(api());
+  System.run({.Changes = env().Mined,
+              .TargetClasses = api().targetClasses(),
+              .ClassifyWith = {},
+              .Metrics = &Obs,
+              .Exec = Exec});
+
+  const std::uint32_t Self = static_cast<std::uint32_t>(::getpid());
+  std::vector<obs::Tracer::Event> Events = Obs.Trace.events();
+  auto Named = [](const obs::Tracer::Event &E, std::string_view Name) {
+    return std::string_view(E.Name) == Name;
+  };
+  auto Stage = std::find_if(Events.begin(), Events.end(), [&](const auto &E) {
+    return E.Pid == Self && Named(E, "analyzeChanges");
+  });
+  ASSERT_NE(Stage, Events.end());
+  EXPECT_GE(Stage->StartNs, 20000000u);
+  std::size_t WorkerSpans = 0;
+  for (const obs::Tracer::Event &E : Events) {
+    if (E.Pid == Self || !Named(E, "processChange"))
+      continue;
+    ++WorkerSpans;
+    EXPECT_GE(E.StartNs, Stage->StartNs) << "pid " << E.Pid;
+    EXPECT_LE(E.StartNs + E.DurNs, Stage->StartNs + Stage->DurNs)
+        << "pid " << E.Pid;
+  }
+  EXPECT_EQ(WorkerSpans, env().Mined.size());
 }
 
 TEST(SupervisedExec, InProcessModeDispatchesUnchanged) {
