@@ -112,6 +112,10 @@ DiffCode::analyzeSourceChecked(std::string_view Source,
   SourceAnalysis Out;
   if (Source.empty())
     return Out;
+  // Parse and interpretation faults follow the text, so a version faults
+  // the same way whichever change, unit, ingest or project analyzes it.
+  const support::FaultPlan *Plan = support::FaultContext::current().Plan;
+  support::FaultScope Scope(Plan, Plan ? support::fnv1a64(Source) : 0);
   Ctx.reset();
   java::DiagnosticsEngine Diags;
   java::CompilationUnit *Unit =
@@ -315,13 +319,11 @@ core::fileHistories(const std::vector<const corpus::CodeChange *> &Changes) {
 
 VersionStore::VersionStore(const DiffCode &System,
                            const PipelineRequest &Request)
-    : System(System), Request(Request),
-      Bypass(System.config().Faults.enabled()),
-      Facts(factsFor(Request.ClassifyWith)) {}
+    : System(System), Request(Request), Facts(factsFor(Request.ClassifyWith)) {}
 
 void VersionStore::seed(const corpus::CodeChange &First,
                         const CarriedVersion &Carried) {
-  if (Bypass || !Carried.Version)
+  if (!Carried.Version)
     return;
   Project = First.ProjectName;
   File = First.FileName;
@@ -330,7 +332,7 @@ void VersionStore::seed(const corpus::CodeChange &First,
 
 void VersionStore::carry(CarriedVersion &Carried) const {
   // The same product means the same text; a side that threw has neither.
-  if (Bypass || Carried.Version == Prev[1].Version)
+  if (Carried.Version == Prev[1].Version)
     return;
   Carried.Text = Prev[1].Text;
   Carried.Version = Prev[1].Version;
@@ -352,11 +354,6 @@ VersionStore::Kept VersionStore::version(std::string_view Text,
 ChangeRecord VersionStore::process(const corpus::CodeChange &Change,
                                    support::Interner &Table,
                                    obs::Registry *Reg) {
-  if (Bypass) {
-    Analyzed += 2;
-    return System.processChange(Change, Request.TargetClasses,
-                                Request.ClassifyWith, Table, Reg);
-  }
   if (Change.ProjectName != Project || Change.FileName != File) {
     Project = Change.ProjectName;
     File = Change.FileName;
@@ -402,7 +399,7 @@ DiffCode::analyzeChanges(const PipelineRequest &Request, std::size_t FirstIndex,
   // Each group's entry in the carry, made here so that every thread below
   // writes only its own history's entry.
   std::vector<CarriedVersion *> Carried;
-  if (Carry && !Config.Faults.enabled())
+  if (Carry)
     for (const std::vector<std::uint64_t> &Group : Groups) {
       const corpus::CodeChange &First = *Request.Changes[Group.front()];
       Carried.push_back(&(*Carry)[{First.ProjectName, First.FileName}]);

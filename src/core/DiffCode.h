@@ -102,9 +102,9 @@ struct PipelineConfig {
   LimitsGroup Limits;
 
   /// Fault-injection campaign (testing only; disabled by default). When
-  /// armed, every per-change worker and the per-class clustering step run
-  /// under a deterministic FaultScope, so injected failures land on the
-  /// same changes at any thread count.
+  /// armed, each change, each per-class clustering step and each analyzed
+  /// text runs under a deterministic FaultScope keyed by that input, so
+  /// injected failures land on the same changes at any thread count.
   support::FaultPlan Faults;
 };
 
@@ -329,8 +329,10 @@ public:
   /// The one checked analysis entry point: parses and abstractly
   /// interprets one Java source (empty source yields an empty Ok result —
   /// new/deleted files diff against nothing), recording parser
-  /// diagnostics and budget hits in the status. Callers that only need
-  /// the result use analyzeSourceChecked(Source).Result.
+  /// diagnostics and budget hits in the status. Its injected faults draw
+  /// under a FaultScope keyed by the source's content hash, on the plan
+  /// the calling thread carries. Callers that only need the result use
+  /// analyzeSourceChecked(Source).Result.
   SourceAnalysis analyzeSourceChecked(std::string_view Source) const;
 
   /// Arena-reuse variant: parses into \p Ctx after resetting it, so a
@@ -385,11 +387,12 @@ public:
   /// Processes one code change end to end for all \p TargetClasses,
   /// classifying it under \p ClassifyWith (may be empty): assembleChange
   /// over two fresh analyzeVersion products, so it shares no work with
-  /// any other change — the oracle analyzeChanges' version reuse is
-  /// checked against. Feature paths intern into \p Table (the stages pass
-  /// *labels()); \p Reg is assembleChange's. Never throws: any escaping
-  /// exception is contained into an empty record with Status ==
-  /// AnalysisThrow, so one poisoned change cannot take down a corpus run.
+  /// any other change. No pipeline stage calls it: it is the oracle that
+  /// tests and the benchmark check analyzeChanges' version reuse against.
+  /// Feature paths intern into \p Table (the stages pass *labels());
+  /// \p Reg is assembleChange's. Never throws: any escaping exception is
+  /// contained into an empty record with Status == AnalysisThrow, so one
+  /// poisoned change cannot take down a corpus run.
   ChangeRecord
   processChange(const corpus::CodeChange &Change,
                 const std::vector<std::string> &TargetClasses,
@@ -419,9 +422,7 @@ public:
   /// batch counts as the previous change, and afterwards the history's
   /// entry holds the new side of the group's last change (cleared when
   /// that side threw). Every call passing one carry must use this
-  /// DiffCode and the same TargetClasses and ClassifyWith. Under an armed
-  /// fault plan the stores bypass themselves, and the carry is neither
-  /// read nor written.
+  /// DiffCode and the same TargetClasses and ClassifyWith.
   std::vector<ChangeRecord> analyzeChanges(const PipelineRequest &Request,
                                            std::size_t FirstIndex = 0,
                                            VersionCarry *Carry = nullptr) const;
@@ -472,10 +473,10 @@ fileHistories(const std::vector<const corpus::CodeChange *> &Changes);
 /// history arrives, so reuse never crosses histories. Texts are compared
 /// exactly, so each record equals processChange's whatever changes the
 /// store has seen. A version whose analysis throws is not kept, and the
-/// change is contained as processChange contains it. Under an armed fault
-/// plan the store keeps nothing and each change runs processChange,
-/// because injected faults depend on the change's fault scope. One store
-/// serves one thread; Request and its changes must outlive it.
+/// change is contained as processChange contains it. Parse and
+/// interpretation faults follow the text (analyzeSourceChecked), so this
+/// holds under an armed fault plan too. One store serves one thread;
+/// Request and its changes must outlive it.
 ///
 /// seed() and carry() continue a history across stores: only the new
 /// side travels, since the next commit's old file is the previous
@@ -486,13 +487,11 @@ public:
 
   /// Makes \p Carried the new side of the change before \p First, so
   /// \p First's old side can reuse it. Does nothing when \p Carried is
-  /// empty or the store is bypassed. \p Carried must stay unchanged
-  /// until carry().
+  /// empty. \p Carried must stay unchanged until carry().
   void seed(const corpus::CodeChange &First, const CarriedVersion &Carried);
 
   /// Writes the new side of the last change processed into \p Carried,
-  /// or empties it when that side threw. Does nothing when the store is
-  /// bypassed.
+  /// or empties it when that side threw.
   void carry(CarriedVersion &Carried) const;
 
   /// The record of \p Change, one of Request.Changes (the caller installs
@@ -514,7 +513,6 @@ private:
 
   const DiffCode &System;
   const PipelineRequest &Request;
-  const bool Bypass;
   const VersionFacts Facts;
   java::AstContext Ctx;
   /// The previous change's file history and its old and new versions (a

@@ -47,18 +47,14 @@ std::size_t Scanner::cachedUnits() const {
 }
 
 std::shared_ptr<const core::AnalyzedVersion>
-Scanner::digest(std::string_view Code, bool Refine, bool UseCache,
-                java::AstContext &Ctx, std::uint64_t &Hits,
-                std::uint64_t &Misses) const {
-  UnitKey Key;
-  if (UseCache) {
-    Key.H1 = support::fnv1a64(Code);
-    Key.H2 = support::fnv1a64(Code, 0x84222325cbf29ce4ull);
-    Key.Len = Code.size();
-    Key.Refine = Refine;
+Scanner::digest(std::string_view Code, bool Refine, java::AstContext &Ctx,
+                std::uint64_t &Hits, std::uint64_t &Misses) const {
+  const UnitKey Key{support::fnv1a64(Code),
+                    support::fnv1a64(Code, 0x84222325cbf29ce4ull), Code.size(),
+                    Refine};
+  {
     std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
+    if (auto It = Cache.find(Key); It != Cache.end()) {
       ++Hits;
       return It->second;
     }
@@ -68,14 +64,11 @@ Scanner::digest(std::string_view Code, bool Refine, bool UseCache,
       System.analyzeVersion(Code, Ctx, {},
                             Refine ? core::VersionFacts::Executions
                                    : core::VersionFacts::Merged));
-  if (UseCache) {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    // A racing miss on the same content may have stored first; keep the
-    // incumbent so every holder shares one entry (both are identical —
-    // the digest is content-pure).
-    return Cache.emplace(Key, Entry).first->second;
-  }
-  return Entry;
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  // A racing miss on the same content may have stored first; keep the
+  // incumbent so every holder shares one entry (both are identical — the
+  // digest is content-pure, its injected faults included).
+  return Cache.emplace(Key, Entry).first->second;
 }
 
 ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
@@ -105,10 +98,6 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
   obs::Registry *Reg = Obs ? &Obs->Metrics : nullptr;
   obs::Span ScanSpan(Obs ? &Obs->Trace : nullptr, "scan");
 
-  // Injected faults are a function of the per-project fault scope; a
-  // content-keyed cache would replay one project's faults into another,
-  // so campaigns always digest fresh.
-  const bool UseCache = !Config.Faults.enabled();
   std::atomic<std::uint64_t> CacheHits{0}, CacheMisses{0};
 
   // Sequenced reorder buffer: workers complete in any order, the sink
@@ -139,8 +128,8 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
       Entries.reserve(P.Files.size());
       for (unsigned U = 0; U < P.Files.size(); ++U) {
         support::throwIfFault(support::FaultSite::ScanProject, U);
-        Entries.push_back(digest(P.Files[U].Code, Request.Refine, UseCache,
-                                 Ctx, Hits, Misses));
+        Entries.push_back(
+            digest(P.Files[U].Code, Request.Refine, Ctx, Hits, Misses));
       }
       std::vector<const rules::UnitFacts *> Units;
       Units.reserve(Entries.size());

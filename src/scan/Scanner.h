@@ -22,10 +22,10 @@
 /// Determinism contract: the report (and the streamed record sequence)
 /// is a pure function of (projects, rule set, Refine, Limits, fault
 /// plan) — never of Threads, Metrics, the unit cache, or scheduling. The
-/// unit cache is keyed purely by file content (+ the refine bit) and is
-/// bypassed entirely while a fault campaign is armed, because injected
-/// faults depend on the per-project fault scope that content keys
-/// cannot see.
+/// unit cache is keyed purely by file content (+ the refine bit), and it
+/// serves under a fault campaign too: a unit's parse and interpretation
+/// faults depend on its text alone (core::DiffCode::analyzeSourceChecked),
+/// and a digest that throws is never cached.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,8 +73,9 @@ struct ScanConfig {
   obs::Observer *Metrics = nullptr;
 
   /// Fault-injection campaign (testing only). Armed plans install a
-  /// per-project FaultScope (scope key = project index) and disable the
-  /// unit cache for the run.
+  /// per-project FaultScope (scope key = project index), under which the
+  /// scan-project site draws; each unit's analysis draws under its own
+  /// text's scope.
   support::FaultPlan Faults;
 };
 
@@ -179,9 +180,8 @@ private:
   /// The unit's facts (with per-execution lists when \p Refine) and
   /// status, from the cache or DiffCode::analyzeVersion.
   std::shared_ptr<const core::AnalyzedVersion>
-  digest(std::string_view Code, bool Refine, bool UseCache,
-         java::AstContext &Ctx, std::uint64_t &Hits,
-         std::uint64_t &Misses) const;
+  digest(std::string_view Code, bool Refine, java::AstContext &Ctx,
+         std::uint64_t &Hits, std::uint64_t &Misses) const;
 
   ScanConfig Config;
   rules::CompiledRuleSet Rules;

@@ -10,28 +10,10 @@
 using namespace diffcode;
 using namespace diffcode::service;
 
-namespace {
-
-/// True when no armed campaign could fire inside per-change analysis or
-/// clustering (see AnalysisSession::CachingSafe). The Proc* and
-/// scan-project sites only exist in exec workers and the scanner, which
-/// the session never runs.
-bool cachingSafeUnder(const support::FaultPlan &Plan) {
-  const std::uint32_t UnsafeSites =
-      support::faultSiteBit(support::FaultSite::Parser) |
-      support::faultSiteBit(support::FaultSite::Interpreter) |
-      support::faultSiteBit(support::FaultSite::Hungarian) |
-      support::faultSiteBit(support::FaultSite::Clustering);
-  return !(Plan.enabled() && (Plan.SiteMask & UnsafeSites) != 0);
-}
-
-} // namespace
-
 AnalysisSession::AnalysisSession(const apimodel::CryptoApiModel &Api,
                                  SessionOptions Options)
     : Opts(std::move(Options)), System(Api, Opts.Config),
-      TargetClasses(Api.targetClasses()),
-      CachingSafe(cachingSafeUnder(Opts.Config.Faults)) {
+      TargetClasses(Api.targetClasses()) {
   Report.Labels = System.labels();
   // Start from the empty-corpus report a cold run over zero changes
   // produces: one ClassReport per target class (empty filter result,
@@ -119,10 +101,10 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
   core::continueFilters(Class.AllChanges, Class.Filtered, Seen[ClassIndex]);
 
   // Survivors are append-only, so an unchanged count means unchanged
-  // survivors: the same matrix and the same tree. A failed clustering is
-  // retried, and under an armed campaign (!CachingSafe) the class
-  // re-clusters anyway, as a cold run would.
-  if (CachingSafe && Class.Filtered.Kept.size() == SurvivorsBefore &&
+  // survivors: the same matrix and the same tree, under a campaign too
+  // (a class's fault points depend only on its name and survivors). A
+  // failed clustering is retried.
+  if (Class.Filtered.Kept.size() == SurvivorsBefore &&
       Class.ClusteringError.empty())
     return;
 

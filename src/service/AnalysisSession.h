@@ -34,11 +34,9 @@
 /// Byte-identity contract (the PR 1-7 differential pattern): after any
 /// sequence of ingests, report() is byte-identical to a cold
 /// DiffCode::run over the same changes in the same order, at any thread
-/// count. One deliberate scope cut keeps that contract airtight: when a
-/// fault campaign arms any in-process analysis site, touched classes
-/// re-cluster on every ingest — a kept tree skips the Hungarian and
-/// clustering fault points a cold run evaluates, so it is only trusted
-/// when it cannot change observable behaviour.
+/// count, and under any fault campaign: a change's faults depend on its
+/// global index and its texts, and a class's on its name and survivors,
+/// so a carried version or a kept tree is what a cold run would rebuild.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,8 +78,8 @@ struct IngestStats {
   /// it; it goes together with perfbench's service.cache_hit_share.
   std::size_t CacheHits = 0;
   /// Classes the new records contribute to: each is re-filtered, and
-  /// re-clustered only when its survivors grew (or, under an armed
-  /// analysis or clustering campaign, always).
+  /// re-clustered only when its survivors grew or its last clustering
+  /// failed.
   std::size_t ClassesRepaired = 0;
   std::size_t ClassesReused = 0; ///< Classes kept verbatim.
   /// usageDist calls made by this ingest's re-clusters: C(n, 2) for each
@@ -149,12 +147,6 @@ private:
   SessionOptions Opts;
   core::DiffCode System;
   std::vector<std::string> TargetClasses;
-  /// False when a fault campaign arms an in-process analysis or
-  /// clustering site. It guards only the kept trees: a kept tree skips the
-  /// Hungarian and clustering fault points a cold re-cluster evaluates, so
-  /// touched classes then re-cluster on every ingest (still
-  /// byte-identical).
-  bool CachingSafe = true;
 
   /// The live report. Report.Changes is the session's record store;
   /// PerClass is repaired in place; Health is rebuilt from Tally.

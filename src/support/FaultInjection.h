@@ -14,12 +14,15 @@
 ///
 /// Determinism contract: whether a fault fires at a given point is a pure
 /// function of (plan seed, scope key, site, site key) — never of wall
-/// clock, thread identity, or call order. The scope key is installed per
-/// unit of contained work (one code change, one per-class clustering run)
-/// and the site key is stable data supplied by the injection point (token
-/// index, remaining fuel, matrix shape). Identical inputs therefore fault
-/// identically on every thread count, which is what lets the differential
-/// harness compare fault-injected runs byte-for-byte.
+/// clock, thread identity, or call order. Scopes are per change (key =
+/// its corpus index), per clustering run (the class name's hash), per
+/// scanned project (its index) and per analyzed text (its content hash,
+/// installed by DiffCode::analyzeSourceChecked around every parser and
+/// interpreter point); site keys are stable data (token index, remaining
+/// fuel, matrix shape). Identical inputs therefore fault identically on
+/// every thread count, and a version faults the same way whichever
+/// change, unit, ingest or project analyzes it, which is what lets the
+/// differential harness compare fault-injected runs byte-for-byte.
 ///
 /// Injection points are compiled into production code but reduce to one
 /// thread_local pointer test when no plan is installed.
@@ -66,11 +69,6 @@ enum class FaultSite : unsigned {
 
 /// Number of FaultSite enumerators (for mask building / iteration).
 inline constexpr unsigned NumFaultSites = 10;
-
-/// First process-level site (sites >= this only fire inside exec
-/// workers; in-process pipeline runs never evaluate them).
-inline constexpr unsigned FirstProcFaultSite =
-    static_cast<unsigned>(FaultSite::ProcKill);
 
 /// Bit for \p Site in FaultPlan::SiteMask.
 constexpr std::uint32_t faultSiteBit(FaultSite Site) {
@@ -168,12 +166,6 @@ private:
 /// stable \p Key. Pure in (seed, scope, site, key); false when no plan is
 /// installed.
 bool faultPoint(FaultSite Site, std::uint64_t Key);
-
-/// True when the current thread context arms \p Site, i.e. when a
-/// faultPoint(Site, ...) here would be evaluated. A fast path that skips
-/// an injection point takes the full path while this holds, so every
-/// campaign evaluates the same points with or without the fast path.
-bool faultSiteArmed(FaultSite Site);
 
 /// Convenience: throws FaultInjected when faultPoint fires.
 inline void throwIfFault(FaultSite Site, std::uint64_t Key) {

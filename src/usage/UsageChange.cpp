@@ -2,7 +2,6 @@
 
 #include "usage/UsageChange.h"
 
-#include "support/FaultInjection.h"
 #include "support/Hungarian.h"
 
 #include <algorithm>
@@ -206,10 +205,8 @@ diffcode::usage::deriveUsageChanges(const std::vector<UsageDag> &Old,
   // A change that left the usages alone: pairing each DAG with its
   // identical twin costs 0, so it is a min-cost matching and every diff
   // is empty. Emit those changes without the solver, the path walks or
-  // the interner. While the Hungarian site is armed, take the full path,
-  // so a campaign evaluates the same fault points as without this one.
-  if (!support::faultSiteArmed(support::FaultSite::Hungarian) &&
-      sameDagMultiset(Old, New)) {
+  // the interner.
+  if (sameDagMultiset(Old, New)) {
     Changes.resize(Old.size());
     for (std::size_t I = 0; I < Old.size(); ++I) {
       Changes[I].TypeName = Old[I].typeName();

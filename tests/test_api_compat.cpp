@@ -101,6 +101,15 @@ concept HasLabelsField = requires(const Request &R) { R.Labels; };
 template <typename Config>
 concept HasCacheUnitsField = requires(const Config &C) { C.CacheUnits; };
 
+// Fault-site probes: an unqualified call on a support::FaultSite finds
+// the support function by argument-dependent lookup, so a removed one
+// makes the concept false instead of the file ill-formed.
+template <typename Site>
+concept HasFaultSiteArmed = requires(Site S) { faultSiteArmed(S); };
+
+template <typename Site>
+concept HasFaultSiteName = requires(Site S) { faultSiteName(S); };
+
 // Rule-evaluator removal probes.
 template <typename Symbols>
 concept HasSymbolFind =
@@ -309,8 +318,12 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   static_assert(!HasLabelsField<PipelineRequest>,
                 "every run interns into DiffCode::labels()");
   static_assert(!HasCacheUnitsField<scan::ScanConfig>,
-                "the unit cache is always on (an armed fault plan bypasses "
-                "it)");
+                "the unit cache is always on, under a fault campaign too");
+  // Faults follow the analyzed text, so no fast path asks whether a
+  // campaign is armed.
+  static_assert(!HasFaultSiteArmed<support::FaultSite>,
+                "support::faultSiteArmed was removed: no path steps aside "
+                "for a campaign");
   static_assert(!HasRunPipelineFrom<DiffCode>,
                 "DiffCode::runPipelineFrom was folded into run()");
   static_assert(!HasThreeArgProcessChange<DiffCode>,
@@ -355,6 +368,7 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   static_assert(HasMetricsField<PipelineRequest>);
   static_assert(HasMetricsField<scan::ScanConfig>);
   static_assert(HasParallelHeader);
+  static_assert(HasFaultSiteName<support::FaultSite>);
   static_assert(HasLexAll<java::Lexer>);
   // What the benchmark calls still resolves.
   static_assert(std::same_as<rules::UnitScanFacts, rules::UnitFacts>);

@@ -504,7 +504,6 @@ TEST(ProcFaultSites, NamedAndMaskable) {
   Plan.Rate = 1.0;
   for (unsigned I = 0; I < support::NumFaultSites; ++I)
     EXPECT_TRUE(Plan.armed(static_cast<support::FaultSite>(I)));
-  EXPECT_GE(support::FirstProcFaultSite, 4u);
 }
 
 TEST(ProcFaultSites, NestedScopesDecideIndependentlyAndRestore) {

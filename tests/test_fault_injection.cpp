@@ -266,13 +266,13 @@ std::uint64_t hungarianEvaluationsOfIdenticalDerive(support::FaultPlan Plan) {
 
 } // namespace
 
-TEST(FaultHarness, ArmedHungarianSiteBypassesIdenticalDeriveShortCircuit) {
-  // Identical multisets need no solver, but while the Hungarian site is
-  // armed the derive takes the full path: the point is evaluated once,
-  // as it was before the short-circuit existed.
+TEST(FaultHarness, ArmedHungarianSiteLetsIdenticalDeriveSkipTheSolver) {
+  // Identical multisets need no solver, and the short-circuit is the one
+  // path armed or not: a campaign evaluates the Hungarian points the
+  // production run reaches, and no others.
   support::FaultPlan Plan;
   Plan.SiteMask = support::faultSiteBit(support::FaultSite::Hungarian);
-  EXPECT_EQ(hungarianEvaluationsOfIdenticalDerive(Plan), 1u);
+  EXPECT_EQ(hungarianEvaluationsOfIdenticalDerive(Plan), 0u);
 }
 
 TEST(FaultHarness, UnarmedHungarianSiteLetsIdenticalDeriveSkipTheSolver) {

@@ -47,6 +47,14 @@ corpus::Corpus smallCorpus(unsigned Projects = 24, std::uint64_t Seed = 7) {
   return corpus::CorpusGenerator(Opts).generate();
 }
 
+/// One project's record as the streamed report writes it.
+std::string recordJson(const ProjectScanRecord &Record) {
+  std::ostringstream Out;
+  ScanReportWriter Writer(Out);
+  Writer.onProject(0, Record);
+  return Out.str();
+}
+
 ScanRequest requestOver(const corpus::Corpus &C, bool Refine = false) {
   ScanRequest Request;
   for (const corpus::Project &P : C.Projects)
@@ -314,15 +322,32 @@ TEST(ScanCache, WarmAndColdAndUncachedReportsAreByteIdentical) {
   std::string Warm = scanReportToJson(Cached.scan(Request));
   EXPECT_EQ(Cold, Warm);
 
-  // Any armed plan bypasses the cache. This one arms only ProcKill, a
-  // site no scan evaluates, so nothing fires and the uncached digests
-  // must reproduce the cached bytes.
-  ScanConfig NoCache;
-  NoCache.Faults.Rate = 1.0;
-  NoCache.Faults.SiteMask = support::faultSiteBit(support::FaultSite::ProcKill);
-  Scanner Uncached(api(), NoCache);
-  EXPECT_EQ(scanReportToJson(Uncached.scan(Request)), Cold);
-  EXPECT_EQ(Uncached.cachedUnits(), 0u);
+  // Under an armed parser + interpreter campaign a unit's faults follow
+  // its text, so the cache serves the campaign too: a project's record is
+  // what a fresh scanner, with nothing cached, gives for that project
+  // scanned alone.
+  corpus::Corpus Big = smallCorpus(60, 42);
+  ScanConfig Armed;
+  Armed.Faults.Seed = 42;
+  Armed.Faults.Rate = 0.002;
+  Armed.Faults.SiteMask = support::faultSiteBit(support::FaultSite::Parser) |
+                          support::faultSiteBit(support::FaultSite::Interpreter);
+  Scanner Campaign(api(), Armed);
+  ScanReport ArmedCold = Campaign.scan(requestOver(Big));
+  EXPECT_GT(Campaign.cachedUnits(), 0u);
+  EXPECT_GT(ArmedCold.StatusCounts[static_cast<unsigned>(
+                core::ChangeStatus::AnalysisThrow)],
+            0u);
+  EXPECT_EQ(scanReportToJson(Campaign.scan(requestOver(Big))),
+            scanReportToJson(ArmedCold));
+  for (std::size_t I = 0; I < Big.Projects.size(); ++I) {
+    ScanRequest Alone;
+    Alone.Projects = {&Big.Projects[I]};
+    ScanReport Fresh = Scanner(api(), Armed).scan(Alone);
+    EXPECT_EQ(recordJson(Fresh.Projects[0]),
+              recordJson(ArmedCold.Projects[I]))
+        << Big.Projects[I].Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

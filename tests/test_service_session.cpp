@@ -243,15 +243,15 @@ TEST(ServiceSession, GrownClassesReclusterFromScratch) {
   EXPECT_EQ(Session.reportJson(), coldJson(Changes));
 }
 
-TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
+TEST(ServiceSession, ArmedAnalysisFaultsStayByteIdentical) {
   std::vector<corpus::CodeChange> Changes = minedChanges();
 
   // In-process faults make outcomes a function of the fault campaign:
-  // each change is analyzed under the same global-index FaultScope a
-  // cold run would use, and a kept tree would skip Hungarian and
-  // clustering fault points a cold re-cluster evaluates, so touched
-  // classes must re-cluster on every ingest — and land on the cold run's
-  // exact bytes.
+  // each change runs under the same global-index FaultScope a cold run
+  // would use, each analyzed text under its own content's scope, and
+  // each class's clustering under its name's. So a carried version or a
+  // kept tree is what a cold run rebuilds, and the session lands on the
+  // cold run's exact bytes.
   PipelineConfig Armed;
   Armed.Faults.Rate = 0.35;
   Armed.Faults.Seed = 4242;
@@ -280,23 +280,27 @@ TEST(ServiceSession, ArmedAnalysisFaultsBypassCachesAndStayByteIdentical) {
   }
 }
 
-TEST(ServiceSession, ArmedClusteringReclustersTouchedClassesOnEveryIngest) {
-  // Under an armed clustering campaign a kept tree would skip fault points
-  // a cold re-cluster evaluates, so touched classes re-cluster cold on
-  // every ingest even when their survivors did not grow. Ingesting the
-  // same changes twice touches the same classes with the same survivors,
-  // and the fault decisions depend only on those, so the second ingest
-  // evaluates exactly as many clustering fault points as the first.
-  std::vector<corpus::CodeChange> Changes = minedChanges(6, 7);
+TEST(ServiceSession, ArmedClusteringKeepsTheTreesOfUngrownClasses) {
+  // A class's clustering and Hungarian fault points depend only on the
+  // class and its survivors, so under an armed campaign a class whose
+  // survivors did not grow keeps its tree, as it does unarmed. Ingesting
+  // the same changes twice touches the same classes with the same
+  // survivors: the second ingest re-clusters nothing and evaluates no
+  // clustering point, and the report still equals a cold run.
+  std::vector<corpus::CodeChange> Changes = minedChanges(24, 7);
   support::FaultStats Faults;
   SessionOptions Opts;
-  Opts.Config.Faults.Rate = 0.35;
+  Opts.Config.Faults.Rate = 0.005;
   Opts.Config.Faults.Seed = 4242;
   Opts.Config.Faults.SiteMask =
-      support::faultSiteBit(support::FaultSite::Clustering);
+      support::faultSiteBit(support::FaultSite::Clustering) |
+      support::faultSiteBit(support::FaultSite::Hungarian);
   Opts.Config.Faults.Stats = &Faults;
   AnalysisSession Session(api(), Opts);
   Session.ingest(Changes);
+  // Every touched class has a tree to keep.
+  for (const ClassReport &Class : Session.report().PerClass)
+    ASSERT_TRUE(Class.ClusteringError.empty()) << Class.TargetClass;
   std::vector<std::size_t> Before = survivors(Session);
   const std::uint64_t First =
       Faults.evaluated(support::FaultSite::Clustering);
@@ -304,7 +308,15 @@ TEST(ServiceSession, ArmedClusteringReclustersTouchedClassesOnEveryIngest) {
   ASSERT_EQ(survivors(Session), Before);
   EXPECT_GT(Second.ClassesRepaired, 0u);
   EXPECT_GT(First, 0u);
-  EXPECT_EQ(Faults.evaluated(support::FaultSite::Clustering), 2 * First);
+  EXPECT_GT(Faults.totalFired(), 0u);
+  EXPECT_EQ(Second.PairsComputed, 0u);
+  EXPECT_EQ(Faults.evaluated(support::FaultSite::Clustering), First);
+
+  std::vector<corpus::CodeChange> Doubled = Changes;
+  Doubled.insert(Doubled.end(), Changes.begin(), Changes.end());
+  PipelineConfig Cold = Opts.Config;
+  Cold.Faults.Stats = nullptr;
+  EXPECT_EQ(Session.reportJson(), coldJson(Doubled, Cold));
 }
 
 TEST(ServiceSession, ContinuedHealthAndFiltersEqualRecountAfterEveryIngest) {

@@ -1,12 +1,12 @@
 //===- tests/test_supervised_exec.cpp - Supervised execution differential -===//
 //
 // The byte-identity contract of the supervised engine: with no faults
-// firing, a report produced by forked worker subprocesses is
-// byte-identical to the in-process engine's, at every worker count and
-// batch size. Also covers the supervision bookkeeping (SupervisionStats
-// on a clean run), the DiffCode::run dispatch, edge cases (empty
-// corpus, more workers than units), and the CLI surface (--workers,
-// --fail-on-degraded).
+// firing, and under a campaign on the in-process sites, a report produced
+// by forked worker subprocesses is byte-identical to the in-process
+// engine's, at every worker count and batch size. Also covers the
+// supervision bookkeeping (SupervisionStats on a clean run), the
+// DiffCode::run dispatch, edge cases (empty corpus, more workers than
+// units), and the CLI surface (--workers, --fail-on-degraded).
 //
 //===----------------------------------------------------------------------===//
 
@@ -100,6 +100,43 @@ TEST(SupervisedExec, ByteIdenticalAcrossWorkersAndBatchSizes) {
       EXPECT_EQ(env().BaselineJson,
                 corpusReportToJson(runSupervised(Workers, Batch)))
           << Workers << " workers, batch " << Batch;
+}
+
+TEST(SupervisedExec, ArmedInProcessSitesMatchInProcessAtEveryBatchSize) {
+  // Under a campaign on every in-process site, the supervised engine must
+  // reproduce the in-process bytes. At batch 1 each unit starts a fresh
+  // store in another process and analyzes the previous change's new side
+  // again, so what keeps the two equal is that parse and interpretation
+  // faults follow the analyzed text.
+  corpus::CorpusOptions Opts;
+  Opts.Seed = 42;
+  Opts.NumProjects = 60;
+  corpus::Corpus C = corpus::CorpusGenerator(Opts).generate();
+  corpus::Miner M(api());
+  std::vector<const corpus::CodeChange *> Mined = M.mine(C);
+  PipelineConfig Config;
+  Config.Faults.Seed = 42;
+  Config.Faults.Rate = 0.002;
+  Config.Faults.SiteMask =
+      support::faultSiteBit(support::FaultSite::Parser) |
+      support::faultSiteBit(support::FaultSite::Interpreter) |
+      support::faultSiteBit(support::FaultSite::Hungarian) |
+      support::faultSiteBit(support::FaultSite::Clustering);
+  PipelineRequest Request;
+  Request.Changes = Mined;
+  Request.TargetClasses = api().targetClasses();
+  CorpusReport InProc = DiffCode(api(), Config).run(Request);
+  EXPECT_GT(InProc.Health.count(ChangeStatus::AnalysisThrow), 0u);
+  const std::string Expected = corpusReportToJson(InProc);
+  for (std::size_t Batch :
+       {std::size_t(1), std::size_t(3), ExecutionPolicy().BatchSize}) {
+    Request.Exec.Mode = ExecutionMode::Supervised;
+    Request.Exec.Workers = 2;
+    Request.Exec.BatchSize = Batch;
+    EXPECT_EQ(corpusReportToJson(DiffCode(api(), Config).run(Request)),
+              Expected)
+        << "batch " << Batch;
+  }
 }
 
 TEST(SupervisedExec, WorkerStoresServeWhatInProcessStoresServe) {
