@@ -163,7 +163,7 @@ int main(int argc, char **argv) {
 
   bool ByteIdentical = !ReferenceJson.empty();
   for (unsigned Threads : {1u, 2u, 8u}) {
-    scan::ScanConfig Config;
+    core::PipelineConfig Config;
     Config.Threads = Threads;
     scan::Scanner Scanner(api(), Config);
     std::ostringstream Streamed;
@@ -188,7 +188,7 @@ int main(int argc, char **argv) {
   std::uint64_t ColdWallNs = ~std::uint64_t(0);
   std::uint64_t WarmWallNs = ~std::uint64_t(0);
   std::size_t Sink = 0;
-  scan::Scanner Warm(api(), scan::ScanConfig());
+  scan::Scanner Warm(api());
   Sink += Warm.scan(requestOver(C, false)).Projects.size(); // warm-up, untimed
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
     std::uint64_t Wall = 0;
@@ -196,7 +196,7 @@ int main(int argc, char **argv) {
     if (Wall < SerialWallNs)
       SerialWallNs = Wall;
 
-    scan::Scanner Cold(api(), scan::ScanConfig()); // fresh, empty cache
+    scan::Scanner Cold(api()); // fresh, empty cache
     auto Start = std::chrono::steady_clock::now();
     Sink += Cold.scan(requestOver(C, false)).Projects.size();
     Wall = nanosSince(Start);
@@ -227,11 +227,10 @@ int main(int argc, char **argv) {
   //===--------------------------------------------------------------------===//
 
   obs::Observer Obs;
-  scan::ScanConfig Observed;
-  Observed.Metrics = &Obs;
-  scan::Scanner ObservedScanner(api(), Observed);
-  scan::ScanReport ObservedReport =
-      ObservedScanner.scan(requestOver(C, false));
+  scan::Scanner ObservedScanner(api());
+  scan::ScanRequest ObservedRequest = requestOver(C, false);
+  ObservedRequest.Metrics = &Obs;
+  scan::ScanReport ObservedReport = ObservedScanner.scan(ObservedRequest);
   std::string Snapshot = ObservedReport.Metrics.json();
   bool MetricsOk = !ObservedReport.Metrics.empty();
   for (const rules::Rule &R : rules::elicitedRules())
@@ -247,7 +246,7 @@ int main(int argc, char **argv) {
   // Refinement: violations shrink, never grow, and Suppressed accounts
   //===--------------------------------------------------------------------===//
 
-  scan::Scanner Refiner(api(), scan::ScanConfig());
+  scan::Scanner Refiner(api());
   scan::ScanReport Plain = Refiner.scan(requestOver(C, false));
   scan::ScanReport Refined = Refiner.scan(requestOver(C, true));
   bool RefineOk = Plain.Projects.size() == Refined.Projects.size();

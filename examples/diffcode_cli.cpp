@@ -507,10 +507,8 @@ int runScan(int argc, char **argv) {
     return printUsage();
   }
 
-  obs::Observer Obs;
-  scan::ScanConfig Config;
+  core::PipelineConfig Config;
   Config.Threads = Threads;
-  Config.Metrics = Metrics ? &Obs : nullptr;
   scan::Scanner Scanner(apimodel::CryptoApiModel::javaCryptoApi(), Config);
 
   for (const std::string &Id : RuleFilter) {
@@ -521,10 +519,12 @@ int runScan(int argc, char **argv) {
       std::fprintf(stderr, "warning: unknown rule id %s\n", Id.c_str());
   }
 
+  obs::Observer Obs;
   scan::ScanRequest Request;
   Request.Projects = std::move(Projects);
   Request.RuleFilter = std::move(RuleFilter);
   Request.Refine = Refine;
+  Request.Metrics = Metrics ? &Obs : nullptr;
 
   scan::ScanReport Report;
   if (Json) {

@@ -110,8 +110,9 @@ if [[ "$ASAN" == "1" ]]; then
   ./tests/test_lexer_fuzz
   echo "== service round-trip under sanitizers =="
   # One full serve/connect cycle over a UNIX socket: ingest the smoke
-  # corpus, query, snapshot, shut down. `wait` surfaces the daemon's
-  # exit code, so a sanitizer report on either side fails the sweep.
+  # corpus, query, scan it through the daemon's scanner, snapshot, shut
+  # down. `wait` surfaces the daemon's exit code, so a sanitizer report
+  # on either side fails the sweep.
   SOCK="${TMPDIR:-/tmp}/diffcoded_asan_$$.sock"
   rm -f "$SOCK"
   # --metrics so the live-introspection path (StatsReq) runs too: the
@@ -121,8 +122,8 @@ if [[ "$ASAN" == "1" ]]; then
   for _ in $(seq 1 100); do [[ -S "$SOCK" ]] && break; sleep 0.1; done
   ./examples/diffcode_cli connect "$SOCK" \
     --ingest ../tests/data/smoke_corpus \
-    --query health --query stats --query metrics --snapshot --shutdown \
-    > /dev/null
+    --query health --query stats --query metrics \
+    --scan ../tests/data/smoke_corpus --snapshot --shutdown > /dev/null
   wait "$SERVE_PID"
   rm -f "$SOCK"
   echo "== rule scan under sanitizers =="

@@ -77,7 +77,9 @@ struct ExecutionPolicy {
 /// The engine's settings, shared by every run of one DiffCode: only what
 /// the engine itself reads — threads, limits and the fault-injection
 /// campaign. Per-run settings (observer, execution policy) live on
-/// PipelineRequest, so each setting has exactly one home:
+/// PipelineRequest, so each setting has exactly one home. The rule
+/// scanner (scan::Scanner) runs on this config too, with its observer on
+/// scan::ScanRequest:
 ///
 ///   core::DiffCode System(Api, {.Threads = 8});
 ///
@@ -86,12 +88,13 @@ struct ExecutionPolicy {
 /// armed campaign change them only through their documented effects.
 struct PipelineConfig {
   /// -- threads: worker threads for the per-change analysis stage (each
-  /// change is independent: parse + analyze + diff). Results are
-  /// deterministic regardless.
+  /// change is independent: parse + analyze + diff), and for a scan's
+  /// per-project stage. Results are deterministic regardless.
   unsigned Threads = 1;
 
   /// -- limits: deterministic frontend/interpreter budgets applied to
-  /// every parsed version (0 = unlimited), and the usage-DAG depth.
+  /// every parsed version (0 = unlimited), and the usage-DAG depth,
+  /// which has no effect on a scan (it builds no DAGs).
   struct LimitsGroup {
     /// Frontend budgets applied to every parsed version.
     java::ParseLimits Parse;
@@ -102,9 +105,10 @@ struct PipelineConfig {
   LimitsGroup Limits;
 
   /// Fault-injection campaign (testing only; disabled by default). When
-  /// armed, each change, each per-class clustering step and each analyzed
-  /// text runs under a deterministic FaultScope keyed by that input, so
-  /// injected failures land on the same changes at any thread count.
+  /// armed, each change, each per-class clustering step, each scanned
+  /// project and each analyzed text runs under a deterministic
+  /// FaultScope keyed by that input, so injected failures land on the
+  /// same changes and projects at any thread count.
   support::FaultPlan Faults;
 };
 

@@ -11,7 +11,6 @@
 #include <fstream>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -81,11 +80,12 @@ std::string commitDirName(unsigned Index) {
   return Buf;
 }
 
-/// Chunked fallback for sources mmap cannot serve: reads to EOF,
-/// retrying short reads (a pipe writer filling in bursts must not look
-/// like a smaller file). nullopt on a read error.
-std::optional<std::string> readStreaming(int Fd) {
+/// Reads \p Fd to EOF, retrying short reads (a pipe writer filling in
+/// bursts must not look like a smaller file); \p SizeHint pre-sizes the
+/// result. nullopt on a read error.
+std::optional<std::string> readToEof(int Fd, std::size_t SizeHint) {
   std::string Out;
+  Out.reserve(SizeHint);
   char Buf[1 << 16];
   for (;;) {
     ssize_t N = ::read(Fd, Buf, sizeof(Buf));
@@ -113,24 +113,10 @@ diffcode::corpus::readFileContents(const std::string &Path) {
     return std::nullopt;
   }
 
-  std::optional<std::string> Out;
-  if (S_ISREG(St.st_mode) && St.st_size > 0) {
-    // The batch-ingest fast path: map the file and copy it out in one
-    // pre-sized allocation. The kernel serves the copy straight from the
-    // page cache — no userspace double-buffer between disk and string.
-    std::size_t Size = static_cast<std::size_t>(St.st_size);
-    void *Map = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
-    if (Map != MAP_FAILED) {
-      Out.emplace(static_cast<const char *>(Map), Size);
-      ::munmap(Map, Size);
-    } else {
-      Out = readStreaming(Fd);
-    }
-  } else {
-    // FIFOs, device files, and zero-stat-size regular files (procfs
-    // style) have no mappable extent; stream them to EOF instead.
-    Out = readStreaming(Fd);
-  }
+  // Every file kind takes the one loop; only a regular file's stat size
+  // is trusted, as a reservation.
+  std::optional<std::string> Out = readToEof(
+      Fd, S_ISREG(St.st_mode) ? static_cast<std::size_t>(St.st_size) : 0);
   ::close(Fd);
   return Out;
 }

@@ -40,19 +40,16 @@ bool writeCorpus(const Corpus &C, const std::string &RootDir,
 
 /// Loads a corpus from \p RootDir; nullopt (with \p Error) on failure.
 /// Unknown files are ignored; missing optional pieces default sensibly.
-/// Every file goes through readFileContents, so a batch ingest maps
-/// sources straight from the page cache instead of double-buffering
-/// through stream internals.
+/// Every file goes through readFileContents.
 std::optional<Corpus> readCorpus(const std::string &RootDir,
                                  std::string *Error = nullptr);
 
-/// Reads one file's bytes. Regular files are mmap'd and copied out in a
-/// single pre-sized allocation (no stream double-buffering); anything
-/// not mappable — FIFOs, special files, zero-stat-size files — falls
-/// back to a chunked read loop that tolerates short reads, so piped
-/// input is read to EOF rather than truncated at the first partial
-/// read. nullopt on open/read failure (a mid-stream error never yields
-/// a plausible-looking prefix).
+/// Reads one file's bytes with a chunked read loop that tolerates short
+/// reads, so piped input is read to EOF rather than truncated at the
+/// first partial read. Every file kind takes that loop; a regular file's
+/// stat size only pre-sizes the result. nullopt on open/read failure or
+/// for a directory (a mid-stream error never yields a plausible-looking
+/// prefix).
 std::optional<std::string> readFileContents(const std::string &Path);
 
 } // namespace corpus

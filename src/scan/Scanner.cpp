@@ -13,33 +13,19 @@
 using namespace diffcode;
 using namespace diffcode::scan;
 
-namespace {
-
-core::PipelineConfig pipelineConfigFrom(const ScanConfig &Config) {
-  core::PipelineConfig Out;
-  // The scanner parallelizes at project granularity; the facade itself
-  // runs serially inside each scan task.
-  Out.Threads = 1;
-  Out.Limits.Parse = Config.Limits.Parse;
-  Out.Limits.Analysis = Config.Limits.Analysis;
-  return Out;
-}
-
-} // namespace
-
 bool Scanner::UnitKey::operator<(const UnitKey &O) const {
   return std::tie(H1, H2, Len, Refine) < std::tie(O.H1, O.H2, O.Len, O.Refine);
 }
 
-Scanner::Scanner(const apimodel::CryptoApiModel &Api, ScanConfig Config)
+Scanner::Scanner(const apimodel::CryptoApiModel &Api,
+                 core::PipelineConfig Config)
     : Scanner(Api, std::move(Config), rules::elicitedRules()) {}
 
-Scanner::Scanner(const apimodel::CryptoApiModel &Api, ScanConfig Config,
-                 std::vector<rules::Rule> Rules)
-    : Config(std::move(Config)),
-      Rules(rules::CompiledRuleSet::compile(
+Scanner::Scanner(const apimodel::CryptoApiModel &Api,
+                 core::PipelineConfig Config, std::vector<rules::Rule> Rules)
+    : Rules(rules::CompiledRuleSet::compile(
           std::move(Rules), std::make_shared<rules::ScanSymbols>())),
-      System(Api, pipelineConfigFrom(this->Config)) {}
+      System(Api, std::move(Config)) {}
 
 std::size_t Scanner::cachedUnits() const {
   std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -94,7 +80,8 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
     Filter = &Selected;
   }
 
-  obs::Observer *Obs = Config.Metrics;
+  const core::PipelineConfig &Config = System.config();
+  obs::Observer *Obs = Request.Metrics;
   obs::Registry *Reg = Obs ? &Obs->Metrics : nullptr;
   obs::Span ScanSpan(Obs ? &Obs->Trace : nullptr, "scan");
 

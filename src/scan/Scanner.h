@@ -21,11 +21,12 @@
 ///
 /// Determinism contract: the report (and the streamed record sequence)
 /// is a pure function of (projects, rule set, Refine, Limits, fault
-/// plan) — never of Threads, Metrics, the unit cache, or scheduling. The
-/// unit cache is keyed purely by file content (+ the refine bit), and it
-/// serves under a fault campaign too: a unit's parse and interpretation
-/// faults depend on its text alone (core::DiffCode::analyzeSourceChecked),
-/// and a digest that throws is never cached.
+/// plan) — never of the config's Threads, the request's Metrics, the
+/// unit cache, or scheduling. The unit cache is keyed purely by file
+/// content (+ the refine bit), and it serves under a fault campaign too:
+/// a unit's parse and interpretation faults depend on its text alone
+/// (core::DiffCode::analyzeSourceChecked), and a digest that throws is
+/// never cached.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,39 +48,13 @@
 namespace diffcode {
 namespace scan {
 
-/// Engine knobs, mirroring core::PipelineConfig's grouped shape. Every
-/// knob here is an *engine* property (how the scan runs), fixed for the
-/// Scanner's lifetime; per-run properties (which projects, which rules,
-/// refinement) live on ScanRequest. Digested units are always shared
-/// across projects and scan() calls through a content-hash cache:
-/// synthetic and mined corpora repeat generated files heavily, and hit
-/// or miss, the digest is identical.
-struct ScanConfig {
-  /// Worker threads for the per-project scan stage; each project is
-  /// independent, so results are deterministic regardless
-  /// (support::resolveThreads semantics, 0 = one per hardware thread).
-  unsigned Threads = 1;
+/// The scanner runs on the pipeline's engine config. This alias is the
+/// benchmark's spelling of it (perfbench/src/Bench.h, Inputs.cpp) and
+/// goes with ROADMAP item 5 leg 3.
+using ScanConfig = core::PipelineConfig;
 
-  /// Deterministic frontend/interpreter budgets applied to every
-  /// digested unit (0 = unlimited).
-  struct LimitsGroup {
-    java::ParseLimits Parse;
-    analysis::AnalysisOptions Analysis;
-  };
-  LimitsGroup Limits;
-
-  /// Observability sink; null keeps every instrumentation site at one
-  /// pointer test. Must outlive the Scanner calls that use it.
-  obs::Observer *Metrics = nullptr;
-
-  /// Fault-injection campaign (testing only). Armed plans install a
-  /// per-project FaultScope (scope key = project index), under which the
-  /// scan-project site draws; each unit's analysis draws under its own
-  /// text's scope.
-  support::FaultPlan Faults;
-};
-
-/// One scan invocation: which projects, which rules, whether to refine.
+/// One scan invocation: which projects, which rules, whether to refine,
+/// and who observes it.
 struct ScanRequest {
   /// Projects to scan, in report order. Borrowed; must outlive scan().
   std::vector<const corpus::Project *> Projects;
@@ -94,6 +69,11 @@ struct ScanRequest {
   /// matched rules. Off by default: refine-off output is byte-identical
   /// to the batch CryptoChecker path.
   bool Refine = false;
+
+  /// Observability sink, as on core::PipelineRequest. Null keeps every
+  /// instrumentation site at one pointer test and the report's Metrics
+  /// summary empty. Must outlive scan().
+  obs::Observer *Metrics = nullptr;
 };
 
 /// One scanned project: its report plus how the analysis went. Status
@@ -146,19 +126,21 @@ public:
   virtual void onProject(std::size_t Index, const ProjectScanRecord &Record) = 0;
 };
 
-/// The scanner. Construction interns the rule ids and configures the
-/// analysis facade; instances are immutable apart from the internal unit
-/// cache (thread-safe), so a warm scanner can serve many scan() calls —
-/// the service holds one per session.
+/// The scanner. Construction interns the rule ids and hands the engine
+/// config, unchanged, to the analysis facade: scan() reads its Threads
+/// (per-project parallelism) and its Faults (each project runs under a
+/// FaultScope keyed by its index, where the scan-project site draws),
+/// and every unit is analyzed under its Limits. Instances are immutable
+/// apart from the internal unit cache (thread-safe), so a warm scanner
+/// can serve many scan() calls — the service holds one per session.
 class Scanner {
 public:
   /// Scans with the full elicited rule set R1-R13.
   explicit Scanner(const apimodel::CryptoApiModel &Api,
-                   ScanConfig Config = ScanConfig());
-  Scanner(const apimodel::CryptoApiModel &Api, ScanConfig Config,
+                   core::PipelineConfig Config = core::PipelineConfig());
+  Scanner(const apimodel::CryptoApiModel &Api, core::PipelineConfig Config,
           std::vector<rules::Rule> Rules);
 
-  const ScanConfig &config() const { return Config; }
   const rules::CompiledRuleSet &rules() const { return Rules; }
 
   /// Runs one scan. With \p Sink, completed project records additionally
@@ -183,7 +165,6 @@ private:
   digest(std::string_view Code, bool Refine, java::AstContext &Ctx,
          std::uint64_t &Hits, std::uint64_t &Misses) const;
 
-  ScanConfig Config;
   rules::CompiledRuleSet Rules;
   core::DiffCode System;
 

@@ -55,25 +55,13 @@ bool failStr(std::string *Error, std::string Message) {
 
 } // namespace
 
-namespace {
-
-scan::ScanConfig scanConfigFrom(const SessionOptions &Opts) {
-  scan::ScanConfig Config;
-  Config.Threads = Opts.Config.Threads;
-  Config.Limits.Parse = Opts.Config.Limits.Parse;
-  Config.Limits.Analysis = Opts.Config.Limits.Analysis;
-  return Config;
-}
-
-} // namespace
-
 Server::Server(const apimodel::CryptoApiModel &Api, SessionOptions Opts)
-    : Api(Api), ScannerConfig(scanConfigFrom(Opts)), Obs(Opts.Metrics),
-      Session(Api, std::move(Opts)) {}
+    : Api(Api), Obs(Opts.Metrics), Session(Api, std::move(Opts)) {}
 
 scan::Scanner &Server::scanner() {
   if (!RuleScanner)
-    RuleScanner = std::make_unique<scan::Scanner>(Api, ScannerConfig);
+    RuleScanner =
+        std::make_unique<scan::Scanner>(Api, Session.system().config());
   return *RuleScanner;
 }
 

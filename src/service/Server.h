@@ -66,9 +66,9 @@ public:
   /// CLI / diffcoded) flushes its trace at shutdown.
   obs::Observer *observer() { return Obs; }
 
-  /// The warm rule scanner, created on the first ScanReq (thread/limit
-  /// knobs inherited from the session's PipelineConfig). Its rule set
-  /// and unit-digest cache persist across requests and
+  /// The warm rule scanner, created on the first ScanReq under the
+  /// session's engine config (threads, limits and fault plan). Its rule
+  /// set and unit-digest cache persist across requests and
   /// connections, which is the point of scanning through a session.
   scan::Scanner &scanner();
 
@@ -76,7 +76,6 @@ private:
   std::string handleQuery(const std::string &What, bool &Known) const;
 
   const apimodel::CryptoApiModel &Api;
-  scan::ScanConfig ScannerConfig;
   std::unique_ptr<scan::Scanner> RuleScanner;
   obs::Observer *Obs = nullptr; ///< Copied from SessionOptions::Metrics.
   AnalysisSession Session;

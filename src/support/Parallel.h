@@ -28,7 +28,7 @@ namespace diffcode {
 namespace support {
 
 /// Canonical resolution of every "Threads" knob in the system
-/// (PipelineConfig::Threads, scan::ScanConfig::Threads,
+/// (PipelineConfig::Threads, which the scanner reads too, and
 /// ExecutionPolicy::Workers): 0 means one thread per hardware thread
 /// (at least 1), any other value is taken literally (1 = serial).
 /// parallelFor applies it, so passing a raw knob through is always

@@ -100,7 +100,7 @@ pairDags(const std::vector<UsageDag> &Old, const std::vector<UsageDag> &New);
 /// them). When both sides hold the same multiset of DAGs (by canonical
 /// identity), every pair is an identical twin: this emits one empty
 /// change per DAG, in Old's order, and skips pairing, diffing and
-/// interning, unless the thread's fault plan arms the Hungarian site.
+/// interning.
 std::vector<UsageChange> deriveUsageChanges(const std::vector<UsageDag> &Old,
                                             const std::vector<UsageDag> &New,
                                             const std::string &TypeName,

@@ -17,9 +17,10 @@
 /// one home: settings that no caller set (the config-level execution
 /// policy, observer and cut, the request's interner, the scanner's cache
 /// switch) and entry points that only duplicated others must not resolve
-/// again. Rules have one evaluator, so the symbol-table lookups only the
-/// compiled mirror used and the raw-event CallPattern match must not
-/// resolve again either. The session keeps no per-change record memo,
+/// again, and the scanner runs on the pipeline's engine config with its
+/// observer on the request. Rules have one evaluator, so the
+/// symbol-table lookups only the compiled mirror used and the raw-event
+/// CallPattern match must not resolve again either. The session keeps no per-change record memo,
 /// so its bound, its counters and the session settings nobody set must
 /// not resolve again. support::parallelFor is the one parallel loop, so
 /// the reusable ThreadPool's header must not come back, and lexAll() is
@@ -229,9 +230,13 @@ concept BenchIngestStatsSurface = requires(const Stats &S) {
 };
 
 template <typename ScannerT>
-concept BenchScannerSurface = requires(const ScannerT &S) {
-  { S.cachedUnits() } -> std::convertible_to<std::size_t>;
-};
+concept BenchScannerSurface =
+    requires(const apimodel::CryptoApiModel &Api, scan::ScanConfig Config,
+             unsigned Width, const ScannerT &S) {
+      Config.Threads = Width;
+      ScannerT(Api, Config);
+      { S.cachedUnits() } -> std::convertible_to<std::size_t>;
+    };
 
 template <typename System>
 concept BenchUsageSurface =
@@ -313,6 +318,11 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
                 "the execution policy lives on PipelineRequest::Exec only");
   static_assert(!HasMetricsField<PipelineConfig>,
                 "the observer lives on PipelineRequest::Metrics only");
+  static_assert(std::same_as<scan::ScanConfig, PipelineConfig>,
+                "the scanner runs on the pipeline's engine config; "
+                "scan::ScanConfig is only the benchmark's spelling of it");
+  static_assert(!HasMetricsField<scan::ScanConfig>,
+                "a scan's observer lives on ScanRequest::Metrics only");
   static_assert(!HasClusteringField<PipelineConfig>,
                 "the display cut is cluster::DefaultCut");
   static_assert(!HasLabelsField<PipelineRequest>,
@@ -366,7 +376,7 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   // vacuously.
   static_assert(HasExecField<PipelineRequest>);
   static_assert(HasMetricsField<PipelineRequest>);
-  static_assert(HasMetricsField<scan::ScanConfig>);
+  static_assert(HasMetricsField<scan::ScanRequest>);
   static_assert(HasParallelHeader);
   static_assert(HasFaultSiteName<support::FaultSite>);
   static_assert(HasLexAll<java::Lexer>);

@@ -134,13 +134,13 @@ TEST_F(CorpusIOTest, HandLaidOutProjectLoads) {
 }
 
 //===----------------------------------------------------------------------===//
-// readFileContents: the mmap fast path and its chunked fallback
+// readFileContents: one short-read-tolerant loop for every file kind
 //===----------------------------------------------------------------------===//
 
 TEST_F(CorpusIOTest, ReadFileContentsExactBytesAroundPageBoundaries) {
   fs::create_directories(Root);
-  // Sizes straddling the page size catch off-by-one mapping bugs; the
-  // NUL byte catches any string-based truncation.
+  // Sizes straddling the page size and the 64 KiB read chunk catch
+  // off-by-one bugs; the NUL byte catches any string-based truncation.
   for (std::size_t Size : {std::size_t(0), std::size_t(1), std::size_t(4095),
                            std::size_t(4096), std::size_t(4097),
                            std::size_t(70000)}) {

@@ -171,7 +171,7 @@ TEST(ScanDifferential, ByteIdenticalToSerialCheckerAtAllThreadCounts) {
   ASSERT_TRUE(balancedJson(Reference));
 
   for (unsigned Threads : {1u, 2u, 8u}) {
-    ScanConfig Config;
+    core::PipelineConfig Config;
     Config.Threads = Threads;
     Scanner S(api(), Config);
     ScanReport Report;
@@ -190,7 +190,7 @@ TEST(ScanDifferential, SinkSeesStrictlyAscendingIndices) {
       Seen.push_back(Index);
     }
   } Sink;
-  ScanConfig Config;
+  core::PipelineConfig Config;
   Config.Threads = 8;
   Scanner S(api(), Config);
   ScanReport Report = S.scan(requestOver(C), &Sink);
@@ -205,7 +205,7 @@ TEST(ScanDifferential, SinkSeesStrictlyAscendingIndices) {
 //===----------------------------------------------------------------------===//
 
 TEST(ScanEdgeCases, EmptyRequestYieldsEmptyWellFormedReport) {
-  Scanner S(api(), ScanConfig());
+  Scanner S(api());
   ScanReport Report = S.scan(ScanRequest());
   EXPECT_TRUE(Report.Projects.empty());
   EXPECT_EQ(Report.ProjectsWithViolation, 0u);
@@ -223,7 +223,7 @@ TEST(ScanEdgeCases, EmptyProjectIsOkWithEmptyVerdicts) {
   corpus::Project Empty = projectOf("hollow", {});
   ScanRequest Request;
   Request.Projects = {&Empty};
-  Scanner S(api(), ScanConfig());
+  Scanner S(api());
   ScanReport Report = S.scan(Request);
   ASSERT_EQ(Report.Projects.size(), 1u);
   const ProjectScanRecord &Rec = Report.Projects[0];
@@ -245,7 +245,7 @@ TEST(ScanEdgeCases, ApplicableButUnmatchedEverywhere) {
                      "d = MessageDigest.getInstance(\"SHA-256\"); } }"}});
   ScanRequest Request;
   Request.Projects = {&Safe};
-  Scanner S(api(), ScanConfig());
+  Scanner S(api());
   ScanReport Report = S.scan(Request);
   ASSERT_EQ(Report.Projects.size(), 1u);
   const ProjectScanRecord &Rec = Report.Projects[0];
@@ -279,7 +279,7 @@ TEST(ScanEdgeCases, HostileNamesAndGarbageUnitsStayContainedAndEscaped) {
   ScanRequest Request;
   for (const corpus::Project &P : Projects)
     Request.Projects.push_back(&P);
-  Scanner S(api(), ScanConfig());
+  Scanner S(api());
   ScanReport Report;
   std::string Json = streamScan(S, Request, &Report);
   EXPECT_TRUE(balancedJson(Json));
@@ -294,7 +294,7 @@ TEST(ScanEdgeCases, RuleFilterSelectsSubsetInSetOrder) {
   corpus::Corpus C = smallCorpus(8, 11);
   ScanRequest Request = requestOver(C);
   Request.RuleFilter = {"R5", "R1", "no-such-rule"};
-  Scanner S(api(), ScanConfig());
+  Scanner S(api());
   ScanReport Report = S.scan(Request);
   // Verdicts follow rule-set order (R1 before R5), not filter order;
   // unknown ids select nothing.
@@ -316,7 +316,7 @@ TEST(ScanCache, WarmAndColdAndUncachedReportsAreByteIdentical) {
   corpus::Corpus C = smallCorpus(10, 5);
   ScanRequest Request = requestOver(C);
 
-  Scanner Cached(api(), ScanConfig());
+  Scanner Cached(api());
   std::string Cold = scanReportToJson(Cached.scan(Request));
   EXPECT_GT(Cached.cachedUnits(), 0u);
   std::string Warm = scanReportToJson(Cached.scan(Request));
@@ -327,7 +327,7 @@ TEST(ScanCache, WarmAndColdAndUncachedReportsAreByteIdentical) {
   // what a fresh scanner, with nothing cached, gives for that project
   // scanned alone.
   corpus::Corpus Big = smallCorpus(60, 42);
-  ScanConfig Armed;
+  core::PipelineConfig Armed;
   Armed.Faults.Seed = 42;
   Armed.Faults.Rate = 0.002;
   Armed.Faults.SiteMask = support::faultSiteBit(support::FaultSite::Parser) |
@@ -359,7 +359,7 @@ TEST(ScanFaults, CampaignIsDeterministicAcrossThreadCounts) {
   ScanRequest Request = requestOver(C);
   std::string Baseline;
   for (unsigned Threads : {1u, 2u, 8u}) {
-    ScanConfig Config;
+    core::PipelineConfig Config;
     Config.Threads = Threads;
     Config.Faults.Seed = 1234;
     Config.Faults.Rate = 0.5;
@@ -379,8 +379,8 @@ TEST(ScanFaults, CampaignIsDeterministicAcrossThreadCounts) {
 TEST(ScanFaults, DisabledPlanMatchesNoPlanByteForByte) {
   corpus::Corpus C = smallCorpus(6, 2);
   ScanRequest Request = requestOver(C);
-  Scanner Plain(api(), ScanConfig());
-  ScanConfig Disabled;
+  Scanner Plain(api());
+  core::PipelineConfig Disabled;
   Disabled.Faults.Seed = 99; // Rate stays 0: disabled
   Scanner WithPlan(api(), Disabled);
   EXPECT_EQ(scanReportToJson(Plain.scan(Request)),
@@ -513,7 +513,7 @@ TEST(ScanRefinement, RefineOffScanOfRealCorpusIsByteIdenticalToBatch) {
   // checker (covered above) and a Refine=true scan must only ever
   // shrink violation sets.
   corpus::Corpus C = smallCorpus(10, 21);
-  Scanner S(api(), ScanConfig());
+  Scanner S(api());
   ScanReport Plain = S.scan(requestOver(C, false));
   ScanReport Refined = S.scan(requestOver(C, true));
   ASSERT_EQ(Plain.Projects.size(), Refined.Projects.size());
@@ -537,13 +537,12 @@ TEST(ScanMetrics, ObservedRunCarriesPerRuleCountersAndUnobservedIsPrefix) {
   corpus::Corpus C = smallCorpus(6, 13);
   ScanRequest Request = requestOver(C);
 
-  Scanner Plain(api(), ScanConfig());
+  Scanner Plain(api());
   std::string Unobserved = scanReportToJson(Plain.scan(Request));
 
   obs::Observer Obs;
-  ScanConfig Observed;
-  Observed.Metrics = &Obs;
-  Scanner S(api(), Observed);
+  Request.Metrics = &Obs;
+  Scanner S(api());
   ScanReport Report = S.scan(Request);
   ASSERT_FALSE(Report.Metrics.empty());
   std::string Snapshot = Report.Metrics.json();

@@ -375,9 +375,9 @@ TEST(ServiceServer, ForkedScanMatchesLocalScanner) {
   Clean.Files.push_back({"Clean.java", "class Clean { int x; }"});
   Wire.Projects = {Bad, Clean};
 
-  // The local ground truth, same default options the server builds its
-  // scanner from.
-  scan::Scanner Local(api(), scan::ScanConfig());
+  // The local ground truth, under the same default engine config the
+  // server's session runs on.
+  scan::Scanner Local(api());
   scan::ScanRequest Request;
   Request.Projects = {&Bad, &Clean};
   std::string Want = scan::scanReportToJson(Local.scan(Request));
@@ -401,6 +401,49 @@ TEST(ServiceServer, ForkedScanMatchesLocalScanner) {
   ASSERT_TRUE(C.shutdown(&Error)) << Error;
   ::close(Fd);
   EXPECT_TRUE(support::waitProcess(Pid).cleanExit());
+}
+
+namespace {
+
+// The daemon's scanner runs under its session's whole engine config: a
+// scan through the server equals a local scanner built from the same
+// config, fault plan and limits included.
+void expectServerScansUnder(const core::PipelineConfig &Config,
+                            const char *Status) {
+  corpus::Project P;
+  P.Name = "proj";
+  P.Files.push_back({"A.java", "class A { void m() throws Exception { Cipher "
+                               "c = Cipher.getInstance(\"DES\"); } }"});
+  scan::ScanRequest Request;
+  Request.Projects = {&P};
+
+  SessionOptions Opts;
+  Opts.Config = Config;
+  Server S(api(), Opts);
+  std::string Got = scan::scanReportToJson(S.scanner().scan(Request));
+  EXPECT_EQ(Got,
+            scan::scanReportToJson(scan::Scanner(api(), Config).scan(Request)));
+  EXPECT_NE(Got.find(std::string("\"status\":\"") + Status + "\""),
+            std::string::npos)
+      << Got;
+}
+
+} // namespace
+
+TEST(ServiceServer, ScannerRunsUnderTheSessionsFaultPlan) {
+  // A Parser-only plan at rate 1.0 faults every unit's parse.
+  core::PipelineConfig Config;
+  Config.Faults.Seed = 7;
+  Config.Faults.Rate = 1.0;
+  Config.Faults.SiteMask = support::faultSiteBit(support::FaultSite::Parser);
+  expectServerScansUnder(Config, "analysis-throw");
+}
+
+TEST(ServiceServer, ScannerRunsUnderTheSessionsLimits) {
+  // The unit lexes to more than four tokens.
+  core::PipelineConfig Config;
+  Config.Limits.Parse.MaxTokens = 4;
+  expectServerScansUnder(Config, "budget-exceeded");
 }
 
 TEST(ServiceServer, StatsReqIntrospectsObservedDaemon) {
