@@ -11,7 +11,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <optional>
-#include <set>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -35,26 +35,88 @@ namespace {
 
 using BaseAbstraction = AnalysisOptions::BaseAbstraction;
 
-/// Mutable state of one abstract execution path.
+// Every name the engine keys its state by is a view of a string in the
+// analyzed AST (a declaration's or a reference's own spelling), which
+// outlives the engine. The views never reach AnalysisResult.
+
+/// An instance field of a tracked object: (object id, field name).
+struct FieldKey {
+  unsigned Obj;
+  std::string_view Field;
+  bool operator==(const FieldKey &) const = default;
+};
+
+/// A static field as the program names it: (class name, field name). A
+/// field inherited from a superclass is keyed by the class it was named
+/// through, so `F` inside Sub and `Super.F` are different slots.
+struct StaticKey {
+  std::string_view Class;
+  std::string_view Field;
+  bool operator==(const StaticKey &) const = default;
+};
+
+struct FieldKeyHash {
+  std::size_t operator()(const FieldKey &K) const {
+    return std::hash<std::string_view>{}(K.Field) * 31 + K.Obj;
+  }
+};
+
+struct StaticKeyHash {
+  std::size_t operator()(const StaticKey &K) const {
+    return std::hash<std::string_view>{}(K.Class) * 31 +
+           std::hash<std::string_view>{}(K.Field);
+  }
+};
+
+/// Mutable state of one abstract execution path. Lookups are hashed:
+/// units with tens of thousands of locals stay linear.
 struct ExecState {
-  std::unordered_map<std::string, AbstractValue> Locals;
+  std::unordered_map<std::string_view, AbstractValue> Locals;
   /// Declared types of locals, so later assignments coerce into the
   /// declared domain (e.g. `byte[] b; b = unknown()` must become Tbyte[]).
-  std::unordered_map<std::string, java::TypeRef> LocalTypes;
-  std::map<std::pair<unsigned, std::string>, AbstractValue> Fields;
-  std::unordered_map<std::string, AbstractValue> Statics;
+  std::unordered_map<std::string_view, const TypeRef *> LocalTypes;
+  std::unordered_map<FieldKey, AbstractValue, FieldKeyHash> Fields;
+  std::unordered_map<StaticKey, AbstractValue, StaticKeyHash> Statics;
   UsageLog Log;
   bool Returned = false;
   AbstractValue RetValue;
 };
+
+/// The unqualified name ("Cipher" for "javax.crypto.Cipher"), as a view
+/// of the qualified one: TypeRef::baseName without the copy.
+std::string_view baseNameOf(std::string_view Qualified) {
+  std::size_t Pos = Qualified.rfind('.');
+  return Pos == std::string_view::npos ? Qualified : Qualified.substr(Pos + 1);
+}
 
 /// Call context for one method being interpreted.
 struct Frame {
   const ClassDecl *CurrentClass = nullptr;
   AbstractValue ThisVal; ///< Object value, or Null inside static code.
   unsigned Depth = 0;
-  std::vector<const MethodDecl *> CallStack;
+  const MethodDecl *Method = nullptr;
+  const Frame *Caller = nullptr; ///< Null for the entry method's frame.
+
+  /// True when \p M is being interpreted in this frame or a caller's.
+  bool onStack(const MethodDecl *M) const {
+    for (const Frame *Cur = this; Cur; Cur = Cur->Caller)
+      if (Cur->Method == M)
+        return true;
+    return false;
+  }
 };
+
+/// "Class.name/arity": the signature recorded for a call the API model
+/// does not declare.
+std::string unmodeledSig(std::string_view Class, std::string_view Method,
+                         std::size_t Arity) {
+  std::string Sig(Class);
+  Sig += '.';
+  Sig += Method;
+  Sig += '/';
+  Sig += std::to_string(Arity);
+  return Sig;
+}
 
 /// The actual interpreter engine (one per analyze() call).
 class Engine {
@@ -71,28 +133,34 @@ private:
   std::vector<std::pair<const ClassDecl *, const MethodDecl *>>
   findEntryMethods() const;
 
-  const ClassDecl *lookupProgramClass(const std::string &Name) const {
+  const ClassDecl *lookupProgramClass(std::string_view Name) const {
     auto It = ProgramClasses.find(Name);
     return It == ProgramClasses.end() ? nullptr : It->second;
   }
   const MethodDecl *lookupProgramMethod(const ClassDecl *Class,
-                                        const std::string &Name,
+                                        std::string_view Name,
                                         std::size_t Arity) const;
   const FieldDecl *lookupField(const ClassDecl *Class,
-                               const std::string &Name) const;
+                               std::string_view Name) const;
 
   /// Resolves an expression that syntactically denotes a class (NameExpr
   /// or dotted package path); returns the unqualified class name or
   /// nullopt when the expression is a value.
-  std::optional<std::string> exprAsTypeName(const Expr *E,
-                                            const ExecState &State,
-                                            const Frame &F) const;
+  std::optional<std::string_view> exprAsTypeName(const Expr *E,
+                                                 const ExecState &State,
+                                                 const Frame &F) const;
 
   // --- abstraction helpers -----------------------------------------------
-  AbstractValue literalInt(std::int64_t V, std::string Symbol = {}) const;
-  AbstractValue literalStr(std::string V) const;
-  AbstractValue coerce(AbstractValue V, const TypeRef &Type) const;
-  AbstractValue returnTypeToValue(const std::string &TypeName) const;
+  AbstractValue literalInt(std::int64_t V, std::string_view Symbol = {}) const;
+  AbstractValue literalStr(const std::string &V) const;
+  AbstractValue coerce(AbstractValue V, const TypeRef &Type) const {
+    return coerce(std::move(V), Type.Name, Type.isArray());
+  }
+  /// Coerces into the domain of a type spelled \p Name, an array type
+  /// when \p IsArray.
+  AbstractValue coerce(AbstractValue V, std::string_view Name,
+                       bool IsArray) const;
+  AbstractValue returnTypeToValue(std::string_view TypeName) const;
 
   // --- event recording ---------------------------------------------------
   void record(ExecState &State, unsigned ObjId, const std::string &Sig,
@@ -105,7 +173,8 @@ private:
   void execStmtList(const std::vector<Stmt *> &Stmts,
                     std::vector<ExecState> &States, Frame &F);
   void capStates(std::vector<ExecState> &States) const;
-  static ExecState joinStates(const ExecState &A, const ExecState &B);
+  /// Joins \p B into \p Out: the state that reaches either.
+  static void joinInto(ExecState &Out, const ExecState &B);
 
   // --- expression evaluation ----------------------------------------------
   AbstractValue evalExpr(const Expr *E, ExecState &State, Frame &F);
@@ -128,13 +197,13 @@ private:
                              const AbstractValue *Receiver,
                              const std::vector<AbstractValue> &Args,
                              SourceLocation Loc);
-  AbstractValue evalStringMethod(const std::string &Name,
+  AbstractValue evalStringMethod(std::string_view Name,
                                  const AbstractValue &Receiver,
                                  const std::vector<AbstractValue> &Args);
   AbstractValue unknownCallResult(const AbstractValue *Receiver,
                                   const std::vector<AbstractValue> &Args);
   std::optional<AbstractValue>
-  evalKnownStaticCall(const std::string &ClassName, const std::string &Name,
+  evalKnownStaticCall(std::string_view ClassName, std::string_view Name,
                       const std::vector<AbstractValue> &Args);
   AbstractValue inlineCall(const MethodDecl *M, const ClassDecl *Class,
                            AbstractValue ThisVal,
@@ -158,9 +227,9 @@ private:
 
   ObjectTable Objects;
   AnalysisStats Stats;
-  std::unordered_map<std::string, const ClassDecl *> ProgramClasses;
-  std::unordered_set<std::string> CalledMethodNames;
-  std::unordered_set<std::string> InstantiatedClassNames;
+  std::unordered_map<std::string_view, const ClassDecl *> ProgramClasses;
+  std::unordered_set<std::string_view> CalledMethodNames;
+  std::unordered_set<std::string_view> InstantiatedClassNames;
   unsigned Fuel = 0;
 };
 
@@ -179,8 +248,8 @@ void Engine::indexClasses(const ClassDecl *Class) {
 namespace detail {
 class CallTargetCollector final : public AstVisitor {
 public:
-  CallTargetCollector(std::unordered_set<std::string> &Called,
-                      std::unordered_set<std::string> &Instantiated)
+  CallTargetCollector(std::unordered_set<std::string_view> &Called,
+                      std::unordered_set<std::string_view> &Instantiated)
       : Called(Called), Instantiated(Instantiated) {}
 
 protected:
@@ -189,13 +258,13 @@ protected:
     return true;
   }
   bool visitNewObject(const NewObjectExpr &New) override {
-    Instantiated.insert(New.Type.baseName());
+    Instantiated.insert(baseNameOf(New.Type.Name));
     return true;
   }
 
 private:
-  std::unordered_set<std::string> &Called;
-  std::unordered_set<std::string> &Instantiated;
+  std::unordered_set<std::string_view> &Called;
+  std::unordered_set<std::string_view> &Instantiated;
 };
 } // namespace detail
 
@@ -240,7 +309,7 @@ Engine::findEntryMethods() const {
 }
 
 const MethodDecl *Engine::lookupProgramMethod(const ClassDecl *Class,
-                                              const std::string &Name,
+                                              std::string_view Name,
                                               std::size_t Arity) const {
   const MethodDecl *Best = nullptr;
   std::size_t BestGap = SIZE_MAX;
@@ -265,7 +334,7 @@ const MethodDecl *Engine::lookupProgramMethod(const ClassDecl *Class,
 }
 
 const FieldDecl *Engine::lookupField(const ClassDecl *Class,
-                                     const std::string &Name) const {
+                                     std::string_view Name) const {
   for (const FieldDecl *Field : Class->Fields)
     if (Field->Name == Name)
       return Field;
@@ -276,9 +345,9 @@ const FieldDecl *Engine::lookupField(const ClassDecl *Class,
   return nullptr;
 }
 
-std::optional<std::string> Engine::exprAsTypeName(const Expr *E,
-                                                  const ExecState &State,
-                                                  const Frame &F) const {
+std::optional<std::string_view>
+Engine::exprAsTypeName(const Expr *E, const ExecState &State,
+                       const Frame &F) const {
   if (const auto *Name = dyn_cast<NameExpr>(E)) {
     // A name shadowed by a local or a field is a value, not a type.
     if (State.Locals.count(Name->Name))
@@ -320,33 +389,34 @@ std::optional<std::string> Engine::exprAsTypeName(const Expr *E,
 // Abstraction helpers
 //===----------------------------------------------------------------------===//
 
-AbstractValue Engine::literalInt(std::int64_t V, std::string Symbol) const {
+AbstractValue Engine::literalInt(std::int64_t V,
+                                 std::string_view Symbol) const {
   if (Opts.Abstraction == BaseAbstraction::AllTop)
     return AbstractValue::intTop();
-  return AbstractValue::intConst(V, std::move(Symbol));
+  return AbstractValue::intConst(V, std::string(Symbol));
 }
 
-AbstractValue Engine::literalStr(std::string V) const {
+AbstractValue Engine::literalStr(const std::string &V) const {
   if (Opts.Abstraction == BaseAbstraction::AllTop)
     return AbstractValue::strTop();
-  return AbstractValue::strConst(std::move(V));
+  return AbstractValue::strConst(V);
 }
 
-static bool isByteLikeName(const std::string &Name) {
+static bool isByteLikeName(std::string_view Name) {
   return Name == "byte" || Name == "char";
 }
 
-static bool isIntLikeName(const std::string &Name) {
+static bool isIntLikeName(std::string_view Name) {
   return Name == "int" || Name == "long" || Name == "short" ||
          Name == "boolean" || Name == "double" || Name == "float";
 }
 
-AbstractValue Engine::coerce(AbstractValue V, const TypeRef &Type) const {
+AbstractValue Engine::coerce(AbstractValue V, std::string_view Name,
+                             bool IsArray) const {
   if (V.kind() == AVKind::Null)
     return V;
-  const std::string &Name = Type.Name;
 
-  if (Type.isArray() && isByteLikeName(Name)) {
+  if (IsArray && isByteLikeName(Name)) {
     switch (V.kind()) {
     case AVKind::ByteArrayConst:
     case AVKind::ByteArrayTop:
@@ -363,13 +433,13 @@ AbstractValue Engine::coerce(AbstractValue V, const TypeRef &Type) const {
                             : AbstractValue::byteArrayTop();
     }
   }
-  if (Type.isArray() && Name == "int")
+  if (IsArray && Name == "int")
     return V.kind() == AVKind::IntArrayConst ? V
                                              : AbstractValue::intArrayTop();
-  if (Type.isArray() && Name == "String")
+  if (IsArray && Name == "String")
     return V.kind() == AVKind::StrArrayConst ? V
                                              : AbstractValue::strArrayTop();
-  if (Type.isArray()) // arrays of objects: keep object identity if any
+  if (IsArray) // arrays of objects: keep object identity if any
     return V.isObjectLike() ? V : AbstractValue::unknown();
 
   if (isByteLikeName(Name))
@@ -392,10 +462,10 @@ AbstractValue Engine::coerce(AbstractValue V, const TypeRef &Type) const {
   // object of the declared type (Tobj labeled by the static type).
   if (V.isObjectLike())
     return V;
-  return AbstractValue::topObject(Type.baseName());
+  return AbstractValue::topObject(baseNameOf(Name));
 }
 
-AbstractValue Engine::returnTypeToValue(const std::string &TypeName) const {
+AbstractValue Engine::returnTypeToValue(std::string_view TypeName) const {
   if (TypeName == "void")
     return AbstractValue::unknown();
   if (TypeName == "byte[]" || TypeName == "char[]")
@@ -414,8 +484,10 @@ AbstractValue Engine::returnTypeToValue(const std::string &TypeName) const {
 void Engine::record(ExecState &State, unsigned ObjId, const std::string &Sig,
                     const std::vector<AbstractValue> &Args) {
   std::vector<UsageEvent> &Events = State.Log[ObjId];
-  if (Events.size() >= 256)
-    return; // safety cap; real usages are tiny
+  if (Events.size() >= MaxEventsPerObject) {
+    Stats.EventBudgetHit = true;
+    return;
+  }
   Events.push_back({Sig, Args});
 }
 
@@ -430,8 +502,7 @@ void Engine::recordOnObjectArgs(ExecState &State, const std::string &Sig,
 // Statements
 //===----------------------------------------------------------------------===//
 
-ExecState Engine::joinStates(const ExecState &A, const ExecState &B) {
-  ExecState Out = A;
+void Engine::joinInto(ExecState &Out, const ExecState &B) {
   for (const auto &[Name, Val] : B.Locals) {
     auto It = Out.Locals.find(Name);
     if (It == Out.Locals.end())
@@ -461,9 +532,8 @@ ExecState Engine::joinStates(const ExecState &A, const ExecState &B) {
       if (std::find(Dest.begin(), Dest.end(), Event) == Dest.end())
         Dest.push_back(Event);
   }
-  Out.Returned = A.Returned && B.Returned;
-  Out.RetValue = AbstractValue::join(A.RetValue, B.RetValue);
-  return Out;
+  Out.Returned = Out.Returned && B.Returned;
+  Out.RetValue = AbstractValue::join(Out.RetValue, B.RetValue);
 }
 
 void Engine::capStates(std::vector<ExecState> &States) const {
@@ -471,11 +541,10 @@ void Engine::capStates(std::vector<ExecState> &States) const {
     return;
   // Fold the surplus into the last kept slot so no execution's events are
   // lost, only their path-separation.
-  ExecState Folded = States[Opts.MaxStatesPerEntry - 1];
+  ExecState &Folded = States[Opts.MaxStatesPerEntry - 1];
   for (std::size_t I = Opts.MaxStatesPerEntry; I < States.size(); ++I)
-    Folded = joinStates(Folded, States[I]);
+    joinInto(Folded, States[I]);
   States.resize(Opts.MaxStatesPerEntry);
-  States.back() = std::move(Folded);
 }
 
 void Engine::execStmtList(const std::vector<Stmt *> &Stmts,
@@ -510,7 +579,7 @@ void Engine::execStmt(const Stmt *S, std::vector<ExecState> &States,
                                ? evalExpr(Decl->Init, State, F)
                                : coerce(AbstractValue::unknown(), Decl->Type);
       State.Locals[Decl->Name] = coerce(std::move(Init), Decl->Type);
-      State.LocalTypes[Decl->Name] = Decl->Type;
+      State.LocalTypes[Decl->Name] = &Decl->Type;
     }
     return;
   }
@@ -626,7 +695,7 @@ void Engine::execStmt(const Stmt *S, std::vector<ExecState> &States,
         State.Returned = false; // the exception preempted the return
         if (!Clause.Name.empty() && !Clause.Types.empty())
           State.Locals[Clause.Name] =
-              AbstractValue::topObject(Clause.Types.front().baseName());
+              AbstractValue::topObject(baseNameOf(Clause.Types.front().Name));
       }
       execStmt(Clause.Body, CatchStates, F);
       WithCatches.insert(WithCatches.end(),
@@ -806,8 +875,7 @@ AbstractValue Engine::evalName(const NameExpr *Name, ExecState &State,
   if (F.CurrentClass) {
     if (const FieldDecl *Field = lookupField(F.CurrentClass, Name->Name)) {
       if (Field->Modifiers & ModStatic) {
-        std::string Key = F.CurrentClass->Name + "." + Field->Name;
-        auto It = State.Statics.find(Key);
+        auto It = State.Statics.find({F.CurrentClass->Name, Field->Name});
         if (It != State.Statics.end())
           return It->second;
         return coerce(AbstractValue::unknown(), Field->Type);
@@ -831,8 +899,7 @@ AbstractValue Engine::evalFieldAccess(const FieldAccessExpr *Access,
       return literalInt(*Const, Access->Name);
     if (const ClassDecl *Class = lookupProgramClass(*TypeName)) {
       if (const FieldDecl *Field = lookupField(Class, Access->Name)) {
-        std::string Key = Class->Name + "." + Field->Name;
-        auto It = State.Statics.find(Key);
+        auto It = State.Statics.find({Class->Name, Field->Name});
         if (It != State.Statics.end())
           return It->second;
         return coerce(AbstractValue::unknown(), Field->Type);
@@ -878,7 +945,7 @@ void Engine::assignTo(const Expr *Lhs, AbstractValue Value, ExecState &State,
     if (Local != State.Locals.end()) {
       auto DeclType = State.LocalTypes.find(Name->Name);
       Local->second = DeclType != State.LocalTypes.end()
-                          ? coerce(std::move(Value), DeclType->second)
+                          ? coerce(std::move(Value), *DeclType->second)
                           : std::move(Value);
       return;
     }
@@ -886,8 +953,7 @@ void Engine::assignTo(const Expr *Lhs, AbstractValue Value, ExecState &State,
       if (const FieldDecl *Field = lookupField(F.CurrentClass, Name->Name)) {
         Value = coerce(std::move(Value), Field->Type);
         if (Field->Modifiers & ModStatic) {
-          State.Statics[F.CurrentClass->Name + "." + Field->Name] =
-              std::move(Value);
+          State.Statics[{F.CurrentClass->Name, Field->Name}] = std::move(Value);
         } else if (F.ThisVal.isTrackedObject()) {
           State.Fields[{F.ThisVal.objectId(), Name->Name}] = std::move(Value);
         }
@@ -901,7 +967,7 @@ void Engine::assignTo(const Expr *Lhs, AbstractValue Value, ExecState &State,
     if (auto TypeName = exprAsTypeName(Access->Base, State, F)) {
       if (const ClassDecl *Class = lookupProgramClass(*TypeName)) {
         if (const FieldDecl *Field = lookupField(Class, Access->Name))
-          State.Statics[Class->Name + "." + Field->Name] =
+          State.Statics[{Class->Name, Field->Name}] =
               coerce(std::move(Value), Field->Type);
       }
       return;
@@ -1035,10 +1101,8 @@ AbstractValue Engine::evalNewArray(const NewArrayExpr *New, ExecState &State,
   AbstractValue Init = New->Init
                            ? evalExpr(New->Init, State, F)
                            : AbstractValue::unknownConst(); // zero-filled
-  TypeRef ElemType = New->ElemType; // carries array dims
-  if (ElemType.ArrayDims == 0)
-    ElemType.ArrayDims = 1;
-  return coerce(std::move(Init), ElemType);
+  // The element type may spell no dims of its own; the result is an array.
+  return coerce(std::move(Init), New->ElemType.Name, /*IsArray=*/true);
 }
 
 AbstractValue Engine::applyApiCall(ExecState &State,
@@ -1046,7 +1110,7 @@ AbstractValue Engine::applyApiCall(ExecState &State,
                                    const AbstractValue *Receiver,
                                    const std::vector<AbstractValue> &Args,
                                    SourceLocation Loc) {
-  std::string Sig = M->signature();
+  const std::string &Sig = M->signature();
   if (M->IsFactory) {
     if (!objectBudgetLeft()) {
       recordOnObjectArgs(State, Sig, Args);
@@ -1063,7 +1127,7 @@ AbstractValue Engine::applyApiCall(ExecState &State,
   return returnTypeToValue(M->ReturnType);
 }
 
-AbstractValue Engine::evalStringMethod(const std::string &Name,
+AbstractValue Engine::evalStringMethod(std::string_view Name,
                                        const AbstractValue &Receiver,
                                        const std::vector<AbstractValue> &Args) {
   bool ConstRecv = Receiver.kind() == AVKind::StrConst;
@@ -1112,8 +1176,7 @@ AbstractValue Engine::evalStringMethod(const std::string &Name,
 }
 
 std::optional<AbstractValue>
-Engine::evalKnownStaticCall(const std::string &ClassName,
-                            const std::string &Name,
+Engine::evalKnownStaticCall(std::string_view ClassName, std::string_view Name,
                             const std::vector<AbstractValue> &Args) {
   auto Arg = [&](std::size_t I) -> const AbstractValue * {
     return I < Args.size() ? &Args[I] : nullptr;
@@ -1178,7 +1241,7 @@ void Engine::initializeFields(const ClassDecl *Class, unsigned ThisId,
                               : coerce(AbstractValue::unknown(), Field->Type);
     Value = coerce(std::move(Value), Field->Type);
     if (Field->Modifiers & ModStatic)
-      State.Statics[Class->Name + "." + Field->Name] = std::move(Value);
+      State.Statics[{Class->Name, Field->Name}] = std::move(Value);
     else
       State.Fields[{ThisId, Field->Name}] = std::move(Value);
   }
@@ -1189,10 +1252,8 @@ AbstractValue Engine::inlineCall(const MethodDecl *M, const ClassDecl *Class,
                                  const std::vector<AbstractValue> &Args,
                                  ExecState &State, Frame &F) {
   assert(M->Body && "inlineCall requires a body");
-  if (F.Depth >= Opts.MaxInlineDepth ||
-      std::find(F.CallStack.begin(), F.CallStack.end(), M) !=
-          F.CallStack.end())
-    return returnTypeToValue(M->ReturnType.baseName());
+  if (F.Depth >= Opts.MaxInlineDepth || F.onStack(M))
+    return returnTypeToValue(baseNameOf(M->ReturnType.Name));
 
   // Fresh locals for the callee; caller locals restored afterwards.
   auto SavedLocals = std::move(State.Locals);
@@ -1206,15 +1267,15 @@ AbstractValue Engine::inlineCall(const MethodDecl *M, const ClassDecl *Class,
                                      M->Params[I].Type);
     State.Locals[M->Params[I].Name] =
         coerce(std::move(Arg), M->Params[I].Type);
-    State.LocalTypes[M->Params[I].Name] = M->Params[I].Type;
+    State.LocalTypes[M->Params[I].Name] = &M->Params[I].Type;
   }
 
   Frame Callee;
   Callee.CurrentClass = Class;
   Callee.ThisVal = std::move(ThisVal);
   Callee.Depth = F.Depth + 1;
-  Callee.CallStack = F.CallStack;
-  Callee.CallStack.push_back(M);
+  Callee.Method = M;
+  Callee.Caller = &F;
 
   // Branches inside an inlined call join rather than fork (see header).
   std::vector<ExecState> States;
@@ -1222,7 +1283,7 @@ AbstractValue Engine::inlineCall(const MethodDecl *M, const ClassDecl *Class,
   execStmt(M->Body, States, Callee);
   ExecState Joined = std::move(States.front());
   for (std::size_t I = 1; I < States.size(); ++I)
-    Joined = joinStates(Joined, States[I]);
+    joinInto(Joined, States[I]);
 
   AbstractValue Ret = Joined.RetValue;
   Joined.Returned = false;
@@ -1240,13 +1301,12 @@ AbstractValue Engine::evalNewObject(const NewObjectExpr *New, ExecState &State,
   for (const Expr *Arg : New->Args)
     Args.push_back(evalExpr(Arg, State, F));
 
-  std::string TypeName = New->Type.baseName();
+  std::string_view TypeName = baseNameOf(New->Type.Name);
 
   // Past the object budget every allocation degrades to an untracked top
   // object: no new usage set, but argument labels survive.
   if (!objectBudgetLeft()) {
-    recordOnObjectArgs(State,
-                       TypeName + ".<init>/" + std::to_string(Args.size()),
+    recordOnObjectArgs(State, unmodeledSig(TypeName, "<init>", Args.size()),
                        Args);
     return AbstractValue::topObject(TypeName);
   }
@@ -1259,11 +1319,9 @@ AbstractValue Engine::evalNewObject(const NewObjectExpr *New, ExecState &State,
       return applyApiCall(State, Ctor, nullptr, Args, New->getLoc());
     // Known class without a modeled constructor: still track the site.
     unsigned ObjId = Objects.getOrCreate(New->getLoc(), ApiClass->Name);
-    record(State, ObjId, TypeName + ".<init>/" + std::to_string(Args.size()),
-           Args);
-    recordOnObjectArgs(State, TypeName + ".<init>/" +
-                                  std::to_string(Args.size()),
-                       Args);
+    std::string Sig = unmodeledSig(TypeName, "<init>", Args.size());
+    record(State, ObjId, Sig, Args);
+    recordOnObjectArgs(State, Sig, Args);
     return AbstractValue::object(ObjId, ApiClass->Name);
   }
 
@@ -1282,7 +1340,7 @@ AbstractValue Engine::evalNewObject(const NewObjectExpr *New, ExecState &State,
   // Unknown library class: track the site so argument relationships (e.g.
   // a SecretKeySpec passed to an unknown wrapper) keep their labels.
   unsigned ObjId = Objects.getOrCreate(New->getLoc(), TypeName);
-  std::string Sig = TypeName + ".<init>/" + std::to_string(Args.size());
+  std::string Sig = unmodeledSig(TypeName, "<init>", Args.size());
   record(State, ObjId, Sig, Args);
   recordOnObjectArgs(State, Sig, Args);
   return AbstractValue::object(ObjId, TypeName);
@@ -1314,7 +1372,7 @@ AbstractValue Engine::evalCall(const MethodCallExpr *Call, ExecState &State,
   }
 
   // Static call via a class-denoting expression.
-  std::optional<std::string> StaticClass;
+  std::optional<std::string_view> StaticClass;
   if (Call->Base)
     StaticClass = exprAsTypeName(Call->Base, State, F);
 
@@ -1387,8 +1445,7 @@ AbstractValue Engine::evalCall(const MethodCallExpr *Call, ExecState &State,
       }
       // Unmodeled method of a modeled class: synthesize a signature so
       // the feature is not lost.
-      std::string Sig =
-          Obj.TypeName + "." + Call->Name + "/" + std::to_string(Args.size());
+      std::string Sig = unmodeledSig(Obj.TypeName, Call->Name, Args.size());
       record(State, Receiver.objectId(), Sig, Args);
       recordOnObjectArgs(State, Sig, Args);
       return unknownCallResult(&Receiver, Args);
@@ -1400,8 +1457,7 @@ AbstractValue Engine::evalCall(const MethodCallExpr *Call, ExecState &State,
       return unknownCallResult(&Receiver, Args);
     }
     // Unknown library object (tracked for labeling): record the call.
-    std::string Sig =
-        Obj.TypeName + "." + Call->Name + "/" + std::to_string(Args.size());
+    std::string Sig = unmodeledSig(Obj.TypeName, Call->Name, Args.size());
     record(State, Receiver.objectId(), Sig, Args);
     recordOnObjectArgs(State, Sig, Args);
     return unknownCallResult(&Receiver, Args);
@@ -1440,7 +1496,7 @@ AnalysisResult Engine::run(const CompilationUnit *Unit) {
     ExecState Initial;
     Frame F;
     F.CurrentClass = Class;
-    F.CallStack.push_back(Method);
+    F.Method = Method;
 
     // Materialize a `this` instance (also for static entries, so field
     // initializers with allocation sites are analyzed exactly once per
@@ -1461,7 +1517,7 @@ AnalysisResult Engine::run(const CompilationUnit *Unit) {
     for (const ParamDecl &Param : Method->Params) {
       Initial.Locals[Param.Name] =
           coerce(AbstractValue::unknown(), Param.Type);
-      Initial.LocalTypes[Param.Name] = Param.Type;
+      Initial.LocalTypes[Param.Name] = &Param.Type;
     }
 
     std::vector<ExecState> States;

@@ -60,6 +60,11 @@ struct AnalysisOptions {
   unsigned MaxObjects = 32768;
 };
 
+/// Cap on the usage events one execution records for one abstract object.
+/// Real usages are tiny (the generated corpora stay under 5 per object);
+/// past the cap further events are dropped and AnalysisStats flags it.
+inline constexpr unsigned MaxEventsPerObject = 256;
+
 /// Resource consumption of one analyze() call. Lets the pipeline tell a
 /// genuinely crypto-free file from one whose analysis was truncated by a
 /// budget, and feeds the corpus-health "worst offenders" table.
@@ -74,8 +79,13 @@ struct AnalysisStats {
   bool FuelExhausted = false;
   /// The MaxObjects cap degraded at least one allocation site.
   bool ObjectBudgetHit = false;
+  /// Some object's usage log reached MaxEventsPerObject and dropped an
+  /// event.
+  bool EventBudgetHit = false;
 
-  bool anyBudgetHit() const { return FuelExhausted || ObjectBudgetHit; }
+  bool anyBudgetHit() const {
+    return FuelExhausted || ObjectBudgetHit || EventBudgetHit;
+  }
 };
 
 /// Output of analyzing one program version.

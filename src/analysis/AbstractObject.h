@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace diffcode {
@@ -43,15 +44,16 @@ struct AbstractObject {
 class ObjectTable {
 public:
   /// Returns the object for (site, type), creating it on first use.
-  unsigned getOrCreate(java::SourceLocation Site, const std::string &Type) {
+  unsigned getOrCreate(java::SourceLocation Site, std::string_view Type) {
     std::uint64_t Key =
         (static_cast<std::uint64_t>(Site.Line) << 32) | Site.Column;
-    auto It = SiteIndex.find({Key, Type});
-    if (It != SiteIndex.end())
-      return It->second;
+    auto [First, Last] = SiteIndex.equal_range(Key);
+    for (auto It = First; It != Last; ++It)
+      if (Objects[It->second].TypeName == Type)
+        return It->second;
     unsigned Id = static_cast<unsigned>(Objects.size());
-    Objects.push_back({Id, Type, Site});
-    SiteIndex.emplace(std::make_pair(Key, Type), Id);
+    Objects.push_back({Id, std::string(Type), Site});
+    SiteIndex.emplace(Key, Id);
     return Id;
   }
 
@@ -61,7 +63,8 @@ public:
 
 private:
   std::vector<AbstractObject> Objects;
-  std::map<std::pair<std::uint64_t, std::string>, unsigned> SiteIndex;
+  /// Site (line << 32 | column) -> the ids of the objects allocated there.
+  std::multimap<std::uint64_t, unsigned> SiteIndex;
 };
 
 } // namespace analysis

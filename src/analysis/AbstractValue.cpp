@@ -22,7 +22,7 @@ AbstractValue AbstractValue::intConst(std::int64_t Value, std::string Symbol) {
   AbstractValue V;
   V.Kind = AVKind::IntConst;
   V.IntValue = Value;
-  V.Symbol = std::move(Symbol);
+  V.Text = std::move(Symbol);
   return V;
 }
 
@@ -49,7 +49,7 @@ AbstractValue AbstractValue::intArrayTop() {
 AbstractValue AbstractValue::strConst(std::string Value) {
   AbstractValue V;
   V.Kind = AVKind::StrConst;
-  V.StrValue = std::move(Value);
+  V.Text = std::move(Value);
   return V;
 }
 
@@ -97,18 +97,18 @@ AbstractValue AbstractValue::byteArrayTop() {
   return V;
 }
 
-AbstractValue AbstractValue::object(unsigned Id, std::string TypeName) {
+AbstractValue AbstractValue::object(unsigned Id, std::string_view TypeName) {
   AbstractValue V;
   V.Kind = AVKind::Object;
   V.ObjectId = Id;
-  V.TypeName = std::move(TypeName);
+  V.Text = TypeName;
   return V;
 }
 
-AbstractValue AbstractValue::topObject(std::string TypeName) {
+AbstractValue AbstractValue::topObject(std::string_view TypeName) {
   AbstractValue V;
   V.Kind = AVKind::TopObject;
-  V.TypeName = std::move(TypeName);
+  V.Text = TypeName;
   return V;
 }
 
@@ -137,7 +137,7 @@ std::string AbstractValue::label() const {
   case AVKind::Null:
     return "null";
   case AVKind::IntConst:
-    return Symbol.empty() ? std::to_string(IntValue) : Symbol;
+    return Text.empty() ? std::to_string(IntValue) : Text;
   case AVKind::IntTop:
     return "⊤int";
   case AVKind::IntArrayConst: {
@@ -152,7 +152,7 @@ std::string AbstractValue::label() const {
   case AVKind::IntArrayTop:
     return "⊤int[]";
   case AVKind::StrConst:
-    return StrValue;
+    return Text;
   case AVKind::StrTop:
     return "⊤str";
   case AVKind::StrArrayConst: {
@@ -176,7 +176,7 @@ std::string AbstractValue::label() const {
     return "⊤byte[]";
   case AVKind::Object:
   case AVKind::TopObject:
-    return TypeName;
+    return Text;
   }
   return "⊤";
 }
@@ -211,7 +211,7 @@ AbstractValue AbstractValue::join(const AbstractValue &A,
     }
   };
   if (A.isObjectLike() && B.isObjectLike())
-    return A.TypeName == B.TypeName ? topObject(A.TypeName) : unknown();
+    return A.Text == B.Text ? topObject(A.Text) : unknown();
   AbstractValue TopA = DomainTop(A.Kind);
   AbstractValue TopB = DomainTop(B.Kind);
   if (TopA == TopB && TopA.Kind != AVKind::Unknown)
@@ -224,17 +224,17 @@ bool AbstractValue::operator==(const AbstractValue &Other) const {
     return false;
   switch (Kind) {
   case AVKind::IntConst:
-    return IntValue == Other.IntValue && Symbol == Other.Symbol;
+    return IntValue == Other.IntValue && Text == Other.Text;
   case AVKind::IntArrayConst:
     return IntElems == Other.IntElems;
   case AVKind::StrConst:
-    return StrValue == Other.StrValue;
+    return Text == Other.Text;
   case AVKind::StrArrayConst:
     return StrElems == Other.StrElems;
   case AVKind::Object:
     return ObjectId == Other.ObjectId;
   case AVKind::TopObject:
-    return TypeName == Other.TypeName;
+    return Text == Other.Text;
   default:
     return true;
   }

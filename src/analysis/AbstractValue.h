@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace diffcode {
@@ -78,8 +79,8 @@ public:
   static AbstractValue byteTop();
   static AbstractValue byteArrayConst();
   static AbstractValue byteArrayTop();
-  static AbstractValue object(unsigned Id, std::string TypeName);
-  static AbstractValue topObject(std::string TypeName);
+  static AbstractValue object(unsigned Id, std::string_view TypeName);
+  static AbstractValue topObject(std::string_view TypeName);
 
   AVKind kind() const { return Kind; }
   bool isObjectLike() const {
@@ -92,9 +93,18 @@ public:
   bool isConstant() const;
 
   std::int64_t intValue() const { return IntValue; }
-  const std::string &strValue() const { return StrValue; }
-  const std::string &symbol() const { return Symbol; }
-  const std::string &typeName() const { return TypeName; }
+  /// The string constant's value; empty for every other kind.
+  const std::string &strValue() const {
+    return Kind == AVKind::StrConst ? Text : NoText;
+  }
+  /// The int constant's symbolic name; empty for every other kind.
+  const std::string &symbol() const {
+    return Kind == AVKind::IntConst ? Text : NoText;
+  }
+  /// The object's type name; empty for every other kind.
+  const std::string &typeName() const {
+    return isObjectLike() ? Text : NoText;
+  }
   unsigned objectId() const { return ObjectId; }
   const std::vector<std::int64_t> &intElements() const { return IntElems; }
   const std::vector<std::string> &strElements() const { return StrElems; }
@@ -114,12 +124,14 @@ public:
   }
 
 private:
+  static inline const std::string NoText;
+
   AVKind Kind;
-  std::int64_t IntValue = 0;
-  std::string StrValue;
-  std::string Symbol;
-  std::string TypeName;
   unsigned ObjectId = 0;
+  std::int64_t IntValue = 0;
+  /// A string constant's value, an int constant's symbol or an object's
+  /// type name: no kind carries two of them.
+  std::string Text;
   std::vector<std::int64_t> IntElems;
   std::vector<std::string> StrElems;
 };

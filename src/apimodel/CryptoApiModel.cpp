@@ -7,18 +7,16 @@
 
 using namespace diffcode::apimodel;
 
-std::string ApiMethod::signature() const {
-  return ClassName + "." + Name + "/" + std::to_string(arity());
-}
-
 void CryptoApiModel::addClass(ApiClass Class) {
+  for (ApiMethod &M : Class.Methods)
+    M.Signature = M.ClassName + "." + M.Name + "/" + std::to_string(M.arity());
   if (Class.IsTarget)
     Targets.push_back(Class.Name);
   Classes.emplace(Class.Name, std::move(Class));
 }
 
 const ApiClass *CryptoApiModel::lookupClass(std::string_view Name) const {
-  auto It = Classes.find(std::string(Name));
+  auto It = Classes.find(Name);
   return It == Classes.end() ? nullptr : &It->second;
 }
 
@@ -48,7 +46,7 @@ CryptoApiModel::lookupConstant(std::string_view ClassName,
   const ApiClass *Class = lookupClass(ClassName);
   if (!Class)
     return std::nullopt;
-  auto It = Class->IntConstants.find(std::string(ConstName));
+  auto It = Class->IntConstants.find(ConstName);
   if (It == Class->IntConstants.end())
     return std::nullopt;
   return It->second;

@@ -31,6 +31,19 @@
 namespace diffcode {
 namespace apimodel {
 
+/// Hash for string-keyed maps looked up by std::string_view, so a lookup
+/// builds no std::string.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view Name) const {
+    return std::hash<std::string_view>{}(Name);
+  }
+};
+
+/// A map keyed by names and looked up by views.
+template <typename V>
+using NameMap = std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
+
 /// One method of an API class. Constructors use the JVM-style name
 /// "<init>". Overloads are distinguished by arity only — sufficient for
 /// the JCA subset where no two same-arity overloads differ in ways the
@@ -50,8 +63,12 @@ struct ApiMethod {
   }
 
   /// Signature string used as a DAG node label, e.g.
-  /// "Cipher.getInstance/1".
-  std::string signature() const;
+  /// "Cipher.getInstance/1". Empty until CryptoApiModel::addClass, which
+  /// computes it once for every method it registers.
+  const std::string &signature() const { return Signature; }
+
+  /// The string signature() returns.
+  std::string Signature;
 };
 
 /// One API class with its methods and integer constants.
@@ -59,7 +76,7 @@ struct ApiClass {
   std::string Name;
   bool IsTarget = false;
   std::vector<ApiMethod> Methods;
-  std::unordered_map<std::string, std::int64_t> IntConstants;
+  NameMap<std::int64_t> IntConstants;
 };
 
 /// The whole modeled API. Immutable after construction; the analysis
@@ -97,7 +114,7 @@ public:
   void addClass(ApiClass Class);
 
 private:
-  std::unordered_map<std::string, ApiClass> Classes;
+  NameMap<ApiClass> Classes;
   std::vector<std::string> Targets;
 };
 

@@ -10,7 +10,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <exception>
+#include <span>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -136,8 +139,10 @@ DiffCode::analyzeSourceChecked(std::string_view Source,
   Out.Result = Interp.analyze(Unit);
   if (Out.Result.Stats.anyBudgetHit()) {
     Out.Status = ChangeStatus::BudgetExceeded;
-    Out.Detail = Out.Result.Stats.FuelExhausted ? "interpreter fuel exhausted"
-                                                : "abstract-object cap hit";
+    const analysis::AnalysisStats &Stats = Out.Result.Stats;
+    Out.Detail = Stats.FuelExhausted     ? "interpreter fuel exhausted"
+                 : Stats.ObjectBudgetHit ? "abstract-object cap hit"
+                                         : "usage-event cap hit";
   } else if (Diags.hasErrors()) {
     Out.Status = ChangeStatus::Degraded;
     Out.Detail = FirstError();
@@ -145,48 +150,85 @@ DiffCode::analyzeSourceChecked(std::string_view Source,
   return Out;
 }
 
+namespace {
+
+/// The usage DAGs of each of \p Classes, each list as dagsForClass returns
+/// it, from one walk over \p Result's executions: each object's class is
+/// looked up once, and only objects of a requested class get a DAG.
+std::vector<std::vector<usage::UsageDag>>
+dagsForClasses(const analysis::AnalysisResult &Result,
+               std::span<const std::string> Classes, unsigned DagDepth) {
+  constexpr std::size_t None = SIZE_MAX;
+  // Each object's index in Classes; a class listed twice gets its first
+  // index here and a copy of that list at the end.
+  std::vector<std::size_t> ClassOf(Result.Objects.size(), None);
+  for (const analysis::AbstractObject &Obj : Result.Objects.all())
+    for (std::size_t C = 0; C < Classes.size(); ++C)
+      if (Obj.TypeName == Classes[C]) {
+        ClassOf[Obj.Id] = C;
+        break;
+      }
+
+  std::vector<std::vector<usage::UsageDag>> Dags(Classes.size());
+  // Kept DAGs by identity hash, as (class, index); a hash match counts as
+  // a duplicate only when the canonical strings agree too.
+  std::unordered_multimap<std::uint64_t, std::pair<std::size_t, std::size_t>>
+      Kept;
+  for (const analysis::UsageLog &Log : Result.Executions)
+    for (const auto &[ObjId, Events] : Log) {
+      const std::size_t C = ClassOf[ObjId];
+      if (Events.empty() || C == None)
+        continue;
+      usage::UsageDag Dag =
+          usage::UsageDag::build(Result.Objects, Log, ObjId, DagDepth);
+      auto [First, Last] = Kept.equal_range(Dag.canonicalHash());
+      if (std::any_of(First, Last, [&](const auto &Entry) {
+            return Entry.second.first == C &&
+                   Dags[C][Entry.second.second].sameIdentity(Dag);
+          }))
+        continue;
+      Kept.emplace(Dag.canonicalHash(), std::make_pair(C, Dags[C].size()));
+      Dags[C].push_back(std::move(Dag));
+    }
+  for (std::size_t C = 0; C < Classes.size(); ++C)
+    for (std::size_t Earlier = 0; Earlier < C; ++Earlier)
+      if (Classes[Earlier] == Classes[C]) {
+        Dags[C] = Dags[Earlier];
+        break;
+      }
+  return Dags;
+}
+
+} // namespace
+
 std::vector<usage::UsageDag>
 DiffCode::dagsForClass(const analysis::AnalysisResult &Result,
                        const std::string &TargetClass) const {
-  std::vector<usage::UsageDag> Dags;
-  // Kept DAGs by identity hash; a hash match counts as a duplicate only
-  // when the canonical strings agree too.
-  std::unordered_multimap<std::uint64_t, std::size_t> Kept;
-  for (const analysis::UsageLog &Log : Result.Executions) {
-    for (const auto &[ObjId, Events] : Log) {
-      if (Events.empty())
-        continue;
-      if (Result.Objects.get(ObjId).TypeName != TargetClass)
-        continue;
-      usage::UsageDag Dag =
-          usage::UsageDag::build(Result.Objects, Log, ObjId, Config.Limits.DagDepth);
-      auto [First, Last] = Kept.equal_range(Dag.canonicalHash());
-      if (std::any_of(First, Last, [&](const auto &Entry) {
-            return Dags[Entry.second].sameIdentity(Dag);
-          }))
-        continue;
-      Kept.emplace(Dag.canonicalHash(), Dags.size());
-      Dags.push_back(std::move(Dag));
-    }
-  }
-  return Dags;
+  return std::move(dagsForClasses(Result, std::span(&TargetClass, 1),
+                                  Config.Limits.DagDepth)
+                       .front());
 }
 
 AnalyzedVersion
 DiffCode::analyzeVersion(std::string_view Source, java::AstContext &Ctx,
                          const std::vector<std::string> &DagClasses,
+                         const std::vector<const rules::Rule *> &ClassifyWith,
                          VersionFacts Facts) const {
   SourceAnalysis SA = analyzeSourceChecked(Source, Ctx);
   AnalyzedVersion Out;
   Out.Status = SA.Status;
   Out.Detail = std::move(SA.Detail);
   Out.Stats = SA.Result.Stats;
-  Out.Dags.reserve(DagClasses.size());
-  for (const std::string &Class : DagClasses)
-    Out.Dags.push_back(dagsForClass(SA.Result, Class));
+  Out.Dags = dagsForClasses(SA.Result, DagClasses, Config.Limits.DagDepth);
+  if (ClassifyWith.empty() && Facts == VersionFacts::None)
+    return Out;
+  rules::UnitFacts Digest =
+      rules::UnitFacts::from(SA.Result, Facts == VersionFacts::Executions);
+  Out.Verdicts.reserve(ClassifyWith.size());
+  for (const rules::Rule *R : ClassifyWith)
+    Out.Verdicts.push_back(rules::unitVerdict(*R, Digest));
   if (Facts != VersionFacts::None)
-    Out.Facts = rules::UnitFacts::from(SA.Result,
-                                       Facts == VersionFacts::Executions);
+    Out.Facts = std::move(Digest);
   return Out;
 }
 
@@ -195,10 +237,8 @@ DiffCode::usageChangesFor(const corpus::CodeChange &Change,
                           const std::string &TargetClass) const {
   java::AstContext Ctx; // shared across both versions (reset in between)
   const std::vector<std::string> Classes{TargetClass};
-  AnalyzedVersion Old =
-      analyzeVersion(Change.OldCode, Ctx, Classes, VersionFacts::None);
-  AnalyzedVersion New =
-      analyzeVersion(Change.NewCode, Ctx, Classes, VersionFacts::None);
+  AnalyzedVersion Old = analyzeVersion(Change.OldCode, Ctx, Classes, {});
+  AnalyzedVersion New = analyzeVersion(Change.NewCode, Ctx, Classes, {});
   std::vector<usage::UsageChange> Changes = usage::deriveUsageChanges(
       Old.Dags[0], New.Dags[0], TargetClass, *Labels);
   for (usage::UsageChange &C : Changes)
@@ -252,9 +292,14 @@ ChangeRecord DiffCode::assembleChange(
       Record.PerClass.emplace(TargetClasses[C], std::move(Changes));
   }
 
-  for (const rules::Rule *R : ClassifyWith)
+  if (Old.Verdicts.size() != ClassifyWith.size() ||
+      New.Verdicts.size() != ClassifyWith.size())
+    throw std::invalid_argument(
+        "assembleChange: a version carries no verdict per rule");
+  for (std::size_t I = 0; I < ClassifyWith.size(); ++I)
     Record.Classification.emplace(
-        R->Id, rules::classifyChange(*R, Old.Facts, New.Facts));
+        ClassifyWith[I]->Id,
+        rules::classifyChange(Old.Verdicts[I], New.Verdicts[I]));
   return Record;
 }
 
@@ -281,10 +326,6 @@ ChangeRecord containChange(const corpus::CodeChange &Change, Fn &&Assemble) {
   return Record;
 }
 
-VersionFacts factsFor(const std::vector<const rules::Rule *> &ClassifyWith) {
-  return ClassifyWith.empty() ? VersionFacts::None : VersionFacts::Merged;
-}
-
 } // namespace
 
 ChangeRecord DiffCode::processChange(
@@ -294,10 +335,10 @@ ChangeRecord DiffCode::processChange(
     support::Interner &Table, obs::Registry *Reg) const {
   return containChange(Change, [&] {
     java::AstContext Ctx; // shared across both versions (reset in between)
-    AnalyzedVersion Old = analyzeVersion(Change.OldCode, Ctx, TargetClasses,
-                                         factsFor(ClassifyWith));
-    AnalyzedVersion New = analyzeVersion(Change.NewCode, Ctx, TargetClasses,
-                                         factsFor(ClassifyWith));
+    AnalyzedVersion Old =
+        analyzeVersion(Change.OldCode, Ctx, TargetClasses, ClassifyWith);
+    AnalyzedVersion New =
+        analyzeVersion(Change.NewCode, Ctx, TargetClasses, ClassifyWith);
     return assembleChange(Change, Old, New, TargetClasses, ClassifyWith,
                           Table, Reg);
   });
@@ -319,7 +360,7 @@ core::fileHistories(const std::vector<const corpus::CodeChange *> &Changes) {
 
 VersionStore::VersionStore(const DiffCode &System,
                            const PipelineRequest &Request)
-    : System(System), Request(Request), Facts(factsFor(Request.ClassifyWith)) {}
+    : System(System), Request(Request) {}
 
 void VersionStore::seed(const corpus::CodeChange &First,
                         const CarriedVersion &Carried) {
@@ -348,7 +389,7 @@ VersionStore::Kept VersionStore::version(std::string_view Text,
     }
   ++Analyzed;
   return {Text, std::make_shared<const AnalyzedVersion>(System.analyzeVersion(
-                    Text, Ctx, Request.TargetClasses, Facts))};
+                    Text, Ctx, Request.TargetClasses, Request.ClassifyWith))};
 }
 
 ChangeRecord VersionStore::process(const corpus::CodeChange &Change,

@@ -246,10 +246,11 @@ struct PipelineRequest {
   ExecutionPolicy Exec;
 };
 
-/// Which fact digest DiffCode::analyzeVersion builds.
+/// Which fact digest DiffCode::analyzeVersion keeps: the scanner evaluates
+/// rules over whole projects, so it keeps each unit's digest.
 enum class VersionFacts {
   None,       ///< No facts: the product's Facts stays empty.
-  Merged,     ///< rules::UnitFacts::from(Result): what classification reads.
+  Merged,     ///< rules::UnitFacts::from(Result): what rule evaluation reads.
   Executions, ///< Also the per-execution event lists refinement reads.
 };
 
@@ -264,6 +265,10 @@ struct AnalyzedVersion {
   /// Usage DAGs per requested class, parallel to the classes
   /// analyzeVersion was asked for, each as dagsForClass returns them.
   std::vector<std::vector<usage::UsageDag>> Dags;
+  /// The version's verdict under each rule analyzeVersion was asked to
+  /// classify with, parallel to those rules: all a change's
+  /// classification reads of this side.
+  std::vector<rules::UnitVerdict> Verdicts;
   rules::UnitFacts Facts; ///< Empty under VersionFacts::None.
 };
 
@@ -365,22 +370,27 @@ public:
                   const std::string &TargetClass) const;
 
   /// The per-version stage: analyzeSourceChecked(Source, Ctx), then the
-  /// usage DAGs of each of \p DagClasses and the facts \p Facts asks for,
-  /// keeping none of the AST or AnalysisResult. Records no metrics and
-  /// throws what the analysis throws.
-  AnalyzedVersion analyzeVersion(std::string_view Source,
-                                 java::AstContext &Ctx,
-                                 const std::vector<std::string> &DagClasses,
-                                 VersionFacts Facts) const;
+  /// usage DAGs of each of \p DagClasses (one walk over the executions for
+  /// all of them), the version's verdict under each of \p ClassifyWith and
+  /// the facts \p Facts asks for, keeping none of the AST or
+  /// AnalysisResult. Records no metrics and throws what the analysis
+  /// throws.
+  AnalyzedVersion
+  analyzeVersion(std::string_view Source, java::AstContext &Ctx,
+                 const std::vector<std::string> &DagClasses,
+                 const std::vector<const rules::Rule *> &ClassifyWith,
+                 VersionFacts Facts = VersionFacts::None) const;
 
   /// The per-change stage: the record of \p Change from its two analyzed
-  /// versions, whose Dags are parallel to \p TargetClasses (and whose
-  /// Facts are Merged when \p ClassifyWith is non-empty). Status is the
-  /// worse version's; each class's usage changes are derived and interned
-  /// into \p Table; the change is classified under each rule. With \p Reg,
-  /// records both versions' interpreter metrics (steps/entries/objects
-  /// histograms, budget-hit counters) and usage-change counts. Throws
-  /// what deriving or classifying throws.
+  /// versions, whose Dags are parallel to \p TargetClasses and whose
+  /// Verdicts are parallel to \p ClassifyWith. Status is the worse
+  /// version's; each class's usage changes are derived and interned into
+  /// \p Table; the change is classified under each rule by comparing the
+  /// two versions' verdicts. With \p Reg, records both versions'
+  /// interpreter metrics (steps/entries/objects histograms, budget-hit
+  /// counters) and usage-change counts. Throws what deriving throws, and
+  /// std::invalid_argument when a version's Verdicts are not parallel to
+  /// \p ClassifyWith.
   ChangeRecord
   assembleChange(const corpus::CodeChange &Change, const AnalyzedVersion &Old,
                  const AnalyzedVersion &New,
@@ -517,7 +527,6 @@ private:
 
   const DiffCode &System;
   const PipelineRequest &Request;
-  const VersionFacts Facts;
   java::AstContext Ctx;
   /// The previous change's file history and its old and new versions (a
   /// seeded store starts with only the new one).

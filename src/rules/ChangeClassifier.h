@@ -12,9 +12,12 @@
 /// respect to that rule. This is the ground-truthing mechanism behind
 /// Figure 7.
 ///
-/// Both versions are evaluated by RuleEval over their UnitFacts digests,
-/// the same evaluator CryptoChecker and the scanner run. Callers digest
-/// each version once and classify under every rule from the two digests
+/// Classification reads two facts of each version under the rule: does it
+/// match, and does it apply. Both come from RuleEval over the version's
+/// UnitFacts digest (the evaluator CryptoChecker and the scanner run) and
+/// depend on that version alone, so a caller serving one version to
+/// several changes takes its UnitVerdict once (core::DiffCode::
+/// analyzeVersion) and classifies each change from two verdicts
 /// (core::DiffCode::assembleChange).
 ///
 //===----------------------------------------------------------------------===//
@@ -30,7 +33,24 @@ namespace rules {
 /// Verdict of classifying one change under one rule.
 enum class ChangeClass { SecurityFix, BuggyChange, NonSemantic };
 
-/// Classifies an (old, new) version pair under \p R.
+/// What classification reads of one version under one rule.
+struct UnitVerdict {
+  bool Matches = false;    ///< The rule triggers on the version.
+  bool Applicable = false; ///< The rule applies to the version.
+
+  bool operator==(const UnitVerdict &) const = default;
+};
+
+/// \p R's verdict on the version digested into \p Facts.
+UnitVerdict unitVerdict(const Rule &R, const UnitFacts &Facts,
+                        const ProjectMetadata &Meta = ProjectMetadata());
+
+/// Classifies an (old, new) version pair from their verdicts under one
+/// rule.
+ChangeClass classifyChange(const UnitVerdict &Old, const UnitVerdict &New);
+
+/// Classifies an (old, new) version pair under \p R: the verdict
+/// comparison above over each side's unitVerdict.
 ChangeClass classifyChange(const Rule &R, const UnitFacts &OldFacts,
                            const UnitFacts &NewFacts,
                            const ProjectMetadata &Meta = ProjectMetadata());

@@ -47,7 +47,7 @@ Scanner::digest(std::string_view Code, bool Refine, java::AstContext &Ctx,
   }
   ++Misses;
   auto Entry = std::make_shared<const core::AnalyzedVersion>(
-      System.analyzeVersion(Code, Ctx, {},
+      System.analyzeVersion(Code, Ctx, {}, {},
                             Refine ? core::VersionFacts::Executions
                                    : core::VersionFacts::Merged));
   std::lock_guard<std::mutex> Lock(CacheMutex);

@@ -6,14 +6,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <functional>
 #include <set>
+#include <string_view>
 
 using namespace diffcode;
 using namespace diffcode::usage;
 using namespace diffcode::analysis;
 
 namespace {
+
+/// Appends \p N in decimal, as std::to_string writes it.
+void appendNumber(std::string &Out, std::size_t N) {
+  char Buf[24];
+  auto [End, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), N);
+  assert(Ec == std::errc());
+  Out.append(Buf, End);
+}
 
 /// Appends an encoding of \p L that no other label shares: a kind tag
 /// (R, M, or S/A for string/other arguments, then the argument index),
@@ -30,37 +40,114 @@ void appendLabelKey(std::string &Out, const NodeLabel &L) {
     break;
   case NodeLabel::Kind::Arg:
     Out += L.ValueIsString ? 'S' : 'A';
-    Out += std::to_string(L.ArgIndex);
+    appendNumber(Out, L.ArgIndex);
     Out += '.';
     break;
   }
-  Out += std::to_string(L.Text.size());
+  appendNumber(Out, L.Text.size());
   Out += ':';
   Out += L.Text;
 }
 
-/// The subtree at \p Index as "label(child,child,...)", children sorted.
-std::string canonicalForm(const std::vector<UsageDag::Node> &Nodes,
-                          unsigned Index) {
-  std::string Out;
+/// Appends the subtree at \p Index as "label(child,child,...)", children
+/// sorted. A lone child is rendered in place; several are rendered one
+/// after another, then reordered through one copy.
+void appendCanonical(std::string &Out, const std::vector<UsageDag::Node> &Nodes,
+                     unsigned Index) {
   appendLabelKey(Out, Nodes[Index].Label);
   const std::vector<unsigned> &Children = Nodes[Index].Children;
   if (Children.empty())
-    return Out;
-  std::vector<std::string> Kids;
-  Kids.reserve(Children.size());
-  for (unsigned Child : Children)
-    Kids.push_back(canonicalForm(Nodes, Child));
-  std::sort(Kids.begin(), Kids.end());
+    return;
   Out += '(';
+  if (Children.size() == 1) {
+    appendCanonical(Out, Nodes, Children.front());
+    Out += ')';
+    return;
+  }
+  const std::size_t Start = Out.size();
+  std::vector<std::pair<std::size_t, std::size_t>> Kids; // offset, length
+  Kids.reserve(Children.size());
+  for (unsigned Child : Children) {
+    std::size_t Offset = Out.size() - Start;
+    appendCanonical(Out, Nodes, Child);
+    Kids.emplace_back(Offset, Out.size() - Start - Offset);
+  }
+  std::string Rendered = Out.substr(Start);
+  std::string_view All = Rendered;
+  std::sort(Kids.begin(), Kids.end(), [All](const auto &A, const auto &B) {
+    return All.substr(A.first, A.second) < All.substr(B.first, B.second);
+  });
+  Out.resize(Start);
   for (std::size_t I = 0; I < Kids.size(); ++I) {
     if (I != 0)
       Out += ',';
-    Out += Kids[I];
+    Out += All.substr(Kids[I].first, Kids[I].second);
   }
   Out += ')';
-  return Out;
 }
+
+/// Expands object nodes of one DAG under construction: one method child
+/// per distinct usage event, one argument child per parameter;
+/// tracked-object arguments recurse. Path holds the objects on the current
+/// root-to-node path (at most one per two levels of MaxDepth), the guard
+/// against cycles: an object is expanded at most once per path.
+struct DagBuilder {
+  const UsageLog &Log;
+  const unsigned MaxDepth;
+  std::vector<UsageDag::Node> &Nodes;
+  std::vector<unsigned> Path;
+
+  bool onPath(unsigned ObjId) const {
+    return std::find(Path.begin(), Path.end(), ObjId) != Path.end();
+  }
+
+  void expandObject(unsigned NodeIdx, unsigned ObjId, unsigned Depth) {
+    if (Depth >= MaxDepth)
+      return;
+    auto LogIt = Log.find(ObjId);
+    if (LogIt == Log.end())
+      return;
+    Path.push_back(ObjId);
+
+    // Distinct events only — the DAG is a set of (m, sigma) nodes.
+    std::vector<const UsageEvent *> Distinct;
+    for (const UsageEvent &Event : LogIt->second) {
+      bool Seen = false;
+      for (const UsageEvent *Prev : Distinct)
+        Seen = Seen || (*Prev == Event);
+      if (!Seen)
+        Distinct.push_back(&Event);
+    }
+
+    for (const UsageEvent *Event : Distinct) {
+      // The paper's no-cycle rule: an event whose arguments refer back to
+      // an object on the current path would close a cycle (e.g.
+      // re-expanding Cipher.init underneath the IvParameterSpec it
+      // received) — skip it.
+      bool ClosesCycle = false;
+      for (const AbstractValue &Arg : Event->Args)
+        if (Arg.isTrackedObject() && onPath(Arg.objectId()))
+          ClosesCycle = true;
+      if (ClosesCycle && Depth > 0)
+        continue;
+      unsigned MethodIdx = static_cast<unsigned>(Nodes.size());
+      Nodes.push_back({NodeLabel::method(Event->MethodSig), {}});
+      Nodes[NodeIdx].Children.push_back(MethodIdx);
+      if (Depth + 1 >= MaxDepth)
+        continue;
+      for (std::size_t I = 0; I < Event->Args.size(); ++I) {
+        const AbstractValue &Arg = Event->Args[I];
+        unsigned ArgIdx = static_cast<unsigned>(Nodes.size());
+        Nodes.push_back(
+            {NodeLabel::arg(static_cast<unsigned>(I + 1), Arg), {}});
+        Nodes[MethodIdx].Children.push_back(ArgIdx);
+        if (Arg.isTrackedObject() && !onPath(Arg.objectId()))
+          expandObject(ArgIdx, Arg.objectId(), Depth + 2);
+      }
+    }
+    Path.pop_back();
+  }
+};
 
 } // namespace
 
@@ -94,7 +181,8 @@ NodeLabel NodeLabel::arg(unsigned Index, const AbstractValue &Value) {
 }
 
 void UsageDag::computeIdentity() {
-  Canonical = canonicalForm(Nodes, 0);
+  Canonical.clear();
+  appendCanonical(Canonical, Nodes, 0);
   Hash = support::fnv1a64(Canonical);
 }
 
@@ -110,60 +198,7 @@ UsageDag UsageDag::build(const ObjectTable &Objects, const UsageLog &Log,
   UsageDag Dag;
   Dag.Nodes.push_back(
       {NodeLabel::root(Objects.get(RootObj).TypeName), {}});
-
-  // Expand an object node: one method child per distinct usage event, one
-  // argument child per parameter; tracked-object arguments recurse.
-  // PathObjs guards against cycles (an object is expanded at most once per
-  // root-to-node path).
-  std::function<void(unsigned, unsigned, unsigned, std::set<unsigned>)>
-      ExpandObject = [&](unsigned NodeIdx, unsigned ObjId, unsigned Depth,
-                         std::set<unsigned> PathObjs) {
-        if (Depth >= MaxDepth)
-          return;
-        auto LogIt = Log.find(ObjId);
-        if (LogIt == Log.end())
-          return;
-        PathObjs.insert(ObjId);
-
-        // Distinct events only — the DAG is a set of (m, sigma) nodes.
-        std::vector<const UsageEvent *> Distinct;
-        for (const UsageEvent &Event : LogIt->second) {
-          bool Seen = false;
-          for (const UsageEvent *Prev : Distinct)
-            Seen = Seen || (*Prev == Event);
-          if (!Seen)
-            Distinct.push_back(&Event);
-        }
-
-        for (const UsageEvent *Event : Distinct) {
-          // The paper's no-cycle rule: an event whose arguments refer back
-          // to an object on the current path would close a cycle (e.g.
-          // re-expanding Cipher.init underneath the IvParameterSpec it
-          // received) — skip it.
-          bool ClosesCycle = false;
-          for (const AbstractValue &Arg : Event->Args)
-            if (Arg.isTrackedObject() && PathObjs.count(Arg.objectId()))
-              ClosesCycle = true;
-          if (ClosesCycle && Depth > 0)
-            continue;
-          unsigned MethodIdx = static_cast<unsigned>(Dag.Nodes.size());
-          Dag.Nodes.push_back({NodeLabel::method(Event->MethodSig), {}});
-          Dag.Nodes[NodeIdx].Children.push_back(MethodIdx);
-          if (Depth + 1 >= MaxDepth)
-            continue;
-          for (std::size_t I = 0; I < Event->Args.size(); ++I) {
-            const AbstractValue &Arg = Event->Args[I];
-            unsigned ArgIdx = static_cast<unsigned>(Dag.Nodes.size());
-            Dag.Nodes.push_back(
-                {NodeLabel::arg(static_cast<unsigned>(I + 1), Arg), {}});
-            Dag.Nodes[MethodIdx].Children.push_back(ArgIdx);
-            if (Arg.isTrackedObject() && !PathObjs.count(Arg.objectId()))
-              ExpandObject(ArgIdx, Arg.objectId(), Depth + 2, PathObjs);
-          }
-        }
-      };
-
-  ExpandObject(0, RootObj, 0, {});
+  DagBuilder{Log, MaxDepth, Dag.Nodes, {}}.expandObject(0, RootObj, 0);
   Dag.computeIdentity();
   return Dag;
 }

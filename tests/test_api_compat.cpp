@@ -262,7 +262,10 @@ concept HasVersionStages =
              support::Interner &Table, obs::Registry *Reg,
              const PipelineRequest &R) {
       {
-        S.analyzeVersion(Source, Ctx, Classes, VersionFacts::Merged)
+        S.analyzeVersion(Source, Ctx, Classes, Rules)
+      } -> std::same_as<AnalyzedVersion>;
+      {
+        S.analyzeVersion(Source, Ctx, Classes, Rules, VersionFacts::Merged)
       } -> std::same_as<AnalyzedVersion>;
       {
         S.assembleChange(C, V, V, Classes, Rules, Table, Reg)
@@ -270,6 +273,15 @@ concept HasVersionStages =
       {
         S.analyzeChanges(R, std::size_t(0))
       } -> std::same_as<std::vector<ChangeRecord>>;
+    };
+
+// The per-version stage takes the rules it classifies with: facts alone
+// no longer feed a change's classification.
+template <typename System>
+concept HasFactsOnlyVersionStage =
+    requires(const System &S, std::string_view Source, java::AstContext &Ctx,
+             const std::vector<std::string> &Classes) {
+      S.analyzeVersion(Source, Ctx, Classes, VersionFacts::Merged);
     };
 
 // The per-version product owns what it holds: no AST, no AnalysisResult.
@@ -368,9 +380,12 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
                 "the lexer's one entry point is lexAll()");
   // Two stages, one owned product between them.
   static_assert(HasVersionStages<DiffCode>);
+  static_assert(!HasFactsOnlyVersionStage<DiffCode>,
+                "analyzeVersion takes the rules to classify with; a change "
+                "is classified from two versions' verdicts");
   static_assert(!HoldsAnalysisResult<AnalyzedVersion>,
-                "the per-version product owns its DAGs and facts; it keeps "
-                "no AnalysisResult");
+                "the per-version product owns its DAGs, verdicts and facts; "
+                "it keeps no AnalysisResult");
   static_assert(HoldsAnalysisResult<DiffCode::SourceAnalysis>);
   // The surviving homes still resolve, so the probes above cannot pass
   // vacuously.

@@ -124,6 +124,42 @@ TEST(AnalysisBudget, ObjectCapDegradesToUntracked) {
   EXPECT_LE(Out.Result.Objects.size(), 1u);
 }
 
+TEST(AnalysisBudget, EventCapTruncationIsBudgetExceeded) {
+  // One Cipher gets 255 distinct updates in the old file (getInstance
+  // plus 255 fill the per-object cap exactly) and 300 in the new one.
+  // The new side's 45 surplus updates are dropped, so the change must
+  // not read as a clean, usage-preserving one.
+  auto Updates = [](unsigned N) {
+    std::string Body = "Cipher c = Cipher.getInstance(\"AES\"); ";
+    for (unsigned I = 0; I < N; ++I)
+      Body += "c.update(b, " + std::to_string(I) + ", 1); ";
+    return "class A { void m(byte[] b) throws Exception { " + Body + "} }";
+  };
+  corpus::CodeChange Change;
+  Change.ProjectName = "p";
+  Change.FileName = "A.java";
+  Change.OldCode = Updates(analysis::MaxEventsPerObject - 1);
+  Change.NewCode = Updates(300);
+
+  DiffCode System(api());
+  DiffCode::SourceAnalysis Old = System.analyzeSourceChecked(Change.OldCode);
+  EXPECT_EQ(Old.Status, ChangeStatus::Ok);
+  DiffCode::SourceAnalysis New = System.analyzeSourceChecked(Change.NewCode);
+  EXPECT_EQ(New.Status, ChangeStatus::BudgetExceeded);
+  EXPECT_TRUE(New.Result.Stats.EventBudgetHit);
+  EXPECT_EQ(New.Detail, "usage-event cap hit");
+
+  ChangeRecord Direct = System.processChange(
+      Change, api().targetClasses(), {}, *System.labels());
+  EXPECT_EQ(Direct.Status, ChangeStatus::BudgetExceeded);
+  EXPECT_EQ(Direct.StatusDetail, "usage-event cap hit");
+  std::vector<ChangeRecord> Records = System.analyzeChanges(
+      {.Changes = {&Change}, .TargetClasses = api().targetClasses()});
+  ASSERT_EQ(Records.size(), 1u);
+  EXPECT_EQ(Records[0].Status, ChangeStatus::BudgetExceeded);
+  EXPECT_EQ(Records[0].StatusDetail, "usage-event cap hit");
+}
+
 TEST(AnalysisBudget, CleanRunReportsStepsAndNoFlags) {
   DiffCode System(api());
   DiffCode::SourceAnalysis Out =

@@ -167,6 +167,58 @@ TEST(ChangeClassifier, AgreesWithTheRawEventOracleOnAGeneratedCorpus) {
   EXPECT_GT(Semantic, 20u);
 }
 
+TEST(ChangeClassifier, PipelineRecordsEqualTheFactsOracle) {
+  // The pipeline classifies from what it keeps of each analyzed version,
+  // and serves a version one change analyzed to the next change of its
+  // file history. The oracle shares nothing: classifyChange over facts of
+  // fresh analyses of both sides of every change.
+  const apimodel::CryptoApiModel &Api =
+      apimodel::CryptoApiModel::javaCryptoApi();
+  std::vector<const Rule *> Rules;
+  for (const std::vector<Rule> *Set : {&elicitedRules(), &cryptoLintRules()})
+    for (const Rule &R : *Set)
+      Rules.push_back(&R);
+  for (std::uint64_t Seed : {42ull, 47ull}) {
+    corpus::CorpusOptions Opts;
+    Opts.NumProjects = 120;
+    Opts.Seed = Seed;
+    corpus::Corpus C = corpus::CorpusGenerator(Opts).generate();
+    std::vector<const corpus::CodeChange *> Mined = corpus::Miner(Api).mine(C);
+    ASSERT_GT(Mined.size(), 1000u);
+
+    core::DiffCode Oracle(Api);
+    std::vector<std::map<std::string, ChangeClass>> Expected;
+    unsigned Semantic = 0;
+    for (const corpus::CodeChange *Change : Mined) {
+      UnitFacts OldFacts =
+          UnitFacts::from(Oracle.analyzeSourceChecked(Change->OldCode).Result);
+      UnitFacts NewFacts =
+          UnitFacts::from(Oracle.analyzeSourceChecked(Change->NewCode).Result);
+      std::map<std::string, ChangeClass> Want;
+      for (const Rule *R : Rules) {
+        ChangeClass Got = classifyChange(*R, OldFacts, NewFacts);
+        Semantic += Got != ChangeClass::NonSemantic;
+        Want.emplace(R->Id, Got);
+      }
+      Expected.push_back(std::move(Want));
+    }
+    EXPECT_GT(Semantic, 20u);
+
+    for (unsigned Threads : {1u, 8u}) {
+      core::DiffCode System(Api, {.Threads = Threads});
+      std::vector<core::ChangeRecord> Records = System.analyzeChanges(
+          {.Changes = Mined,
+           .TargetClasses = Api.targetClasses(),
+           .ClassifyWith = Rules});
+      ASSERT_EQ(Records.size(), Mined.size());
+      for (std::size_t I = 0; I < Mined.size(); ++I)
+        EXPECT_EQ(Records[I].Classification, Expected[I])
+            << "seed " << Seed << ", " << Threads << " threads, "
+            << Mined[I]->origin() << " " << Mined[I]->FileName;
+    }
+  }
+}
+
 TEST(ChangeClassifier, Names) {
   EXPECT_STREQ(changeClassName(ChangeClass::SecurityFix), "fix");
   EXPECT_STREQ(changeClassName(ChangeClass::BuggyChange), "bug");

@@ -275,6 +275,40 @@ TEST(DiffCodeE2E, ProcessChangeClassifies) {
   EXPECT_TRUE(Record.PerClass.count("Cipher"));
 }
 
+TEST(DiffCodeE2E, AssembleChangeComparesTheVersionsVerdicts) {
+  // The per-version stage takes each rule's verdict once; the per-change
+  // stage only compares two of them, and refuses versions analyzed
+  // without the rules it is asked to classify with.
+  DiffCode System(api());
+  std::vector<const rules::Rule *> CLRules;
+  for (const rules::Rule &R : rules::cryptoLintRules())
+    CLRules.push_back(&R);
+  corpus::CodeChange C = change(Figure2Old, Figure2New);
+  java::AstContext Ctx;
+  AnalyzedVersion Old =
+      System.analyzeVersion(C.OldCode, Ctx, api().targetClasses(), CLRules);
+  AnalyzedVersion New =
+      System.analyzeVersion(C.NewCode, Ctx, api().targetClasses(), CLRules);
+  ASSERT_EQ(Old.Verdicts.size(), CLRules.size());
+  EXPECT_TRUE(Old.Facts.Objects.empty()); // the digest is not kept
+  ChangeRecord Record = System.assembleChange(
+      C, Old, New, api().targetClasses(), CLRules, *System.labels());
+  EXPECT_EQ(Record.Classification.at("CL1"),
+            rules::ChangeClass::SecurityFix);
+  EXPECT_EQ(Record.Classification,
+            System
+                .processChange(C, api().targetClasses(), CLRules,
+                               *System.labels())
+                .Classification);
+
+  AnalyzedVersion Bare =
+      System.analyzeVersion(C.NewCode, Ctx, api().targetClasses(), {});
+  EXPECT_TRUE(Bare.Verdicts.empty());
+  EXPECT_THROW(System.assembleChange(C, Old, Bare, api().targetClasses(),
+                                     CLRules, *System.labels()),
+               std::invalid_argument);
+}
+
 TEST(DiffCodeE2E, EmptySourcesHandled) {
   DiffCode System(api());
   analysis::AnalysisResult Empty = System.analyzeSourceChecked("").Result;

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
 using namespace diffcode;
 using namespace diffcode::analysis;
 
@@ -597,4 +600,185 @@ TEST(Interpreter, JoinWidensDivergentValuesAfterCap) {
         SawWrongConst || E.Args[0] == AbstractValue::strConst("X");
   }
   EXPECT_TRUE(SawTop || !SawWrongConst);
+}
+
+//===----------------------------------------------------------------------===//
+// Name resolution: what each name denotes, pinned before any re-keying
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The first argument of every getInstance call on \p Type, in object order.
+std::vector<AbstractValue> getInstanceArgs(const AnalysisResult &Result,
+                                           const std::string &Type) {
+  std::vector<AbstractValue> Out;
+  for (const UsageEvent &E : eventsOfType(Result, Type))
+    if (E.MethodSig.rfind(Type + ".getInstance/", 0) == 0 && !E.Args.empty())
+      Out.push_back(E.Args[0]);
+  return Out;
+}
+
+} // namespace
+
+TEST(InterpreterNames, LocalShadowsField) {
+  AnalysisResult R = analyze(
+      "class A { String algo = \"DES\"; "
+      "void m() throws Exception { "
+      "String algo = \"AES\"; "
+      "Cipher a = Cipher.getInstance(algo); "
+      "Cipher b = Cipher.getInstance(this.algo); } }");
+  std::vector<AbstractValue> Args = getInstanceArgs(R, "Cipher");
+  ASSERT_EQ(Args.size(), 2u);
+  EXPECT_EQ(Args[0], AbstractValue::strConst("AES"));
+  EXPECT_EQ(Args[1], AbstractValue::strConst("DES"));
+}
+
+TEST(InterpreterNames, InheritedStaticIsKeyedByTheNamingClass) {
+  // A static field declared in Base and reached through Sub is stored
+  // under (Sub, ALGO); read as Base.ALGO it is (Base, ALGO), a different
+  // slot.
+  AnalysisResult R = analyze(
+      "class Base { static String ALGO = \"DES\"; } "
+      "class Sub extends Base { "
+      "void m() throws Exception { "
+      "ALGO = \"AES\"; "
+      "Cipher a = Cipher.getInstance(ALGO); "
+      "Cipher b = Cipher.getInstance(Sub.ALGO); "
+      "Cipher c = Cipher.getInstance(Base.ALGO); "
+      "Base.ALGO = \"RC4\"; "
+      "Cipher d = Cipher.getInstance(ALGO); "
+      "Cipher e = Cipher.getInstance(Base.ALGO); } }");
+  std::vector<AbstractValue> Args = getInstanceArgs(R, "Cipher");
+  ASSERT_EQ(Args.size(), 5u);
+  EXPECT_EQ(Args[0], AbstractValue::strConst("AES"));
+  EXPECT_EQ(Args[1], AbstractValue::strConst("AES"));
+  EXPECT_EQ(Args[2], AbstractValue::strTop()); // (Base, ALGO) never set
+  EXPECT_EQ(Args[3], AbstractValue::strConst("AES"));
+  EXPECT_EQ(Args[4], AbstractValue::strConst("RC4"));
+}
+
+TEST(InterpreterNames, InlinedCalleeParamLeavesCallerLocalIntact) {
+  AnalysisResult R = analyze(
+      "class A { "
+      "String pick(String algo) { algo = \"DES\"; return algo; } "
+      "void m() throws Exception { "
+      "String algo = \"AES\"; "
+      "String other = pick(algo); "
+      "Cipher a = Cipher.getInstance(algo); "
+      "Cipher b = Cipher.getInstance(other); } }");
+  std::vector<AbstractValue> Args = getInstanceArgs(R, "Cipher");
+  ASSERT_EQ(Args.size(), 2u);
+  EXPECT_EQ(Args[0], AbstractValue::strConst("AES"));
+  EXPECT_EQ(Args[1], AbstractValue::strConst("DES"));
+}
+
+TEST(InterpreterNames, CatchBindsTheCaughtTypesTopObject) {
+  AnalysisResult R = analyze(
+      "class A { void m(Key k) throws Exception { "
+      "Cipher c = Cipher.getInstance(\"AES\"); "
+      "try { c.doFinal(); } "
+      "catch (javax.crypto.BadPaddingException e) { c.init(2, e); } } }");
+  std::optional<UsageEvent> Init =
+      findEvent(eventsOfType(R, "Cipher"), "Cipher.init/2");
+  ASSERT_TRUE(Init.has_value());
+  EXPECT_EQ(Init->Args[1], AbstractValue::topObject("BadPaddingException"));
+}
+
+TEST(InterpreterNames, OneBranchLocalKeepsItsDeclaredTypeAfterTheCapJoin) {
+  // `key` is declared only on the else path. With one state per entry the
+  // fork joins right after the `if`, and the later assignment must still
+  // coerce into byte[] (an unknown call result becomes Tbyte[], not T).
+  AnalysisOptions Opts;
+  Opts.MaxStatesPerEntry = 1;
+  AnalysisResult R = analyze(
+      "class A { void m(boolean f, String s) throws Exception { "
+      "if (f) { int n = 1; } else { byte[] key = null; } "
+      "key = Hex.decode(s); "
+      "SecretKeySpec spec = new SecretKeySpec(key, \"AES\"); } }",
+      Opts);
+  std::optional<UsageEvent> Ctor =
+      findEvent(eventsOfType(R, "SecretKeySpec"), "SecretKeySpec.<init>");
+  ASSERT_TRUE(Ctor.has_value());
+  EXPECT_EQ(Ctor->Args[0], AbstractValue::byteArrayTop());
+}
+
+//===----------------------------------------------------------------------===//
+// Scaling: name lookups must not grow with the number of names
+//===----------------------------------------------------------------------===//
+
+TEST(InterpreterScaling, ManyLocalsAnalyzeInNearLinearTime) {
+  // N distinct locals, each declared and then read. A linear-search
+  // local map makes this quadratic: 10x the locals would take ~100x the
+  // time; a hashed one takes ~10x. Min-of-3 over the interpretation only
+  // (the parse is shared), bar 30x.
+  auto Unit = [](unsigned N) {
+    std::string Body;
+    for (unsigned I = 0; I < N; ++I)
+      Body += "int v" + std::to_string(I) + " = " + std::to_string(I) + "; ";
+    for (unsigned I = 0; I < N; ++I)
+      Body += "sink(v" + std::to_string(I) + "); ";
+    return "class A { void m() { " + Body + "} }";
+  };
+  auto MinNanos = [&](unsigned N) {
+    std::string Source = Unit(N);
+    java::AstContext Ctx;
+    java::DiagnosticsEngine Diags;
+    java::CompilationUnit *CU = java::parseJava(Source, Ctx, Diags);
+    EXPECT_NE(CU, nullptr);
+    EXPECT_FALSE(Diags.hasErrors());
+    AnalysisOptions Opts;
+    Opts.Fuel = 10 * N + 100; // every statement runs
+    AbstractInterpreter Interp(apimodel::CryptoApiModel::javaCryptoApi(),
+                               Opts);
+    long long Best = -1;
+    for (int Run = 0; Run < 3; ++Run) {
+      auto T0 = std::chrono::steady_clock::now();
+      AnalysisResult R = Interp.analyze(CU);
+      auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - T0)
+                    .count();
+      EXPECT_FALSE(R.Stats.FuelExhausted);
+      // The body block, then 5 steps per local: its declaration and
+      // initializer, then the call statement, the call and its argument.
+      EXPECT_EQ(R.Stats.StepsUsed, 5ull * N + 1);
+      Best = Best < 0 ? Ns : std::min(Best, static_cast<long long>(Ns));
+    }
+    return std::max(Best, 1ll);
+  };
+  long long Small = MinNanos(2000);
+  long long Large = MinNanos(20000);
+  EXPECT_LT(static_cast<double>(Large) / static_cast<double>(Small), 30.0)
+      << "2k locals: " << Small << " ns, 20k locals: " << Large << " ns";
+}
+
+//===----------------------------------------------------------------------===//
+// The per-object event cap is a budget
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One Cipher receiving \p Updates distinct update calls.
+std::string manyUpdates(unsigned Updates) {
+  std::string Body = "Cipher c = Cipher.getInstance(\"AES\"); ";
+  for (unsigned I = 0; I < Updates; ++I)
+    Body += "c.update(b, " + std::to_string(I) + ", 1); ";
+  return "class A { void m(byte[] b) throws Exception { " + Body + "} }";
+}
+
+} // namespace
+
+TEST(InterpreterBudgets, EventCapTruncationIsABudgetHit) {
+  // getInstance plus 255 updates fills the cap exactly: nothing dropped.
+  AnalysisResult Full = analyze(manyUpdates(MaxEventsPerObject - 1));
+  EXPECT_FALSE(Full.Stats.EventBudgetHit);
+  EXPECT_FALSE(Full.Stats.anyBudgetHit());
+  ASSERT_EQ(eventsOfType(Full, "Cipher").size(), MaxEventsPerObject);
+
+  // Past it, events are dropped and the analysis says so.
+  AnalysisResult Cut = analyze(manyUpdates(300));
+  EXPECT_TRUE(Cut.Stats.EventBudgetHit);
+  EXPECT_TRUE(Cut.Stats.anyBudgetHit());
+  EXPECT_FALSE(Cut.Stats.FuelExhausted);
+  EXPECT_FALSE(Cut.Stats.ObjectBudgetHit);
+  EXPECT_EQ(eventsOfType(Cut, "Cipher").size(), MaxEventsPerObject);
 }

@@ -529,6 +529,77 @@ TEST(ScanRefinement, RefineOffScanOfRealCorpusIsByteIdenticalToBatch) {
   }
 }
 
+TEST(ScanRefinement, RealAnalyzerForksDecideARefinedVerdict) {
+  // No clause of R1-R13 is a conjunction, and every event of a merged log
+  // comes from some execution's log, so with the built-in rules a refined
+  // scan equals the plain one. This clause is a conjunction, and the
+  // Cipher below is init-ed on one branch of an `if` and updated on the
+  // other: the interpreter's two forked logs each hold one of the calls,
+  // their merge holds both.
+  rules::CallPattern Init, Update;
+  Init.ClassName = "Cipher";
+  Init.MethodName = "init";
+  Update.ClassName = "Cipher";
+  Update.MethodName = "update";
+  rules::Rule R;
+  R.Id = "X2";
+  R.Description = "init and update on one object";
+  rules::Rule::Clause C;
+  C.TypeName = "Cipher";
+  C.Formula = rules::ObjectFormula::all(
+      {rules::ObjectFormula::exists(std::move(Init)),
+       rules::ObjectFormula::exists(std::move(Update))});
+  R.Clauses.push_back(std::move(C));
+  Scanner S(api(), {}, {R});
+
+  const std::string Split =
+      "class A { void m(boolean f, Key k, byte[] b) throws Exception {\n"
+      "Cipher c = Cipher.getInstance(\"AES\");\n"
+      "if (f) { c.init(1, k); } else { c.update(b); }\n";
+  const std::string OnePath = "Cipher d = Cipher.getInstance(\"AES\");\n"
+                              "d.init(1, k); d.update(b);\n";
+  corpus::Project SplitOnly =
+      projectOf("split", {{"A.java", Split + "} }"}});
+  corpus::Project WithBoth =
+      projectOf("both", {{"A.java", Split + OnePath + "} }"}});
+  ScanRequest Plain;
+  Plain.Projects = {&SplitOnly, &WithBoth};
+  ScanRequest Refined = Plain;
+  Refined.Refine = true;
+
+  ScanReport Off = S.scan(Plain);
+  ScanReport On = S.scan(Refined);
+  ASSERT_EQ(Off.Projects.size(), 2u);
+  ASSERT_EQ(On.Projects.size(), 2u);
+  for (const ScanReport *Report : {&Off, &On})
+    for (const ProjectScanRecord &P : Report->Projects) {
+      EXPECT_EQ(P.Status, core::ChangeStatus::Ok) << P.Detail;
+      ASSERT_EQ(P.Report.verdicts().size(), 1u);
+      EXPECT_TRUE(P.Report.verdicts()[0].Applicable);
+    }
+
+  // The split Cipher alone: a merge artifact, demoted once refined.
+  const rules::RuleVerdict &SplitOff = Off.Projects[0].Report.verdicts()[0];
+  EXPECT_TRUE(SplitOff.Matched);
+  ASSERT_EQ(SplitOff.Violations.size(), 1u);
+  EXPECT_EQ(Off.Projects[0].Report.text(SplitOff.Violations[0].Site), "l2");
+  EXPECT_EQ(SplitOff.Suppressed, 0u);
+  const rules::RuleVerdict &SplitOn = On.Projects[0].Report.verdicts()[0];
+  EXPECT_FALSE(SplitOn.Matched);
+  EXPECT_TRUE(SplitOn.Violations.empty());
+  EXPECT_EQ(SplitOn.Suppressed, 1u);
+
+  // Next to a Cipher making both calls on one path, that one survives.
+  const rules::RuleVerdict &BothOff = Off.Projects[1].Report.verdicts()[0];
+  EXPECT_TRUE(BothOff.Matched);
+  EXPECT_EQ(BothOff.Violations.size(), 2u);
+  const rules::RuleVerdict &BothOn = On.Projects[1].Report.verdicts()[0];
+  EXPECT_TRUE(BothOn.Matched);
+  ASSERT_EQ(BothOn.Violations.size(), 1u);
+  EXPECT_EQ(On.Projects[1].Report.text(BothOn.Violations[0].Site), "l4");
+  EXPECT_EQ(BothOn.Suppressed, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Metrics
 //===----------------------------------------------------------------------===//
